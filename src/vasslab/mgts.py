@@ -459,11 +459,16 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
 
     words = set()
     g0 = mgts.graphs[0]
-    for sval in _entry_candidates(counters, g0.in_marking, orders, gated,
-                                  caps.value_cap, free_seed):
-        if not gate_ok(sval, g0.in_marking):
-            continue
-        words |= walk(0, g0.root, sval, max_len, caps.max_run_len)
+    try:
+        for sval in _entry_candidates(counters, g0.in_marking, orders, gated,
+                                      caps.value_cap, free_seed):
+            if not gate_ok(sval, g0.in_marking):
+                continue
+            words |= walk(0, g0.root, sval, max_len, caps.max_run_len)
+    finally:
+        # walk refers to itself; break the cycle so the memo is freed now,
+        # not at the next full garbage collection
+        del walk
     return BoundedLanguage(frozenset(words), truncated[0])
 
 

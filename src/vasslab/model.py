@@ -597,7 +597,15 @@ def init_vass_to_json(iv: InitVass) -> dict:
     }
 
 
+_SUBJECT_KEYS = ("nodes", "alphabet", "counters", "edges", "init", "final")
+
+
 def init_vass_from_json(doc: dict) -> InitVass:
+    if not isinstance(doc, dict):
+        raise ArgumentError("a subject must be a JSON object")
+    missing = [k for k in _SUBJECT_KEYS if k not in doc]
+    if missing:
+        raise ArgumentError(f"subject lacks {', '.join(missing)}")
     counters = doc["counters"]
     edges = []
     for e in doc["edges"]:

@@ -301,6 +301,8 @@ def basic_member(desc: BasicSeparatorDesc, word) -> bool:
 
 def family_mod(mu: int, v, n: int = None) -> BasicSeparatorDesc:
     """Words whose effect is ≡ v mod mu; requires v ≢ 0."""
+    if mu < 1:
+        raise ArgumentError("family_mod needs mu >= 1")
     v = tuple(v)
     n = len(v) if n is None else n
     if all(x % mu == 0 for x in v):

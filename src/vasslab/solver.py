@@ -1,10 +1,12 @@
 """Exact linear programming and integer feasibility.
 
 Systems hold equalities, selective non-negativity, fixed values, and
-congruences. The LP layer is a two-phase rational simplex with Bland's rule;
-integer feasibility is branch-and-bound over the exact relaxation with a
-deterministic branch order (lowest-index fractional variable, floor first).
-No floating point anywhere.
+congruences. The LP layer is an exact two-phase simplex with Bland's rule on
+an integer tableau: every row is a positive multiple of its rational row with
+coprime int entries, and the reduced-cost row is kept in the tableau and
+updated by each pivot like the others. Integer feasibility is branch-and-bound
+over the exact relaxation with a deterministic branch order (lowest-index
+fractional variable, floor first). No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .errors import ArgumentError, ResourceExhausted
 
@@ -99,38 +101,81 @@ class Solution:
         return self.assignment[var]
 
 
-# -- rational simplex ---------------------------------------------------------
+# -- integer simplex ----------------------------------------------------------
+#
+# Every tableau row is a list of ints: a positive multiple of its rational row,
+# divided by its content. The last row is the reduced-cost row, kept the same
+# way and updated by each pivot like the others. A basic column holds a
+# positive entry in its own row and zeros elsewhere. Positive scaling changes
+# no sign and no ratio, so Bland's rule takes the pivots of the rational
+# tableau exactly.
+
+def _integer_row(row):
+    """A row of Fractions scaled by a positive factor to coprime ints."""
+    pairs = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in pairs])
+    ints = [n * (den // d) for n, d in pairs]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _eliminate(row, prow, c, nz):
+    """row minus row[c]/prow[c] times prow, as coprime ints; prow[c] > 0 and
+    nz lists the (column, entry) pairs where prow is non-zero."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = [p * x for x in row] if p != 1 else row[:]
+    for j, x in nz:
+        out[j] -= f * x
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
 
 def _pivot(rows, basis, r, c):
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = rows[r] = [-x for x in prow]
+    nz = [(j, x) for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i] = _eliminate(row, prow, c, nz)
     basis[r] = c
 
 
-def _simplex_core(rows, basis, cost, ncols):
-    """Maximize over a tableau already canonical in `basis`. Returns status."""
+def _reduced_cost_row(rows, basis, cost):
+    """The reduced costs of `cost`, with -value in the rhs column, as coprime ints."""
+    red = _integer_row(list(cost) + [0])
+    for row, b in zip(rows, basis):
+        if red[b]:
+            red = _eliminate(red, row, b, [(j, x) for j, x in enumerate(row) if x])
+    return red
+
+
+def _simplex_core(rows, basis, ncols):
+    """Maximize over a tableau canonical in `basis` whose last row holds the
+    reduced costs. Returns status."""
     while True:
-        cb = [cost[basis[i]] for i in range(len(rows))]
+        red = rows[-1]
         entering = -1
         for j in range(ncols):
-            red = cost[j] - sum(cb[i] * rows[i][j] for i in range(len(rows)))
-            if red > 0:
+            if red[j] > 0:
                 entering = j
                 break  # Bland: smallest index
         if entering < 0:
             return "optimal"
-        leaving, best = -1, None
-        for i in range(len(rows)):
-            if rows[i][entering] > 0:
-                ratio = rows[i][-1] / rows[i][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    leaving, best = i, ratio
+        leaving = -1
+        for i in range(len(basis)):
+            a = rows[i][entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs_i / a against rhs_l / a_l, cross-multiplied
+                lhs = rows[i][-1] * rows[leaving][entering]
+                rhs = rows[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
         if leaving < 0:
             return "unbounded"
         _pivot(rows, basis, leaving, entering)
@@ -143,39 +188,36 @@ def _solve_standard(A, b, c):
     """
     STATS["lp_calls"] += 1
     m, n = len(A), len(c)
+    # phase 1: artificials n..n+m-1
     rows = []
     for i in range(m):
-        row = list(A[i]) + [b[i]]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-    # phase 1: artificials n..n+m-1
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows[i] = rows[i][:-1] + art + [rows[i][-1]]
+        *row, rhs, one = _integer_row(list(A[i]) + [b[i], 1])
+        if rhs < 0:
+            row, rhs = [-x for x in row], -rhs
+        art = [0] * m
+        art[i] = one
+        rows.append(row + art + [rhs])
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    _simplex_core(rows, basis, cost1, n + m)
-    val1 = sum(cost1[basis[i]] * rows[i][-1] for i in range(m))
-    if val1 < 0:
+    rows.append(_reduced_cost_row(rows, basis, [0] * n + [-1] * m))
+    _simplex_core(rows, basis, n + m)
+    if rows.pop()[-1] > 0:  # phase-1 optimum < 0
         return "infeasible", None, None
     # drive artificials out of the basis; drop redundant rows
     keep = []
-    for i in range(len(rows)):
+    for i in range(m):
         if basis[i] >= n:
             piv = next((j for j in range(n) if rows[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row
             _pivot(rows, basis, i, piv)
         keep.append(i)
-    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    rows = [_integer_row(rows[i][:n] + rows[i][-1:]) for i in keep]
     basis = [basis[i] for i in keep]
-    cost2 = list(c)
-    status = _simplex_core(rows, basis, cost2, n)
+    rows.append(_reduced_cost_row(rows, basis, c))
+    status = _simplex_core(rows, basis, n)
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
+    for row, bi in zip(rows, basis):
+        x[bi] = Fraction(row[-1], row[bi])
     if status == "unbounded":
         return "unbounded", None, x
     value = sum(c[j] * x[j] for j in range(n))

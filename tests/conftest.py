@@ -179,5 +179,20 @@ def subject_counter_gap():
     return InitVass(v, GenConfig("q", {"k": 0}), GenConfig("q", {"k": 2}))
 
 
+def subject_dyck_a1():
+    """L = Dyck · a1: disjoint from the Dyck language but approximating it."""
+    v = Vass(
+        ["q", "f"],
+        dyck_alphabet(1),
+        ["k"],
+        [
+            Edge("q", inc_letter(1), {"k": 1}, "q"),
+            Edge("q", dec_letter(1), {"k": -1}, "q"),
+            Edge("q", inc_letter(1), {"k": 1}, "f"),
+        ],
+    )
+    return InitVass(v, GenConfig("q", {"k": 0}), GenConfig("f", {"k": 1}))
+
+
 def strip_words(words):
     return {tuple(a for a, _ in w) for w in words}

@@ -32,7 +32,12 @@ from vasslab.model import (
 from vasslab.automata import run_word
 from vasslab.values import OMEGA
 
-from conftest import dyck_copy_graph, subject_even_a1, subject_counter_gap
+from conftest import (
+    dyck_copy_graph,
+    subject_counter_gap,
+    subject_dyck_a1,
+    subject_even_a1,
+)
 
 A1, AB1 = inc_letter(1), dec_letter(1)
 
@@ -155,24 +160,18 @@ class TestSeparatePipeline:
 
     def test_dyck_shifted_subject_never_answers_wrongly(self):
         # L = Dyck · a1 is disjoint from the Dyck language but approximates it;
-        # the bundled oracle ladder cannot certify inseparability here, so the
-        # verdict must be a verified separable, inseparable, or an honest
-        # unknown, never a wrong certificate
-        v = Vass(["q", "f"], dyck_alphabet(1), ["k"],
-                 [Edge("q", A1, {"k": 1}, "q"), Edge("q", AB1, {"k": -1}, "q"),
-                  Edge("q", A1, {"k": 1}, "f")])
-        sub = InitVass(v, GenConfig("q", {"k": 0}), GenConfig("f", {"k": 1}))
+        # the Z-separability ladder certifies it with modulo(2,1,y.1), and the
+        # separator must cover L and miss the Dyck language up to the bound
+        sub = subject_dyck_a1()
         rep = cmd_separate(sub, PipelineCaps(max_word_len=6))
-        assert rep.verdict in ("separable", "inseparable", "unknown")
-        if rep.verdict == "separable":
-            for w in language_bounded(sub, 6, nat_domain(sub.vass),
-                                      max_run_len=16, value_cap=40):
-                assert run_word(rep.separator, w)
-            for w in dyck_words(1, 6):
-                assert not run_word(rep.separator, w)
-        if rep.verdict == "inseparable":
-            # any claimed witness must genuinely lie in both languages
-            assert rep.witness is None and rep.z_pair is not None
+        assert rep.verdict == "separable"
+        assert {"stage": "zsep", "result": "separable",
+                "strategy": "modulo(2,1,y.1)"} in rep.stages
+        for w in language_bounded(sub, 6, nat_domain(sub.vass),
+                                  max_run_len=16, value_cap=40):
+            assert run_word(rep.separator, w)
+        for w in dyck_words(1, 6):
+            assert not run_word(rep.separator, w)
 
     def test_omega_initial_subject(self):
         # ω in the subject's initial valuation: the BFS stage steps aside and
@@ -219,6 +218,27 @@ class TestCli:
         out = self.run_cli("separate", "--file", str(path))
         assert out.returncode == 2
         assert "line" in out.stderr
+
+    def test_subject_without_counters_exit_2(self, tmp_path, capsys):
+        doc = json.loads(dump_init_vass(subject_even_a1()))
+        del doc["counters"]
+        path = tmp_path / "subject.json"
+        path.write_text(json.dumps(doc))
+        assert main(["separate", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "counters" in err and "Traceback" not in err
+
+    def test_subject_json_array_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "subject.json"
+        path.write_text("[]")
+        assert main(["separate", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "object" in err and "Traceback" not in err
+
+    def test_basicsep_mu_zero_exit_2(self, capsys):
+        assert main(["basicsep", "--family", "mod", "--mu", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "mu" in err and "Traceback" not in err
 
     def test_counterexample_words(self):
         out = self.run_cli("counterexample", "--ell", "2", "--i", "3")

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import json
 
 import pytest
@@ -315,3 +317,24 @@ def test_json_roundtrip():
     back = dmgts_from_json(doc)
     assert canonical_key(back) == canonical_key(dm)
     json.dumps(doc)
+
+
+def test_side_language_memo_freed_on_return():
+    # the two-letter subject of the curated suite: no counters, so its X-side
+    # language is every word over a1, ā1, a2
+    letters = (inc_letter(1), dec_letter(1), inc_letter(2))
+    v = Vass(["q"], dyck_alphabet(2), [], [Edge("q", a, {}, "q") for a in letters])
+    dm = initial_dmgts(InitVass(v, GenConfig("q", {}), GenConfig("q", {})))
+    gc.collect()
+    gc.disable()
+    try:
+        lang = side_language_bounded(dm, "x", 3, "nat", LanguageCaps(8, 6))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    # the memo of the recursive walk held 2850 objects in a reference cycle
+    assert unreachable < 50
+    assert lang.words == {
+        tuple((a, False) for a in w)
+        for k in range(4) for w in itertools.product(letters, repeat=k)
+    }
