@@ -15,12 +15,6 @@ def strip_letter(a):
     return a[0] if isinstance(a, tuple) else a
 
 
-def annotate_word(word, hashes=None):
-    """Plain word -> annotated word; `hashes` marks bridge positions."""
-    hashes = hashes or set()
-    return tuple((a, i in hashes) for i, a in enumerate(word))
-
-
 class Nfa:
     """Immutable NFA; states are arbitrary hashable ids (tuples self-describe
     product states in DOT output)."""

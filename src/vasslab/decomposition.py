@@ -13,13 +13,13 @@ from .mgts import (
     Mgts,
     MgtsContext,
     PrecoveringGraph,
-    Update,
     canonical_key,
     perfectness_diagnosis,
     substitute,
+    unfold_paths,
     validate_precovering,
 )
-from .model import Edge, GenConfig, InitVass, Vass
+from .model import GenConfig, InitVass, Vass
 from .solver import UNBOUNDED, enumerate_var_values, ilp_feasible, lp_max
 from .structure import fixed_assignment, fixed_counters, rackoff_bound, rank, rank_less
 from .values import OMEGA, is_omega
@@ -120,168 +120,28 @@ def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> Pr
     return ProductGraph(sorted(states, key=repr), transitions, sorted(initial, key=repr))
 
 
-def _product_sccs(prod: ProductGraph) -> dict:
-    """state -> frozenset of its strongly connected component (iterative Tarjan)."""
-    index = {}
-    low = {}
-    onstack = {}
-    stack = []
-    comp = {}
-    counter = [0]
-
-    for root in prod.states:
-        if root in index:
-            continue
-        work = [(root, iter(prod.transitions.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _, w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(prod.transitions.get(w, ()))))
-                    advanced = True
-                    break
-                elif onstack.get(w):
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    scc.append(w)
-                    if w == v:
-                        break
-                fs = frozenset(scc)
-                for w in scc:
-                    comp[w] = fs
-    return comp
-
-
-def _simple_paths(prod: ProductGraph, finals, path_cap, step_cap=2_000_000):
-    """State-non-repeating paths from the initial to the final states, in a
-    deterministic order (iterative DFS, pruned to states that can reach a
-    final). Returns (state list, edge index list) pairs."""
-    can_reach = set()
-    back = {}
-    for u, succ in prod.transitions.items():
-        for _, v in succ:
-            back.setdefault(v, set()).add(u)
-    stack = [s for s in prod.states if finals(s)]
-    can_reach.update(stack)
-    while stack:
-        v = stack.pop()
-        for u in back.get(v, ()):
-            if u not in can_reach:
-                can_reach.add(u)
-                stack.append(u)
-
-    out = []
-    steps = 0
-    for init in prod.initial:
-        if init not in can_reach:
-            continue
-        visited = {init}
-        states = [init]
-        edges = []
-        iters = [iter(prod.transitions.get(init, ()))]
-        if finals(init):
-            out.append((list(states), list(edges)))
-        while iters:
-            steps += 1
-            if steps > step_cap:
-                raise ResourceExhausted(f"simple path step cap {step_cap} exceeded")
-            advanced = False
-            for ei, nxt in iters[-1]:
-                if nxt in visited or nxt not in can_reach:
-                    continue
-                visited.add(nxt)
-                states.append(nxt)
-                edges.append(ei)
-                iters.append(iter(prod.transitions.get(nxt, ())))
-                if finals(nxt):
-                    out.append((list(states), list(edges)))
-                    if len(out) > path_cap:
-                        raise ResourceExhausted(f"simple path cap {path_cap} exceeded")
-                advanced = True
-                break
-            if not advanced:
-                iters.pop()
-                visited.remove(states.pop())
-                if edges:
-                    edges.pop()
-    return out
-
-
-def _state_name(pos, q, s, names):
-    return f"p{pos}.{q}#{names[s]}"
-
-
-def dec_along(p: PrecoveringGraph, mu: int, obs: Observer, finals,
+def dec_along(p: PrecoveringGraph, obs: Observer, finals,
               state_cap=100000, path_cap=2000) -> list:
     """Unfold P along the simple accepted paths of P × obs into MGTS: one
     precovering graph per visited product state (its SCC, rooted there, with
     the inherited assignment), joined by the path edges as bridges; the outer
     markings are reset to P's. Returns a deterministic list of Mgts."""
     prod = observer_product(p, obs, state_cap)
-    comp = _product_sccs(prod)
     obs_names = {}
-    for q, s in prod.states:
-        if s not in obs_names:
-            obs_names[s] = f"o{len(obs_names)}"
-
-    if callable(finals):
-        is_final = lambda st: st[0] == p.root and finals(st[1])
-    else:
-        fs = set(finals)
-        is_final = lambda st: st[0] == p.root and st[1] in fs
-
-    results = []
-    for states, eis in _simple_paths(prod, is_final, path_cap):
-        graphs = []
-        for pos, st in enumerate(states):
-            scc = sorted(comp[st], key=repr)
-            node_of = {u: _state_name(pos, u[0], u[1], obs_names) for u in scc}
-            edges = []
-            for u in scc:
-                for ei, v in prod.transitions.get(u, ()):
-                    if v in comp[st]:
-                        e = p.vass.edges[ei]
-                        edges.append(Edge(node_of[u], e.label, e.update, node_of[v]))
-            root_name = node_of[st]
-            marking = dict(p.assignment[st[0]])
-            in_val = dict(p.in_marking) if pos == 0 else dict(marking)
-            out_val = dict(p.out_marking) if pos == len(states) - 1 else dict(marking)
-            base = InitVass(
-                Vass(node_of.values(), p.vass.alphabet, p.vass.counters, edges),
-                GenConfig(root_name, in_val),
-                GenConfig(root_name, out_val),
-            )
-            assignment = {node_of[u]: dict(p.assignment[u[0]]) for u in scc}
-            g = PrecoveringGraph(base, assignment)
-            bad = validate_precovering(g)
-            if bad:
-                raise InvariantViolation(f"dec_along produced an invalid graph: {bad}")
-            graphs.append(g)
-        bridges = []
-        for ei in eis:
-            e = p.vass.edges[ei]
-            bridges.append(Update(e.label, e.update))
-        results.append(Mgts(graphs, bridges))
-    return results
+    for _, s in prod.states:
+        obs_names.setdefault(s, f"o{len(obs_names)}")
+    accepts = finals if callable(finals) else set(finals).__contains__
+    edges = [
+        (u, p.vass.edges[ei].label, p.vass.edges[ei].update, v)
+        for u in prod.states
+        for ei, v in prod.transitions.get(u, ())
+    ]
+    return unfold_paths(
+        edges, prod.initial, lambda st: st[0] == p.root and accepts(st[1]),
+        lambda pos, st: f"p{pos}.{st[0]}#{obs_names[st[1]]}",
+        lambda st: p.assignment[st[0]],
+        p.in_marking, p.out_marking, p.vass.alphabet, p.vass.counters, path_cap,
+    )
 
 
 @dataclass
@@ -434,14 +294,14 @@ def refine_case_ii(dmgts: Dmgts, gi: int, side: str,
         return any(is_omega(v) for v in s)
 
     ctx = MgtsContext.around(dmgts.mgts, gi)
-    u_list = dec_along(g, dmgts.mu, obs, final_u, caps.observer_states, caps.paths)
+    u_list = dec_along(g, obs, final_u, caps.observer_states, caps.paths)
     x_set = [
         substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters, faithful=True))
         for m in u_list
     ]
     y_set, y_certs = [], []
     if side == "y":
-        v_list = dec_along(g, dmgts.mu, obs, final_v, caps.observer_states, caps.paths)
+        v_list = dec_along(g, obs, final_v, caps.observer_states, caps.paths)
         for m in v_list:
             y_set.append(
                 substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters,
@@ -539,20 +399,20 @@ def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
         for j2, obs, _, final_v in _case_iii_trackers(p, dmgts, caps):
             if j2 == j:
                 v_mgts.extend(
-                    dec_along(p, dmgts.mu, obs, final_v, caps.observer_states, caps.paths)
+                    dec_along(p, obs, final_v, caps.observer_states, caps.paths)
                 )
         return [Mgts([u_graph])], v_mgts, "c"
 
     u_out = []
     for j, obs, final_u, _ in _case_iii_trackers(p, dmgts, caps):
-        u_out.extend(dec_along(p, dmgts.mu, obs, final_u, caps.observer_states, caps.paths))
+        u_out.extend(dec_along(p, obs, final_u, caps.observer_states, caps.paths))
     return u_out, _common_v(p, dmgts, caps), "d"
 
 
 def _common_v(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
     out = []
     for j, obs, _, final_v in _case_iii_trackers(p, dmgts, caps):
-        out.extend(dec_along(p, dmgts.mu, obs, final_v, caps.observer_states, caps.paths))
+        out.extend(dec_along(p, obs, final_v, caps.observer_states, caps.paths))
     return out
 
 

@@ -360,6 +360,13 @@ def _parse_word(text: str) -> tuple:
     return tuple(text.split()) if text.strip() else ()
 
 
+def _parse_vector(text: str, flag: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ArgumentError(f"{flag} needs comma-separated integers, got {text!r}")
+
+
 def _add_caps(parser):
     parser.add_argument("--max-word-len", type=int, default=10)
     parser.add_argument("--max-run-len", type=int, default=12)
@@ -409,6 +416,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("decompose", help="decompose a DMGTS into perfect and decided sets")
     p.add_argument("--file", required=True)
+    p.add_argument("--trace-out", help="also write the trace as JSONL here")
+    p.add_argument("--dot", help="write the first perfect member's modulo automaton DOT here")
     _add_caps(p)
 
     p = sub.add_parser("approx", help="k-th regular approximation of a linear set")
@@ -431,12 +440,6 @@ def main(argv=None) -> int:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--i", type=int)
     p.add_argument("--member", help="space-separated word to test")
-
-    p = sub.add_parser("trace", help="emit a decomposition trace")
-    p.add_argument("--file", required=True)
-    p.add_argument("--out", help="trace JSONL path (default stdout)")
-    p.add_argument("--dot", help="write the separator/first-member DOT here")
-    _add_caps(p)
 
     args = parser.parse_args(argv)
     try:
@@ -470,16 +473,20 @@ def _dispatch(args) -> int:
             "decided": [d.certificate for d in res.decided],
             "trace": res.trace,
         }, sort_keys=True, indent=2))
+        if args.trace_out:
+            with open(args.trace_out, "w") as fh:
+                fh.write(trace_to_jsonl(res.trace) + "\n")
+        if args.dot and res.perfect:
+            with open(args.dot, "w") as fh:
+                fh.write(nfa_to_dot(strip_hash(modulo_automaton(res.perfect[0]))))
         return 0
 
     if args.command == "approx":
         from .semilinear import LinearSet, approx_automaton, approx_member
 
-        base = tuple(int(x) for x in args.base.split(","))
+        base = _parse_vector(args.base, "--base")
         periods = tuple(
-            tuple(int(x) for x in p.split(","))
-            for p in args.periods.split(";")
-            if p.strip()
+            _parse_vector(p, "--periods") for p in args.periods.split(";") if p.strip()
         )
         lin = LinearSet(base, periods)
         if args.member is not None:
@@ -492,7 +499,7 @@ def _dispatch(args) -> int:
     if args.command == "basicsep":
         from .semilinear import basic_member, family_cov, family_drift, family_mod
 
-        v = tuple(int(x) for x in args.v.split(","))
+        v = _parse_vector(args.v, "--v")
         if args.family == "mod":
             desc = family_mod(args.mu, v, args.n)
         elif args.family == "cov":
@@ -517,20 +524,6 @@ def _dispatch(args) -> int:
             print(" ".join(move_word(args.i, args.ell)))
         else:
             raise ArgumentError("counterexample needs --i or --member")
-        return 0
-
-    if args.command == "trace":
-        dm = dmgts_from_json(_load_json(args.file))
-        res = decompose(dm, _caps_from(args).decide())
-        text = trace_to_jsonl(res.trace)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        if args.dot and res.perfect:
-            with open(args.dot, "w") as fh:
-                fh.write(nfa_to_dot(strip_hash(modulo_automaton(res.perfect[0]))))
         return 0
 
     raise ArgumentError(f"unknown command {args.command!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ArgumentError, StructuralError
+from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
     EPSILON,
     Edge,
@@ -19,13 +19,17 @@ from .model import (
     Run,
     Vass,
     dyck_alphabet,
+    init_vass_from_json,
+    init_vass_to_json,
     is_dyck_visible,
+    json_object,
     letter_index,
 )
 from .values import (
     OMEGA,
     ExactOrOmega,
     ModOmega,
+    int_from_json,
     is_omega,
     omega_set,
     valuation_le,
@@ -502,73 +506,145 @@ def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=
     return starts
 
 
-def word_in_side_language(dmgts: Dmgts, annotated_word, side, kind="nat",
-                          caps: LanguageCaps = LanguageCaps()) -> bool:
-    """Word-directed membership in a side language, bounded by the caps."""
-    lang = side_language_bounded(dmgts, side, len(annotated_word), kind, caps)
-    return tuple(annotated_word) in lang.words
-
-
 # -- constructions -------------------------------------------------------------
+
+def _sccs(succ, starts) -> dict:
+    """state -> frozenset of its strongly connected component, for every state
+    reachable from `starts` (iterative Tarjan); succ: state -> [(k, next)]."""
+    index, low, comp = {}, {}, {}
+    stack, on_stack = [], {}  # on_stack: state -> its position on `stack`
+
+    def push(v):
+        index[v] = low[v] = len(index)
+        on_stack[v] = len(stack)
+        stack.append(v)
+        return v, iter(succ.get(v, ()))
+
+    for root in starts:
+        if root in index:
+            continue
+        work = [push(root)]
+        while work:
+            v, it = work[-1]
+            for _, w in it:
+                if w not in index:
+                    work.append(push(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    scc = frozenset(stack[on_stack[v]:])
+                    del stack[on_stack[v]:]
+                    for w in scc:
+                        del on_stack[w]
+                        comp[w] = scc
+    return comp
+
+
+def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
+                 alphabet, counters, path_cap=2000, step_cap=2_000_000) -> list:
+    """Unfold a graph into MGTS, one per simple path from a start to a final
+    state: the i-th state of the path becomes a precovering graph of its
+    strongly connected component, rooted there, and the path's edges become
+    the bridges.
+
+    `edges` is an ordered list of (src, label, update, dst); successors and
+    the edges of each component graph follow its order, and `starts` are
+    tried in the given order. `name(pos, state)` names the node of `state` in
+    the graph at path position `pos`. `marking(state)` is the assignment of
+    the state's node and the marking between path positions; `first_in` and
+    `last_out` are the outer markings. Raises ResourceExhausted past
+    `path_cap` paths or `step_cap` search steps."""
+    succ, back = {}, {}
+    for k, (src, _, _, dst) in enumerate(edges):
+        succ.setdefault(src, []).append((k, dst))
+        back.setdefault(dst, set()).add(src)
+    comp = _sccs(succ, starts)
+    inner = {}  # component -> its edges, in list order
+    for edge in edges:
+        if edge[0] in comp and edge[3] in comp[edge[0]]:
+            inner.setdefault(comp[edge[0]], []).append(edge)
+
+    live = [s for s in comp if is_final(s)]
+    can_reach = set(live)
+    while live:
+        for u in back.get(live.pop(), ()):
+            if u not in can_reach:
+                can_reach.add(u)
+                live.append(u)
+
+    paths = []
+
+    def found(states, ks):
+        paths.append((list(states), list(ks)))
+        if len(paths) > path_cap:
+            raise ResourceExhausted(f"simple path cap {path_cap} exceeded")
+
+    steps = 0
+    for start in starts:
+        if start not in can_reach:
+            continue
+        states, ks, visited = [start], [], {start}
+        iters = [iter(succ.get(start, ()))]
+        if is_final(start):
+            found(states, ks)
+        while iters:
+            steps += 1
+            if steps > step_cap:
+                raise ResourceExhausted(f"simple path step cap {step_cap} exceeded")
+            for k, nxt in iters[-1]:
+                if nxt in can_reach and nxt not in visited:
+                    visited.add(nxt)
+                    states.append(nxt)
+                    ks.append(k)
+                    iters.append(iter(succ.get(nxt, ())))
+                    if is_final(nxt):
+                        found(states, ks)
+                    break
+            else:
+                iters.pop()
+                visited.remove(states.pop())
+                if ks:
+                    ks.pop()
+
+    out = []
+    for states, ks in paths:
+        graphs = []
+        for pos, st in enumerate(states):
+            scc = comp[st]
+            node = {u: name(pos, u) for u in sorted(scc, key=repr)}
+            vass = Vass(node.values(), alphabet, counters,
+                        [Edge(node[s], a, upd, node[d]) for s, a, upd, d in inner.get(scc, ())])
+            in_val = first_in if pos == 0 else marking(st)
+            out_val = last_out if pos == len(states) - 1 else marking(st)
+            base = InitVass(vass, GenConfig(node[st], in_val), GenConfig(node[st], out_val))
+            g = PrecoveringGraph(base, {node[u]: marking(u) for u in node})
+            bad = validate_precovering(g)
+            if bad:
+                raise InvariantViolation(f"unfolding produced an invalid graph: {bad}")
+            graphs.append(g)
+        out.append(Mgts(graphs, [Update(edges[k][1], edges[k][2]) for k in ks]))
+    return out
+
 
 def fold_to_mgts_list(iv: InitVass, path_cap=2000) -> list:
     """Break an initialized VASS into MGTS: one per simple init-to-final node
     path, with per-state SCC precovering graphs (all-ω assignment, all-ω
     intermediate markings) joined by the path edges; outer markings are the
     input's. Run-preserving: cycles at a node stay within its SCC."""
-    from .errors import ResourceExhausted
-
     vass = iv.vass
-    comp = {q: frozenset(_scc_of(vass.nodes, [(e.src, e.dst) for e in vass.edges], q))
-            for q in vass.nodes}
-    succ = {}
-    for i, e in enumerate(vass.edges):
-        succ.setdefault(e.src, []).append((i, e.dst))
-    for q in succ:
-        succ[q].sort()
-    paths = []
-
-    def dfs(node, nodes, edges, visited):
-        if node == iv.final.node:
-            paths.append((list(nodes), list(edges)))
-            if len(paths) > path_cap:
-                raise ResourceExhausted(f"fold path cap {path_cap} exceeded")
-        for i, nxt in succ.get(node, ()):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            nodes.append(nxt)
-            edges.append(i)
-            dfs(nxt, nodes, edges, visited)
-            visited.remove(nxt)
-            nodes.pop()
-            edges.pop()
-
-    dfs(iv.init.node, [iv.init.node], [], {iv.init.node})
-
     omega_all = {c: OMEGA for c in vass.counters}
-    out = []
-    for nodes, eis in paths:
-        graphs = []
-        for pos, q in enumerate(nodes):
-            scc = sorted(comp[q])
-            name = {u: f"f{pos}.{u}" for u in scc}
-            edges = [
-                Edge(name[e.src], e.label, e.update, name[e.dst])
-                for e in vass.edges
-                if e.src in comp[q] and e.dst in comp[q]
-            ]
-            in_val = dict(iv.init.valuation) if pos == 0 else dict(omega_all)
-            out_val = dict(iv.final.valuation) if pos == len(nodes) - 1 else dict(omega_all)
-            base = InitVass(
-                Vass(name.values(), vass.alphabet, vass.counters, edges),
-                GenConfig(name[q], in_val),
-                GenConfig(name[q], out_val),
-            )
-            graphs.append(PrecoveringGraph(base, {name[u]: dict(omega_all) for u in scc}))
-        bridges = [Update(vass.edges[i].label, vass.edges[i].update) for i in eis]
-        out.append(Mgts(graphs, bridges))
-    return out
+    return unfold_paths(
+        [(e.src, e.label, e.update, e.dst) for e in vass.edges],
+        [iv.init.node], lambda q: q == iv.final.node,
+        lambda pos, q: f"f{pos}.{q}", lambda q: omega_all,
+        iv.init.valuation, iv.final.valuation, vass.alphabet, vass.counters, path_cap,
+    )
 
 
 def fold_states(iv: InitVass) -> InitVass:
@@ -836,8 +912,6 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
 # -- serialization --------------------------------------------------------------
 
 def precovering_to_json(p: PrecoveringGraph) -> dict:
-    from .model import init_vass_to_json
-
     return {
         "base": init_vass_to_json(p.base),
         "assignment": {
@@ -848,12 +922,11 @@ def precovering_to_json(p: PrecoveringGraph) -> dict:
 
 
 def precovering_from_json(doc: dict) -> PrecoveringGraph:
-    from .model import init_vass_from_json
-
+    json_object(doc, ("base", "assignment"), "a precovering graph")
     base = init_vass_from_json(doc["base"])
     assignment = {
-        q: {c: value_from_json(v) for c, v in val.items()}
-        for q, val in doc["assignment"].items()
+        q: {c: value_from_json(v) for c, v in json_object(val, (), "a node assignment").items()}
+        for q, val in json_object(doc["assignment"], (), "an assignment").items()
     }
     return PrecoveringGraph(base, assignment)
 
@@ -874,10 +947,17 @@ def dmgts_to_json(d: Dmgts) -> dict:
 
 
 def dmgts_from_json(doc: dict) -> Dmgts:
+    json_object(doc, ("mu", "x_counters", "y_counters", "graphs", "bridges"), "a DMGTS")
+    for key in ("x_counters", "y_counters", "graphs", "bridges"):
+        if not isinstance(doc[key], list):
+            raise ArgumentError(f"DMGTS {key} must be a JSON array")
     graphs = [precovering_from_json(g) for g in doc["graphs"]]
-    bridges = [Update(b["label"], {c: int(v) for c, v in b["update"].items()})
-               for b in doc["bridges"]]
-    return Dmgts(Mgts(graphs, bridges), doc["mu"], doc["x_counters"],
+    bridges = []
+    for b in doc["bridges"]:
+        json_object(b, ("label", "update"), "a bridge")
+        update = json_object(b["update"], (), "a bridge update")
+        bridges.append(Update(b["label"], {c: int_from_json(v) for c, v in update.items()}))
+    return Dmgts(Mgts(graphs, bridges), int_from_json(doc["mu"]), doc["x_counters"],
                  doc["y_counters"], doc.get("faithful", False))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import ArgumentError, StructuralError
 from .values import (
     ExactOrOmega,
+    int_from_json,
     is_omega,
     valuation_le,
     valuation_nonneg,
@@ -380,11 +381,6 @@ def _admissible_starts(vass, init_val, orders, value_cap):
     return starts
 
 
-def reverse(obj):
-    """Edge reversal with negated updates; initialized inputs swap init/final."""
-    return obj.reverse()
-
-
 def dyck_vas(n: int) -> InitVass:
     """The one-node VAS accepting the n-letter Dyck language."""
     if n < 1:
@@ -600,23 +596,36 @@ def init_vass_to_json(iv: InitVass) -> dict:
 _SUBJECT_KEYS = ("nodes", "alphabet", "counters", "edges", "init", "final")
 
 
-def init_vass_from_json(doc: dict) -> InitVass:
+def json_object(doc, keys, what) -> dict:
+    """`doc` if it is a JSON object holding `keys`; ArgumentError otherwise."""
     if not isinstance(doc, dict):
-        raise ArgumentError("a subject must be a JSON object")
-    missing = [k for k in _SUBJECT_KEYS if k not in doc]
+        raise ArgumentError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in doc]
     if missing:
-        raise ArgumentError(f"subject lacks {', '.join(missing)}")
+        raise ArgumentError(f"{what} lacks {', '.join(missing)}")
+    return doc
+
+
+def init_vass_from_json(doc: dict) -> InitVass:
+    json_object(doc, _SUBJECT_KEYS, "a subject")
+    for key in ("nodes", "alphabet", "counters", "edges"):
+        if not isinstance(doc[key], list):
+            raise ArgumentError(f"subject {key} must be a JSON array")
     counters = doc["counters"]
     edges = []
     for e in doc["edges"]:
+        json_object(e, ("from", "label", "update", "to"), "a subject edge")
         update = {c: 0 for c in counters}
-        update.update({c: int(v) for c, v in e["update"].items()})
+        given = json_object(e["update"], (), "an edge update")
+        update.update({c: int_from_json(v) for c, v in given.items()})
         edges.append(Edge(e["from"], e["label"], update, e["to"]))
     vass = Vass(doc["nodes"], doc["alphabet"], counters, edges)
 
     def cfg(d):
+        json_object(d, ("node", "valuation"), "a configuration")
         val = {c: 0 for c in counters}
-        val.update({c: value_from_json(v) for c, v in d["valuation"].items()})
+        given = json_object(d["valuation"], (), "a valuation")
+        val.update({c: value_from_json(v) for c, v in given.items()})
         return GenConfig(d["node"], val)
 
     return InitVass(vass, cfg(doc["init"]), cfg(doc["final"]))
@@ -625,6 +634,3 @@ def init_vass_from_json(doc: dict) -> InitVass:
 def dump_init_vass(iv: InitVass) -> str:
     return json.dumps(init_vass_to_json(iv), sort_keys=True, indent=2)
 
-
-def load_init_vass(text: str) -> InitVass:
-    return init_vass_from_json(json.loads(text))

@@ -528,76 +528,30 @@ def fold_nfa_to_dmgts_list(nfa: Nfa, n: int, path_cap=2000):
     """Break the NFA's control flow into sequences of strongly connected
     components: one DMGTS per simple path from an initial to a final state,
     with X = ∅, μ = 1, all-ω intermediate markings and zero outer markings."""
-    from .mgts import Dmgts, Mgts, PrecoveringGraph, Update, _scc_of, validate_precovering
-    from .model import Edge, GenConfig, InitVass, Vass
+    from .mgts import Dmgts, unfold_paths
     from .values import OMEGA
 
     if any(a is None for _, a, _ in nfa.transitions):
         raise ArgumentError("folding needs an ε-free NFA")
     counters = [f"y.{i}" for i in range(1, n + 1)]
-    succ = {}
-    for p, a, q in nfa.transitions:
-        succ.setdefault(p, []).append((a, q))
-    for p in succ:
-        succ[p].sort(key=repr)
-
-    comp = {}
-    for s in nfa.states:
-        comp[s] = frozenset(_scc_of(nfa.states, [(p, q) for p, _, q in nfa.transitions], s))
 
     def unit(a):
         i, d = letter_index(a, n)
         return {c: (d if c == f"y.{i}" else 0) for c in counters}
 
-    paths = []
-
-    def dfs(state, states, labels, visited):
-        if state in nfa.final:
-            paths.append((list(states), list(labels)))
-            if len(paths) > path_cap:
-                raise ResourceExhausted(f"fold path cap {path_cap} exceeded")
-        for a, q in succ.get(state, ()):
-            if q in visited:
-                continue
-            visited.add(q)
-            states.append(q)
-            labels.append(a)
-            dfs(q, states, labels, visited)
-            visited.remove(q)
-            states.pop()
-            labels.pop()
-
-    for init in sorted(nfa.initial, key=repr):
-        dfs(init, [init], [], {init})
-
+    succ = {}
+    for p, a, q in nfa.transitions:
+        succ.setdefault(p, []).append((a, q))
+    edges = [(p, a, unit(a), q)
+             for p in sorted(succ, key=repr) for a, q in sorted(succ[p], key=repr)]
     zero = {c: 0 for c in counters}
     omega_all = {c: OMEGA for c in counters}
-    out = []
-    for states, labels in paths:
-        graphs = []
-        for pos, s in enumerate(states):
-            scc = sorted(comp[s], key=repr)
-            name = {q: f"f{pos}.{q}" for q in scc}
-            edges = []
-            for q in scc:
-                for a, r in succ.get(q, ()):
-                    if r in comp[s]:
-                        edges.append(Edge(name[q], a, unit(a), name[r]))
-            in_val = dict(zero) if pos == 0 else dict(omega_all)
-            out_val = dict(zero) if pos == len(states) - 1 else dict(omega_all)
-            base = InitVass(
-                Vass(name.values(), dyck_alphabet(n), counters, edges),
-                GenConfig(name[s], in_val),
-                GenConfig(name[s], out_val),
-            )
-            g = PrecoveringGraph(base, {name[q]: dict(omega_all) for q in scc})
-            bad = validate_precovering(g)
-            if bad:
-                raise InvariantViolation(f"fold produced an invalid graph: {bad}")
-            graphs.append(g)
-        bridges = [Update(a, unit(a)) for a in labels]
-        out.append(Dmgts(Mgts(graphs, bridges), 1, (), counters, faithful=True))
-    return out
+    mgts_list = unfold_paths(
+        edges, sorted(nfa.initial, key=repr), nfa.final.__contains__,
+        lambda pos, q: f"f{pos}.{q}", lambda q: omega_all,
+        zero, zero, dyck_alphabet(n), counters, path_cap,
+    )
+    return [Dmgts(m, 1, (), counters, faithful=True) for m in mgts_list]
 
 
 def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ArgumentError
+
 
 class Omega:
     """The top element: strictly above every finite value, absorbing under +."""
@@ -83,12 +85,14 @@ def value_to_json(v):
     return "omega" if v is OMEGA else v
 
 
-def value_from_json(v):
-    if v == "omega":
-        return OMEGA
+def int_from_json(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"not a counter value: {v!r}")
+        raise ArgumentError(f"not an integer: {v!r}")
     return v
+
+
+def value_from_json(v):
+    return OMEGA if v == "omega" else int_from_json(v)
 
 
 class ExactOrOmega:

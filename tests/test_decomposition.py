@@ -112,7 +112,7 @@ class TestObserverProduct:
 class TestDecAlong:
     def test_identity_single_output(self):
         g = dyck_copy_graph()
-        out = dec_along(g, 1, identity_observer(), lambda s: True)
+        out = dec_along(g, identity_observer(), lambda s: True)
         assert len(out) == 1
         m = out[0]
         assert len(m.graphs) == 1 and len(m.graphs[0].vass.edges) == 2
@@ -125,14 +125,14 @@ class TestDecAlong:
             return (ct(0, s + 1),) if ei == 0 else (s,)
 
         # F_u: count zero a1 edges; the splitting path uses e0 once toward ω
-        outs = dec_along(g, 1, Observer(initial=(0,), step=step),
+        outs = dec_along(g, Observer(initial=(0,), step=step),
                          lambda s: s is OMEGA)
         assert outs and all(len(m.graphs) == 2 for m in outs)
         assert all(m.bridges[0].label == A1 for m in outs)
 
     def test_unreachable_final_empty(self):
         g = dyck_copy_graph()
-        outs = dec_along(g, 1, identity_observer(), lambda s: False)
+        outs = dec_along(g, identity_observer(), lambda s: False)
         assert outs == []
 
     def test_outputs_are_consistent_specializations(self):
@@ -141,7 +141,7 @@ class TestDecAlong:
         def step(s, ei):
             return (ct(1, s + 1),) if ei == 0 else (s,)
 
-        outs = dec_along(g, 1, Observer(initial=(0,), step=step), lambda s: s is OMEGA)
+        outs = dec_along(g, Observer(initial=(0,), step=step), lambda s: s is OMEGA)
         target = Dmgts(Mgts([g]), 1, (), ("y1",), faithful=True)
         for m in outs:
             dm = Dmgts(m, 1, (), ("y1",), faithful=True)
@@ -156,7 +156,7 @@ class TestDecAlong:
             return (ct(1, s + 1),) if ei == 0 else (s,)
 
         obs = Observer(initial=(0,), step=step)
-        outs = dec_along(g, 1, obs, lambda s: s is not OMEGA)
+        outs = dec_along(g, obs, lambda s: s is not OMEGA)
         parent = Dmgts(Mgts([g]), 1, (), ("y1",), faithful=True)
         kept = set()
         for m in outs:

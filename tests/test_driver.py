@@ -235,6 +235,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args, word", [
+        (["decompose", "--file", "{array}"], "object"),
+        (["separate", "--file", "{no_update}"], "update"),
+        (["separate", "--file", "{text_update}"], "'x'"),
+        (["approx", "--base", "0", "--periods", "x", "--k", "1"], "--periods"),
+    ])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, args, word):
+        no_update = json.loads(dump_init_vass(subject_even_a1()))
+        del no_update["edges"][0]["update"]
+        text_update = json.loads(dump_init_vass(subject_even_a1()))
+        text_update["edges"][0]["update"] = {"k": "x"}
+        files = {}
+        for key, doc in (("array", []), ("no_update", no_update), ("text_update", text_update)):
+            files[key] = tmp_path / f"{key}.json"
+            files[key].write_text(json.dumps(doc))
+        assert main([a.format(**files) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert word in err and "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_basicsep_mu_zero_exit_2(self, capsys):
         assert main(["basicsep", "--family", "mod", "--mu", "0"]) == 2
         err = capsys.readouterr().err
@@ -262,10 +281,11 @@ class TestCli:
 
         path = tmp_path / "dm.json"
         path.write_text(dump_dmgts(initial_dmgts(dyck_vas(1))))
-        out = self.run_cli("trace", "--file", str(path))
+        trace = tmp_path / "trace.jsonl"
+        out = self.run_cli("decompose", "--file", str(path), "--trace-out", str(trace))
         assert out.returncode == 0
-        for line in out.stdout.strip().splitlines():
-            json.loads(line)
+        lines = trace.read_text().strip().splitlines()
+        assert [json.loads(line) for line in lines] == json.loads(out.stdout)["trace"]
 
     def test_reports_deterministic(self, tmp_path):
         path = tmp_path / "subject.json"

@@ -26,7 +26,6 @@ from vasslab.model import (
     is_dyck_word,
     language_bounded,
     nat_domain,
-    reverse,
     simulate,
     word_effect,
 )
@@ -165,14 +164,14 @@ class TestReverse:
 
     def test_involution(self):
         d = dyck_vas(2)
-        assert reverse(reverse(d.vass)) == d.vass
-        assert sorted(e.key() for e in reverse(reverse(d)).vass.edges) == sorted(
+        assert d.vass.reverse().reverse() == d.vass
+        assert sorted(e.key() for e in d.reverse().reverse().vass.edges) == sorted(
             e.key() for e in d.vass.edges
         )
 
     def test_dyck_reversal_flips_updates(self):
         d = dyck_vas(1)
-        rev = reverse(d.vass)
+        rev = d.vass.reverse()
         a1_edges = [e for e in rev.edges if e.label == A1]
         assert a1_edges and all(e.update["y1"] == -1 for e in a1_edges)
 
