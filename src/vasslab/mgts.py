@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
@@ -22,6 +23,7 @@ from .model import (
     init_vass_from_json,
     init_vass_to_json,
     is_dyck_visible,
+    json_name,
     json_object,
     letter_index,
 )
@@ -36,7 +38,6 @@ from .values import (
     valuation_nonneg,
     value_from_json,
     value_to_json,
-    vec_add,
 )
 
 
@@ -389,95 +390,167 @@ class BoundedLanguage:
 
 @dataclass(frozen=True)
 class LanguageCaps:
+    """Caps of a bounded side-language walk: edges per run, and |value| of each
+    gated counter. The walk carries each counter as a range of values, so its
+    cost does not grow as value_cap^k with the number k of counters."""
+
     max_run_len: int = 12
     value_cap: int = 40
+
+
+def _shifted(val, moves) -> list:
+    """val with each range k moved by d, for (k, d) in moves."""
+    nval = list(val)
+    for k, d in moves:
+        r = nval[k]
+        nval[k] = range(r.start + d, r.stop + d, r.step)
+    return nval
+
+
+def _clip(r: range, lo=None, hi=None) -> range:
+    """The members of r (positive step) within [lo, hi]; None is unbounded."""
+    n = len(r)
+    i = 0 if lo is None else min(n, max(0, -((r.start - lo) // r.step)))
+    j = n if hi is None else min(n, max(0, (hi - r.start) // r.step + 1))
+    return r[i:j]
+
+
+def _residue(r: range, m: int, mu: int) -> range:
+    """The members of r (positive step) congruent to m modulo mu."""
+    period = mu // gcd(r.step, mu)
+    for i in range(min(period, len(r))):
+        if (r[i] - m) % mu == 0:
+            return r[i::period]
+    return r[0:0]
+
+
+def _intersect(a: range, b: range) -> range:
+    """The members of both a and b (positive steps)."""
+    if not b:
+        return b
+    return _residue(_clip(a, b[0], b[-1]), b[0], b.step)
 
 
 def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
                           caps: LanguageCaps = LanguageCaps()) -> BoundedLanguage:
     """Bounded enumeration of the annotated side language: all λ_#(ρ) with
     |word| <= max_len found within the caps. Exact up to the caps; the flag
-    reports whether any branch was cut off."""
+    reports whether any branch was cut off.
+
+    One memoized walk covers every entry valuation at once: each counter holds
+    a range of values (step 1, step mu, or one value), and every gate, the
+    non-negativity domain and the value cap trim the ranges counter by counter.
+    A range state's words are the union of its members' words, so the result
+    equals one concrete walk per entry valuation, at a cost that does not grow
+    as value_cap^k."""
     mgts = dmgts.mgts
     orders = side_orders(dmgts, side)
     domain = side_domain(dmgts, side, kind)
     iv, origins = mgts.combined()
     vass = iv.vass
     counters = vass.counters
+    index = {c: k for k, c in enumerate(counters)}
     truncated = [False]
     gated = set()
     for o in orders:
         gated |= set(counters) if o.restrict is None else set(o.restrict)
+    gated_idx = [index[c] for c in counters if c in gated]
+    cap = caps.value_cap
     # ungated counters are monotone: one sufficiently high entry value is exact
     maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
     free_seed = caps.max_run_len * maxupd
 
+    def shifts(update):
+        return [(index[c], update.get(c, 0)) for c in counters if update.get(c, 0)]
+
     out_edges_by_graph = {}
     for i, org in enumerate(origins):
         if org[0] == "g":
-            out_edges_by_graph.setdefault((org[1], vass.edges[i].src), []).append(i)
-    bridge_index = {origins[i][1]: i for i in range(len(origins)) if origins[i][0] == "b"}
+            e = vass.edges[i]
+            out_edges_by_graph.setdefault((org[1], e.src), []).append(
+                (e, shifts(e.update), [index[c] for c in e.update if c in domain]))
+    bridge_moves = {org[1]: shifts(vass.edges[i].update)
+                    for i, org in enumerate(origins) if org[0] == "b"}
 
-    def gate_ok(val, marking):
-        return valuation_nonneg(val) and valuation_le(val, marking, orders)
+    def gate_checks(marking):
+        return [(index[c], o, marking[c])
+                for o in orders
+                for c in (marking if o.restrict is None else o.restrict)
+                if not is_omega(marking[c])]
+
+    in_checks = [gate_checks(g.in_marking) for g in mgts.graphs]
+    out_checks = [gate_checks(g.out_marking) for g in mgts.graphs]
+
+    def gate(val, checks):
+        """The members of val that are >= 0 and <= the marking under every
+        order, or None if there are none."""
+        rs = [_clip(r, 0) for r in val]
+        for k, o, m in checks:
+            rs[k] = _clip(rs[k], m, m) if isinstance(o, ExactOrOmega) else _residue(rs[k], m, o.mu)
+        return tuple(rs) if all(rs) else None
 
     memo = {}
 
     def walk(gi, node, val, wbudget, sbudget):
-        key = (gi, node, tuple(val[c] for c in counters), wbudget, sbudget)
+        key = (gi, node, val, wbudget, sbudget)
         if key in memo:
             return memo[key]
         memo[key] = frozenset()  # cycle guard
         acc = set()
         g = mgts.graphs[gi]
-        if node == g.root and gate_ok(val, g.out_marking):
+        exit_val = gate(val, out_checks[gi]) if node == g.root else None
+        if exit_val is not None:
             if gi == len(mgts.graphs) - 1:
                 acc.add(())
             else:
                 u = mgts.bridges[gi]
-                bi = bridge_index[gi]
-                nval = vec_add(val, vass.edges[bi].update)
                 nwb = wbudget - (0 if u.label == EPSILON else 1)
-                g2 = mgts.graphs[gi + 1]
-                if nwb >= 0 and sbudget >= 1 and gate_ok(nval, g2.in_marking):
-                    suf = walk(gi + 1, g2.root, nval, nwb, sbudget - 1)
-                    pre = () if u.label == EPSILON else ((u.label, True),)
-                    acc |= {pre + s for s in suf}
+                if nwb >= 0 and sbudget >= 1:
+                    nval = gate(_shifted(exit_val, bridge_moves[gi]), in_checks[gi + 1])
+                    if nval is not None:
+                        suf = walk(gi + 1, mgts.graphs[gi + 1].root, nval, nwb, sbudget - 1)
+                        pre = () if u.label == EPSILON else ((u.label, True),)
+                        acc |= {pre + s for s in suf}
         if sbudget >= 1:
-            for i in out_edges_by_graph.get((gi, node), ()):
-                e = vass.edges[i]
-                nval = vec_add(val, e.update)
-                if any(nval[c] < 0 for c in e.update if c in domain):
+            for e, moves, dom in out_edges_by_graph.get((gi, node), ()):
+                nval = _shifted(val, moves)
+                for k in dom:
+                    nval[k] = _clip(nval[k], 0)
+                if not all(nval):
                     continue
-                if any(abs(nval[c]) > caps.value_cap for c in gated):
-                    truncated[0] = True
+                for k in gated_idx:
+                    r = _clip(nval[k], -cap, cap)
+                    if len(r) < len(nval[k]):
+                        truncated[0] = True
+                    nval[k] = r
+                if not all(nval):
                     continue
                 nwb = wbudget - (0 if e.label == EPSILON else 1)
                 if nwb < 0:
                     continue
-                suf = walk(gi, e.dst, nval, nwb, sbudget - 1)
+                suf = walk(gi, e.dst, tuple(nval), nwb, sbudget - 1)
                 pre = () if e.label == EPSILON else ((e.label, False),)
                 acc |= {pre + s for s in suf}
         memo[key] = frozenset(acc)
         return memo[key]
 
-    words = set()
+    words = frozenset()
     g0 = mgts.graphs[0]
+    entry = _entry_ranges(counters, g0.in_marking, orders, gated, cap, free_seed)
     try:
-        for sval in _entry_candidates(counters, g0.in_marking, orders, gated,
-                                      caps.value_cap, free_seed):
-            if not gate_ok(sval, g0.in_marking):
-                continue
-            words |= walk(0, g0.root, sval, max_len, caps.max_run_len)
+        sval = gate([entry[c] for c in counters], in_checks[0])
+        if sval is not None:
+            words = walk(0, g0.root, sval, max_len, caps.max_run_len)
     finally:
         # walk refers to itself; break the cycle so the memo is freed now,
         # not at the next full garbage collection
         del walk
-    return BoundedLanguage(frozenset(words), truncated[0])
+    return BoundedLanguage(words, truncated[0])
 
 
-def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=None):
-    """Concrete entry valuations compatible with the entry gates, capped.
+def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed=None):
+    """Per counter, the range of entry values compatible with the entry gates,
+    capped.
 
     Counters never compared by any gate are monotone (raising them only helps),
     so one high value suffices for them.
@@ -485,7 +558,8 @@ def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=
     per = {}
     for c in counters:
         if c not in gated:
-            per[c] = [free_seed if free_seed is not None else value_cap]
+            v = free_seed if free_seed is not None else value_cap
+            per[c] = range(v, v + 1)
             continue
         bound = in_marking[c]
         vals = None
@@ -493,13 +567,20 @@ def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=
             if o.restrict is not None and c not in o.restrict:
                 continue
             if is_omega(bound):
-                cand = set(range(0, value_cap + 1))
+                cand = range(0, value_cap + 1)
             elif isinstance(o, ExactOrOmega):
-                cand = {bound}
+                cand = range(bound, bound + 1)
             else:
-                cand = {v for v in range(0, value_cap + 1) if (v - bound) % o.mu == 0}
-            vals = cand if vals is None else vals & cand
-        per[c] = sorted(vals) if vals else []
+                cand = _residue(range(0, value_cap + 1), bound, o.mu)
+            vals = cand if vals is None else _intersect(vals, cand)
+        per[c] = range(0) if vals is None else vals
+    return per
+
+
+def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=None):
+    """Concrete entry valuations compatible with the entry gates, capped: the
+    product of the per-counter `_entry_ranges`."""
+    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
     starts = [{}]
     for c in counters:
         starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
@@ -951,12 +1032,15 @@ def dmgts_from_json(doc: dict) -> Dmgts:
     for key in ("x_counters", "y_counters", "graphs", "bridges"):
         if not isinstance(doc[key], list):
             raise ArgumentError(f"DMGTS {key} must be a JSON array")
+    for c in doc["x_counters"] + doc["y_counters"]:
+        json_name(c, "a counter")
     graphs = [precovering_from_json(g) for g in doc["graphs"]]
     bridges = []
     for b in doc["bridges"]:
         json_object(b, ("label", "update"), "a bridge")
         update = json_object(b["update"], (), "a bridge update")
-        bridges.append(Update(b["label"], {c: int_from_json(v) for c, v in update.items()}))
+        bridges.append(Update(json_name(b["label"], "a bridge label"),
+                              {c: int_from_json(v) for c, v in update.items()}))
     return Dmgts(Mgts(graphs, bridges), int_from_json(doc["mu"]), doc["x_counters"],
                  doc["y_counters"], doc.get("faithful", False))
 

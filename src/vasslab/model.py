@@ -606,15 +606,27 @@ def json_object(doc, keys, what) -> dict:
     return doc
 
 
+def json_name(v, what) -> str:
+    """`v` if it is a JSON string; ArgumentError otherwise."""
+    if not isinstance(v, str):
+        raise ArgumentError(f"{what} must be a JSON string, not {json.dumps(v)}")
+    return v
+
+
 def init_vass_from_json(doc: dict) -> InitVass:
     json_object(doc, _SUBJECT_KEYS, "a subject")
     for key in ("nodes", "alphabet", "counters", "edges"):
         if not isinstance(doc[key], list):
             raise ArgumentError(f"subject {key} must be a JSON array")
+    for key, what in (("nodes", "a node"), ("alphabet", "a letter"), ("counters", "a counter")):
+        for name in doc[key]:
+            json_name(name, what)
     counters = doc["counters"]
     edges = []
     for e in doc["edges"]:
         json_object(e, ("from", "label", "update", "to"), "a subject edge")
+        for key in ("from", "label", "to"):
+            json_name(e[key], f"an edge {key!r}")
         update = {c: 0 for c in counters}
         given = json_object(e["update"], (), "an edge update")
         update.update({c: int_from_json(v) for c, v in given.items()})
@@ -626,7 +638,7 @@ def init_vass_from_json(doc: dict) -> InitVass:
         val = {c: 0 for c in counters}
         given = json_object(d["valuation"], (), "a valuation")
         val.update({c: value_from_json(v) for c, v in given.items()})
-        return GenConfig(d["node"], val)
+        return GenConfig(json_name(d["node"], "a configuration node"), val)
 
     return InitVass(vass, cfg(doc["init"]), cfg(doc["final"]))
 

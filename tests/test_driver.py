@@ -198,10 +198,12 @@ class TestSeparatePipeline:
 
 class TestCli:
     def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "vasslab.driver", *args],
+        out = subprocess.run(
+            [sys.executable, "-m", "vasslab", *args],
             capture_output=True, text=True,
         )
+        assert "RuntimeWarning" not in out.stderr
+        return out
 
     def test_separate_roundtrip(self, tmp_path):
         path = tmp_path / "subject.json"
@@ -240,14 +242,24 @@ class TestCli:
         (["separate", "--file", "{no_update}"], "update"),
         (["separate", "--file", "{text_update}"], "'x'"),
         (["approx", "--base", "0", "--periods", "x", "--k", "1"], "--periods"),
+        (["separate", "--file", "{object_node}"], "node"),
+        (["separate", "--file", "{array_counter}"], "counter"),
+        (["separate", "--file", "{object_label}"], "label"),
+        (["separate", "--file", "{array_letter}"], "letter"),
     ])
     def test_malformed_input_exit_2(self, tmp_path, capsys, args, word):
-        no_update = json.loads(dump_init_vass(subject_even_a1()))
-        del no_update["edges"][0]["update"]
-        text_update = json.loads(dump_init_vass(subject_even_a1()))
-        text_update["edges"][0]["update"] = {"k": "x"}
+        docs = {key: json.loads(dump_init_vass(subject_even_a1()))
+                for key in ("no_update", "text_update", "object_node", "array_counter",
+                            "object_label", "array_letter")}
+        del docs["no_update"]["edges"][0]["update"]
+        docs["text_update"]["edges"][0]["update"] = {"k": "x"}
+        docs["object_node"]["nodes"].append({"q": 1})
+        docs["array_counter"]["counters"].append(["k"])
+        docs["object_label"]["edges"][0]["label"] = {"a1": 1}
+        docs["array_letter"]["alphabet"].append(["a1"])
+        docs["array"] = []
         files = {}
-        for key, doc in (("array", []), ("no_update", no_update), ("text_update", text_update)):
+        for key, doc in docs.items():
             files[key] = tmp_path / f"{key}.json"
             files[key].write_text(json.dumps(doc))
         assert main([a.format(**files) for a in args]) == 2
