@@ -94,29 +94,50 @@ def is_empty(nfa: Nfa) -> bool:
     return True
 
 
-def enumerate_words(nfa: Nfa, max_len: int) -> set:
-    """All accepted words of length <= max_len (ε-closure handled)."""
-    out = set()
-    start = nfa.eps_closure(nfa.initial)
-    letters = sorted(nfa.alphabet, key=repr)
-    # memo: subset-state -> accepted suffix sets per remaining budget
+def bounded_words(start, moves, accepting, max_len: int, max_steps: int) -> frozenset:
+    """All words of length <= max_len spelled by walks of at most max_steps moves
+    from `start` to a state where `accepting` holds.
+
+    `moves(state)` yields (label, next state) pairs, label None for ε. Every
+    move costs a step; only a letter costs from the word budget. One memo keyed
+    by (state, word budget, step budget) holds each state's accepted suffixes,
+    so `moves` runs once per key. States must be hashable."""
     memo = {}
 
-    def suffixes(states, budget):
-        key = (states, budget)
+    def walk(state, wbudget, sbudget):
+        key = (state, wbudget, sbudget)
         if key in memo:
             return memo[key]
-        acc = {()} if states & nfa.final else set()
-        if budget > 0:
-            for a in letters:
-                nxt = nfa.step(states, a)
-                if nxt:
-                    acc |= {(a,) + s for s in suffixes(nxt, budget - 1)}
-        memo[key] = acc
-        return acc
+        acc = {()} if accepting(state) else set()
+        if sbudget >= 1:
+            for label, nxt in moves(state):
+                if label is None:
+                    acc |= walk(nxt, wbudget, sbudget - 1)
+                elif wbudget >= 1:
+                    acc |= {(label,) + s for s in walk(nxt, wbudget - 1, sbudget - 1)}
+        memo[key] = frozenset(acc)
+        return memo[key]
 
-    out = set(suffixes(start, max_len))
-    return out
+    try:
+        return walk(start, max_len, max_steps)
+    finally:
+        # walk refers to itself; break the cycle so the memo is freed now,
+        # not at the next full garbage collection
+        del walk
+
+
+def enumerate_words(nfa: Nfa, max_len: int) -> set:
+    """All accepted words of length <= max_len (ε-closure handled)."""
+    letters = sorted(nfa.alphabet, key=repr)
+
+    def moves(states):
+        for a in letters:
+            nxt = nfa.step(states, a)
+            if nxt:
+                yield a, nxt
+
+    return set(bounded_words(nfa.eps_closure(nfa.initial), moves,
+                             lambda states: bool(states & nfa.final), max_len, max_len))
 
 
 def universal_nfa(alphabet) -> Nfa:
@@ -193,10 +214,6 @@ def dfa_profile(dfa: Nfa, word) -> frozenset:
             (cur,) = dfa._step[(cur, a)]
         pairs.add((p, cur))
     return frozenset(pairs)
-
-
-def profiles_equal(p, q) -> bool:
-    return p == q
 
 
 def nfa_to_json(nfa: Nfa) -> dict:

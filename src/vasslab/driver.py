@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .automata import Nfa, dump_nfa, nfa_to_dot, run_word, strip_hash, union
+from .automata import Nfa, dump_nfa, empty_nfa, nfa_to_dot, run_word, strip_hash, union
 from .chareq import build_char
 from .decomposition import DecideCaps, decompose, trace_to_jsonl
 from .errors import ArgumentError, ResourceExhausted, StructuralError
@@ -27,10 +27,9 @@ from .model import (
     EPSILON,
     InitVass,
     dyck_alphabet,
+    dyck_vas,
     init_vass_from_json,
     language_bounded,
-    letter_index,
-    nat_domain,
 )
 from .separator import lift_separator, modulo_automaton
 from .solver import ilp_feasible
@@ -142,82 +141,12 @@ def oracle_bfs(iv: InitVass, counter_cap=40, length_cap=12) -> BfsResult:
     return BfsResult("inconclusive" if pruned else "unreachable")
 
 
-@dataclass(frozen=True)
-class PumpSearchResult:
-    found: bool
-    pruned: bool
-    witness: tuple = None
-
-
-def oracle_pump_search(p, run_len=10, counter_cap=30, seed=None) -> PumpSearchResult:
-    """Brute-force search for a covering sequence: a rooted N-run strictly
-    increasing all ω-decorated concretely-initialized counters."""
-    vass = p.vass
-    counters = vass.counters
-    pump = sorted(p.omega_counters - frozenset(
-        c for c in counters if is_omega(p.in_marking[c])
-    ))
-    if not pump:
-        return PumpSearchResult(True, False, ())
-    maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
-    if seed is None:
-        seed = run_len * maxupd
-    start = {c: (seed if is_omega(p.in_marking[c]) else p.in_marking[c]) for c in counters}
-    goal = {c: start[c] + 1 for c in pump}
-    pruned = [False]
-    seen = set()
-
-    def dfs(node, vals, path):
-        if node == p.root and path and all(
-            vals[counters.index(c)] >= goal[c] for c in pump
-        ):
-            return tuple(path)
-        if len(path) >= run_len:
-            return None
-        key = (node, vals, len(path))
-        if key in seen:
-            return None
-        seen.add(key)
-        for i, e in sorted(vass.out_edges(node)):
-            nv = tuple(v + e.update[c] for v, c in zip(vals, counters))
-            if any(v < 0 for v in nv):
-                continue
-            if any(v > counter_cap + seed for v in nv):
-                pruned[0] = True
-                continue
-            path.append(i)
-            hit = dfs(e.dst, nv, path)
-            path.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    hit = dfs(p.root, tuple(start[c] for c in counters), [])
-    return PumpSearchResult(hit is not None, pruned[0], hit)
-
-
 def dyck_words(n: int, max_len: int):
-    """All Dyck words over Σ_n up to the length, by prefix-pruned DFS."""
-    out = []
-    letters = dyck_alphabet(n)
-
-    def dfs(vals, word):
-        if all(v == 0 for v in vals):
-            out.append(tuple(word))
-        if len(word) >= max_len:
-            return
-        for a in letters:
-            i, d = letter_index(a, n)
-            if vals[i - 1] + d < 0:
-                continue
-            vals[i - 1] += d
-            word.append(a)
-            dfs(vals, word)
-            word.pop()
-            vals[i - 1] -= d
-
-    dfs([0] * n, [])
-    return out
+    """All Dyck words over Σ_n up to the length, in prefix-first lexicographic
+    order of the letters a1, ā1, ..., an, ān."""
+    rank = {a: k for k, a in enumerate(dyck_alphabet(n))}
+    words = language_bounded(dyck_vas(n), max_len, value_cap=max_len)
+    return sorted(words, key=lambda w: [rank[a] for a in w])
 
 
 # -- reachability ------------------------------------------------------------------
@@ -331,10 +260,10 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
             separators.append(_mod_certificate_nfa(member.dmgts))
 
     alphabet = frozenset(dyck_alphabet(n))
-    sep = union(separators, alphabet) if separators else Nfa({"e"}, set(), {"e"}, set(), alphabet)
+    sep = union(separators, alphabet) if separators else empty_nfa(alphabet)
 
     subject_words = language_bounded(
-        subject, caps.max_word_len, nat_domain(subject.vass),
+        subject, caps.max_word_len,
         max_run_len=caps.max_run_len + caps.max_word_len, value_cap=caps.counter_cap,
     )
     for w in subject_words:

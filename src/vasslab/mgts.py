@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
+from .automata import bounded_words
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
     EPSILON,
@@ -31,9 +32,11 @@ from .values import (
     OMEGA,
     ExactOrOmega,
     ModOmega,
+    clip,
     int_from_json,
     is_omega,
     omega_set,
+    shifted,
     valuation_le,
     valuation_nonneg,
     value_from_json,
@@ -398,23 +401,6 @@ class LanguageCaps:
     value_cap: int = 40
 
 
-def _shifted(val, moves) -> list:
-    """val with each range k moved by d, for (k, d) in moves."""
-    nval = list(val)
-    for k, d in moves:
-        r = nval[k]
-        nval[k] = range(r.start + d, r.stop + d, r.step)
-    return nval
-
-
-def _clip(r: range, lo=None, hi=None) -> range:
-    """The members of r (positive step) within [lo, hi]; None is unbounded."""
-    n = len(r)
-    i = 0 if lo is None else min(n, max(0, -((r.start - lo) // r.step)))
-    j = n if hi is None else min(n, max(0, (hi - r.start) // r.step + 1))
-    return r[i:j]
-
-
 def _residue(r: range, m: int, mu: int) -> range:
     """The members of r (positive step) congruent to m modulo mu."""
     period = mu // gcd(r.step, mu)
@@ -428,7 +414,7 @@ def _intersect(a: range, b: range) -> range:
     """The members of both a and b (positive steps)."""
     if not b:
         return b
-    return _residue(_clip(a, b[0], b[-1]), b[0], b.step)
+    return _residue(clip(a, b[0], b[-1]), b[0], b.step)
 
 
 def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
@@ -437,12 +423,12 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
     |word| <= max_len found within the caps. Exact up to the caps; the flag
     reports whether any branch was cut off.
 
-    One memoized walk covers every entry valuation at once: each counter holds
-    a range of values (step 1, step mu, or one value), and every gate, the
-    non-negativity domain and the value cap trim the ranges counter by counter.
-    A range state's words are the union of its members' words, so the result
-    equals one concrete walk per entry valuation, at a cost that does not grow
-    as value_cap^k."""
+    One `bounded_words` walk covers every entry valuation at once: each
+    counter holds a range of values (step 1, step mu, or one value), and every
+    gate, the non-negativity domain and the value cap trim the ranges counter
+    by counter in `moves`. A range state's words are the union of its members'
+    words, so the result equals one concrete walk per entry valuation, at a
+    cost that does not grow as value_cap^k."""
     mgts = dmgts.mgts
     orders = side_orders(dmgts, side)
     domain = side_domain(dmgts, side, kind)
@@ -456,19 +442,20 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
         gated |= set(counters) if o.restrict is None else set(o.restrict)
     gated_idx = [index[c] for c in counters if c in gated]
     cap = caps.value_cap
-    # ungated counters are monotone: one sufficiently high entry value is exact
-    maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
-    free_seed = caps.max_run_len * maxupd
 
     def shifts(update):
         return [(index[c], update.get(c, 0)) for c in counters if update.get(c, 0)]
+
+    def letter(label, hashed):
+        return None if label == EPSILON else (label, hashed)
 
     out_edges_by_graph = {}
     for i, org in enumerate(origins):
         if org[0] == "g":
             e = vass.edges[i]
             out_edges_by_graph.setdefault((org[1], e.src), []).append(
-                (e, shifts(e.update), [index[c] for c in e.update if c in domain]))
+                (letter(e.label, False), e.dst, shifts(e.update),
+                 [index[c] for c in e.update if c in domain]))
     bridge_moves = {org[1]: shifts(vass.edges[i].update)
                     for i, org in enumerate(origins) if org[0] == "b"}
 
@@ -480,86 +467,69 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
 
     in_checks = [gate_checks(g.in_marking) for g in mgts.graphs]
     out_checks = [gate_checks(g.out_marking) for g in mgts.graphs]
+    last = len(mgts.graphs) - 1
 
     def gate(val, checks):
         """The members of val that are >= 0 and <= the marking under every
         order, or None if there are none."""
-        rs = [_clip(r, 0) for r in val]
+        rs = [clip(r, 0) for r in val]
         for k, o, m in checks:
-            rs[k] = _clip(rs[k], m, m) if isinstance(o, ExactOrOmega) else _residue(rs[k], m, o.mu)
+            rs[k] = clip(rs[k], m, m) if isinstance(o, ExactOrOmega) else _residue(rs[k], m, o.mu)
         return tuple(rs) if all(rs) else None
 
-    memo = {}
+    def accepting(state):
+        gi, node, val = state
+        return (gi == last and node == mgts.graphs[gi].root
+                and gate(val, out_checks[gi]) is not None)
 
-    def walk(gi, node, val, wbudget, sbudget):
-        key = (gi, node, val, wbudget, sbudget)
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()  # cycle guard
-        acc = set()
-        g = mgts.graphs[gi]
-        exit_val = gate(val, out_checks[gi]) if node == g.root else None
-        if exit_val is not None:
-            if gi == len(mgts.graphs) - 1:
-                acc.add(())
-            else:
-                u = mgts.bridges[gi]
-                nwb = wbudget - (0 if u.label == EPSILON else 1)
-                if nwb >= 0 and sbudget >= 1:
-                    nval = gate(_shifted(exit_val, bridge_moves[gi]), in_checks[gi + 1])
-                    if nval is not None:
-                        suf = walk(gi + 1, mgts.graphs[gi + 1].root, nval, nwb, sbudget - 1)
-                        pre = () if u.label == EPSILON else ((u.label, True),)
-                        acc |= {pre + s for s in suf}
-        if sbudget >= 1:
-            for e, moves, dom in out_edges_by_graph.get((gi, node), ()):
-                nval = _shifted(val, moves)
-                for k in dom:
-                    nval[k] = _clip(nval[k], 0)
-                if not all(nval):
-                    continue
-                for k in gated_idx:
-                    r = _clip(nval[k], -cap, cap)
-                    if len(r) < len(nval[k]):
-                        truncated[0] = True
-                    nval[k] = r
-                if not all(nval):
-                    continue
-                nwb = wbudget - (0 if e.label == EPSILON else 1)
-                if nwb < 0:
-                    continue
-                suf = walk(gi, e.dst, tuple(nval), nwb, sbudget - 1)
-                pre = () if e.label == EPSILON else ((e.label, False),)
-                acc |= {pre + s for s in suf}
-        memo[key] = frozenset(acc)
-        return memo[key]
+    def moves(state):
+        gi, node, val = state
+        if gi < last and node == mgts.graphs[gi].root:
+            exit_val = gate(val, out_checks[gi])
+            if exit_val is not None:
+                nval = gate(shifted(exit_val, bridge_moves[gi]), in_checks[gi + 1])
+                if nval is not None:
+                    yield (letter(mgts.bridges[gi].label, True),
+                           (gi + 1, mgts.graphs[gi + 1].root, nval))
+        for label, dst, edge_moves, dom in out_edges_by_graph.get((gi, node), ()):
+            nval = shifted(val, edge_moves)
+            for k in dom:
+                nval[k] = clip(nval[k], 0)
+            if not all(nval):
+                continue
+            for k in gated_idx:
+                r = clip(nval[k], -cap, cap)
+                if len(r) < len(nval[k]):
+                    truncated[0] = True
+                nval[k] = r
+            if all(nval):
+                yield label, (gi, dst, tuple(nval))
 
     words = frozenset()
     g0 = mgts.graphs[0]
-    entry = _entry_ranges(counters, g0.in_marking, orders, gated, cap, free_seed)
-    try:
-        sval = gate([entry[c] for c in counters], in_checks[0])
-        if sval is not None:
-            words = walk(0, g0.root, sval, max_len, caps.max_run_len)
-    finally:
-        # walk refers to itself; break the cycle so the memo is freed now,
-        # not at the next full garbage collection
-        del walk
+    entry = _entry_ranges(counters, g0.in_marking, orders, gated, cap,
+                          _free_seed(vass, caps.max_run_len))
+    sval = gate([entry[c] for c in counters], in_checks[0])
+    if sval is not None:
+        words = bounded_words((0, g0.root, sval), moves, accepting, max_len, caps.max_run_len)
     return BoundedLanguage(words, truncated[0])
 
 
-def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed=None):
-    """Per counter, the range of entry values compatible with the entry gates,
-    capped.
+def _free_seed(vass, run_len):
+    """An entry value that no run of run_len edges drives below zero. Counters
+    compared by no gate are monotone (raising them only helps), so this one
+    value stands for all of theirs."""
+    maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
+    return run_len * maxupd
 
-    Counters never compared by any gate are monotone (raising them only helps),
-    so one high value suffices for them.
-    """
+
+def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed):
+    """Per counter, the range of entry values compatible with the entry gates,
+    capped; an ungated counter gets the one value free_seed (see `_free_seed`)."""
     per = {}
     for c in counters:
         if c not in gated:
-            v = free_seed if free_seed is not None else value_cap
-            per[c] = range(v, v + 1)
+            per[c] = range(free_seed, free_seed + 1)
             continue
         bound = in_marking[c]
         vals = None
@@ -577,7 +547,7 @@ def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed=None
     return per
 
 
-def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed=None):
+def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
     """Concrete entry valuations compatible with the entry gates, capped: the
     product of the per-counter `_entry_ranges`."""
     per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
@@ -863,10 +833,11 @@ def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8, value_cap=8):
     mod_orders = [ModOmega(dmgts.mu, ys)]
     from .model import INT_DOMAIN, accepts
 
+    # Z-semantics: X is read only by the boundary non-negativity checks, which
+    # both acceptances share, so one high X entry value loses no counterexample
     starts = []
-    for xv in _entry_candidates(
-        vass.counters, mgts.in_marking, mod_orders, set(vass.counters), value_cap
-    ):
+    for xv in _entry_candidates(vass.counters, mgts.in_marking, mod_orders, set(ys),
+                                value_cap, _free_seed(vass, run_len_cap)):
         sval = dict(xv)
         for c in ys:
             sval[c] = 0  # Acc_{Z,Y} pins the Y start at the zero in-marking
@@ -956,9 +927,10 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
 
     mod_orders = [ModOmega(n1.mu, ys)]
     acc_orders = [ExactOrOmega(ys)]
-    for sval in _entry_candidates(
-        vass1.counters, in1, mod_orders, set(vass1.counters), value_cap
-    ):
+    # X is read only by the boundary non-negativity checks, as in
+    # faithfulness_falsify: one high X entry value loses no counterexample
+    for sval in _entry_candidates(vass1.counters, in1, mod_orders, set(ys), value_cap,
+                                  _free_seed(vass1, run_len_cap)):
         def seqs(node, budget):
             yield node, ()
             if budget == 0:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .automata import bounded_words
 from .errors import ArgumentError, StructuralError
 from .values import (
-    ExactOrOmega,
+    clip,
     int_from_json,
     is_omega,
+    shifted,
     valuation_le,
-    valuation_nonneg,
     value_from_json,
     value_to_json,
     vec_add,
@@ -311,74 +312,44 @@ def accepts(init_vass: InitVass, run: Run, orders, domain: CounterDomainSpec) ->
     )
 
 
-def language_bounded(init_vass: InitVass, max_word_len: int, domain: CounterDomainSpec,
-                     max_run_len: int = None, value_cap: int = 64,
-                     orders=None) -> set:
-    """All words of accepted runs with word length <= max_word_len, found within
-    the run-length and counter-magnitude caps. Exact when the caps dominate the
-    reachable value range; an under-approximation beyond them."""
+def language_bounded(init_vass: InitVass, max_word_len: int, max_run_len: int = None,
+                     value_cap: int = 64) -> set:
+    """All words of N-runs from init to final with word length <= max_word_len,
+    found within the run-length cap and with every counter in [0, value_cap]
+    after each edge. Exact when the caps dominate the reachable value range; an
+    under-approximation beyond them.
+
+    One `bounded_words` walk covers every initial valuation at once: an ω
+    initial value is the range 0..value_cap, a finite one a single value, and
+    each edge shifts the ranges and clips them to [0, value_cap]."""
     if max_run_len is None:
         max_run_len = 2 * max_word_len + 4
-    if orders is None:
-        orders = [ExactOrOmega()]
     vass = init_vass.vass
-    starts = _admissible_starts(vass, init_vass.init.valuation, orders, value_cap)
-    out = set()
-    seen = set()
+    counters = vass.counters
+    final = init_vass.final
+    out = {}
+    for e in vass.edges:
+        shifts = [(k, e.update[c]) for k, c in enumerate(counters) if e.update[c]]
+        label = None if e.label == EPSILON else e.label
+        out.setdefault(e.src, []).append((label, e.dst, shifts))
+    targets = [(k, final.valuation[c]) for k, c in enumerate(counters)
+               if not is_omega(final.valuation[c])]
 
-    def ok_final(node, val):
-        return node == init_vass.final.node and valuation_le(val, init_vass.final.valuation, orders)
+    def moves(state):
+        node, val = state
+        for label, dst, shifts in out.get(node, ()):
+            nval = tuple(clip(r, 0, value_cap) for r in shifted(val, shifts))
+            if all(nval):
+                yield label, (dst, nval)
 
-    def walk(node, val, word, steps):
-        key = (node, tuple(val[c] for c in vass.counters), word, steps)
-        if key in seen:
-            return
-        seen.add(key)
-        if ok_final(node, val):
-            out.add(word)
-        if steps >= max_run_len:
-            return
-        for _, e in vass.out_edges(node):
-            nval = vec_add(val, e.update)
-            if any(nval[c] < 0 for c in e.update if c in domain.nonneg_counters):
-                continue
-            if any(abs(v) > value_cap for v in nval.values()):
-                continue
-            nword = word if e.label == EPSILON else word + (e.label,)
-            if len(nword) > max_word_len:
-                continue
-            walk(e.dst, nval, nword, steps + 1)
+    def accepting(state):
+        node, val = state
+        return node == final.node and all(v in val[k] for k, v in targets)
 
-    for sval in starts:
-        if not valuation_nonneg(sval, domain.nonneg_counters):
-            continue
-        walk(init_vass.init.node, sval, (), 0)
-    return out
-
-
-def _admissible_starts(vass, init_val, orders, value_cap):
-    """Concrete start valuations c with c <= init under `orders`, capped."""
-    per_counter = {}
-    for c in vass.counters:
-        bound = init_val[c]
-        candidates = None
-        for order in orders if isinstance(orders, (list, tuple)) else [orders]:
-            if order.restrict is not None and c not in order.restrict:
-                continue
-            if is_omega(bound):
-                vals = set(range(0, value_cap + 1))
-            elif isinstance(order, ExactOrOmega):
-                vals = {bound}
-            else:  # ModOmega
-                vals = {v for v in range(0, value_cap + 1) if (v - bound) % order.mu == 0}
-            candidates = vals if candidates is None else candidates & vals
-        if candidates is None:  # unconstrained counter
-            candidates = set(range(0, value_cap + 1)) if is_omega(bound) else {bound}
-        per_counter[c] = sorted(candidates)
-    starts = [{}]
-    for c in vass.counters:
-        starts = [dict(s, **{c: v}) for s in starts for v in per_counter[c]]
-    return starts
+    start = tuple(range(0, value_cap + 1) if is_omega(v) else range(v, v + 1)
+                  for v in (init_vass.init.valuation[c] for c in counters))
+    return set(bounded_words((init_vass.init.node, start), moves, accepting,
+                             max_word_len, max_run_len))
 
 
 def dyck_vas(n: int) -> InitVass:

@@ -7,7 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, factorial
 
-from .automata import Nfa, dfa_profile, enumerate_words, product, run_word, strip_hash
+from .automata import (
+    Nfa,
+    bounded_words,
+    dfa_profile,
+    enumerate_words,
+    product,
+    run_word,
+    strip_hash,
+)
 from .chareq import build_char, edge_var, io_var, full_support_solution, support
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import (
@@ -321,49 +329,48 @@ class WitnessPair:
 
 
 def rooted_loops(g, max_len: int):
-    """All rooted cycles of local length <= max_len, the empty one included."""
-    out = []
-
-    def dfs(node, seq):
-        if node == g.root and seq:
-            out.append(tuple(seq))
-        if len(seq) >= max_len:
-            return
-        for i, e in sorted(g.vass.out_edges(node)):
-            seq.append(i)
-            dfs(e.dst, seq)
-            seq.pop()
-
-    dfs(g.root, [])
-    return [()] + sorted(out)
+    """All rooted cycles of local length <= max_len as edge-index tuples, the
+    empty one included, in sorted order."""
+    out = {}
+    for i, e in enumerate(g.vass.edges):
+        out.setdefault(e.src, []).append((i, e.dst))
+    return sorted(bounded_words(g.root, lambda node: out.get(node, ()),
+                                lambda node: node == g.root, max_len, max_len))
 
 
-def find_z_pair(dmgts: Dmgts, dfa: Nfa, loop_len=4, combo_cap=20000):
-    """Per-graph rooted loop pairs (σ_i, σ'_i) with ~A-equal labels whose summed
-    Parikh vectors solve Char_X resp. Char_Y; None if none within the caps."""
+def loop_labels(g, loop) -> tuple:
+    """The letters a rooted loop of g spells."""
+    return tuple(g.vass.edges[i].label for i in loop if g.vass.edges[i].label != EPSILON)
+
+
+def loop_pair_search(dmgts: Dmgts, loop_len: int, key, combo_cap: int):
+    """Per-graph rooted loop pairs (σ_i, σ'_i) with key(g, σ_i) == key(g, σ'_i)
+    whose summed Parikh vectors solve Char_X resp. Char_Y; None if there are
+    none. More than combo_cap combinations raise ResourceExhausted."""
     per_graph = []
     for g in dmgts.graphs:
         loops = rooted_loops(g, loop_len)
-        pairs = []
-        for a in loops:
-            wa = tuple(g.vass.edges[i].label for i in a if g.vass.edges[i].label != EPSILON)
-            pa = dfa_profile(dfa, wa)
-            for b in loops:
-                wb = tuple(g.vass.edges[i].label for i in b if g.vass.edges[i].label != EPSILON)
-                if dfa_profile(dfa, wb) == pa:
-                    pairs.append((a, b))
-        per_graph.append(pairs)
+        keys = [key(g, a) for a in loops]
+        per_graph.append([(a, b) for a, ka in zip(loops, keys)
+                          for b, kb in zip(loops, keys) if ka == kb])
     combos = [[]]
     for pairs in per_graph:
         combos = [c + [p] for c in combos for p in pairs]
         if len(combos) > combo_cap:
-            raise ResourceExhausted(f"z-pair combination cap {combo_cap} exceeded")
+            raise ResourceExhausted(f"loop-pair combination cap {combo_cap} exceeded")
     for combo in combos:
         if _solves_side(dmgts, [a for a, _ in combo], "x") and _solves_side(
             dmgts, [b for _, b in combo], "y"
         ):
             return combo
     return None
+
+
+def find_z_pair(dmgts: Dmgts, dfa: Nfa, loop_len=4, combo_cap=20000):
+    """Loop pairs with ~A-equal labels (equal DFA profiles) whose Parikh sums
+    solve Char_X resp. Char_Y; None if none within the caps."""
+    return loop_pair_search(dmgts, loop_len,
+                            lambda g, loop: dfa_profile(dfa, loop_labels(g, loop)), combo_cap)
 
 
 def _solves_side(dmgts: Dmgts, loops, side) -> bool:

@@ -95,6 +95,23 @@ def value_from_json(v):
     return OMEGA if v == "omega" else int_from_json(v)
 
 
+def shifted(val, moves) -> list:
+    """A list of value ranges with range k moved by d, for (k, d) in moves."""
+    nval = list(val)
+    for k, d in moves:
+        r = nval[k]
+        nval[k] = range(r.start + d, r.stop + d, r.step)
+    return nval
+
+
+def clip(r: range, lo=None, hi=None) -> range:
+    """The members of r (positive step) within [lo, hi]; None is unbounded."""
+    n = len(r)
+    i = 0 if lo is None else min(n, max(0, -((r.start - lo) // r.step)))
+    j = n if hi is None else min(n, max(0, (hi - r.start) // r.step + 1))
+    return r[i:j]
+
+
 class ExactOrOmega:
     """The specialization preorder: k <= k and k <= omega, nothing else.
 

@@ -6,13 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Nfa, run_word
+from .automata import Nfa, empty_nfa, run_word, universal_nfa
 from .chareq import build_char, edge_var
-from .errors import ResourceExhausted
 from .mgts import Dmgts, LanguageCaps, side_language_bounded
 from .model import letter_index
 from .semilinear import _halfspace_set, approx_automaton
-from .separator import annotated_alphabet
+from .separator import annotated_alphabet, loop_labels, loop_pair_search
 from .solver import UNBOUNDED, LinSystem, ilp_feasible, lp_opt
 
 
@@ -48,15 +47,6 @@ class SepVerdict:
         if self.z_pair is not None:
             doc["z_pair"] = [[list(a), list(b)] for a, b in self.z_pair]
         return doc
-
-
-def _universal(n: int) -> Nfa:
-    alpha = annotated_alphabet(n)
-    return Nfa({"u"}, {("u", a, "u") for a in alpha}, {"u"}, {"u"}, alpha)
-
-
-def _empty(n: int) -> Nfa:
-    return Nfa({"e"}, set(), {"e"}, set(), annotated_alphabet(n))
 
 
 def _bounded_certificate_ok(nfa: Nfa, dmgts: Dmgts, caps: ZsepCaps) -> bool:
@@ -113,11 +103,11 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
     cs_x = build_char(dmgts, "x")
     cs_y = build_char(dmgts, "y")
     if ilp_feasible(cs_y.system, node_budget=caps.ilp_nodes) is None:
-        nfa = _universal(n)
+        nfa = universal_nfa(annotated_alphabet(n))
         if _bounded_certificate_ok(nfa, dmgts, caps):
             return SepVerdict("separable", nfa=nfa, strategy="y-infeasible", caps=caps)
     if ilp_feasible(cs_x.system, node_budget=caps.ilp_nodes) is None:
-        nfa = _empty(n)
+        nfa = empty_nfa(annotated_alphabet(n))
         if _bounded_certificate_ok(nfa, dmgts, caps):
             return SepVerdict("separable", nfa=nfa, strategy="x-infeasible", caps=caps)
 
@@ -165,8 +155,9 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
         if _bounded_certificate_ok(nfa, dmgts, caps):
             return SepVerdict("separable", nfa=nfa, strategy=f"drift({v})", caps=caps)
 
-    # inseparability: equal-label per-graph loop pairs solving both sides
-    pair = _equal_label_pair(dmgts, caps)
+    # inseparability: equal-label per-graph loop pairs solving both sides,
+    # which certify Sol_X ∩ Sol_Y ≠ ∅
+    pair = loop_pair_search(dmgts, caps.loop_len, loop_labels, 50_000)
     if pair is not None:
         return SepVerdict("inseparable", z_pair=pair, strategy="shared-loops", caps=caps)
     return SepVerdict("unknown", reason="strategy ladder exhausted", caps=caps)
@@ -179,31 +170,3 @@ def _small_vectors(n: int, norm: int):
     out = [v for v in vecs if any(v) and sum(abs(x) for x in v) <= norm]
     out.sort(key=lambda v: (sum(abs(x) for x in v), v))
     return out
-
-
-def _equal_label_pair(dmgts: Dmgts, caps: ZsepCaps):
-    """Per-graph rooted loop pairs with equal label sequences whose Parikh sums
-    solve Char_X resp. Char_Y; certifies Sol_X ∩ Sol_Y ≠ ∅."""
-    from .separator import _solves_side, rooted_loops
-
-    per_graph = []
-    for g in dmgts.graphs:
-        loops = rooted_loops(g, caps.loop_len)
-
-        def labels(seq):
-            return tuple(g.vass.edges[i].label for i in seq
-                         if g.vass.edges[i].label != "")
-
-        pairs = [(a, b) for a in loops for b in loops if labels(a) == labels(b)]
-        per_graph.append(pairs)
-    combos = [[]]
-    for pairs in per_graph:
-        combos = [c + [p] for c in combos for p in pairs]
-        if len(combos) > 50000:
-            raise ResourceExhausted("equal-label pair search exploded")
-    for combo in combos:
-        if _solves_side(dmgts, [a for a, _ in combo], "x") and _solves_side(
-            dmgts, [b for _, b in combo], "y"
-        ):
-            return combo
-    return None

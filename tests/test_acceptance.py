@@ -17,7 +17,6 @@ from vasslab.driver import (
     cmd_separate,
     dyck_words,
     oracle_bfs,
-    oracle_pump_search,
 )
 from vasslab.mgts import (
     Dmgts,
@@ -59,6 +58,7 @@ from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
 from vasslab.structure import covering_sequences
 from vasslab.values import OMEGA
 
+from pump_search_oracle import oracle_pump_search
 from conftest import (
     dyck_copy_dmgts,
     dyck_copy_graph,
@@ -428,8 +428,7 @@ def test_criterion_12_end_to_end_separable():
         rep = cmd_separate(subject_even_a1(), PipelineCaps())
         assert rep.verdict == "separable"
         sub = subject_even_a1()
-        words = language_bounded(sub, 10, nat_domain(sub.vass),
-                                 max_run_len=22, value_cap=40)
+        words = language_bounded(sub, 10, max_run_len=22, value_cap=40)
         assert words and all(word_effect(w, 1)[0] >= 2 for w in words)
         for w in words:
             assert run_word(rep.separator, w)
@@ -444,7 +443,7 @@ def test_criterion_13_end_to_end_inseparable():
         assert rep.witness is not None and len(rep.witness) <= 4
         assert is_dyck_word(rep.witness, 1)
         d1 = dyck_vas(1)
-        words = language_bounded(d1, 4, nat_domain(d1.vass), max_run_len=8, value_cap=8)
+        words = language_bounded(d1, 4, max_run_len=8, value_cap=8)
         assert rep.witness in words
 
 
@@ -474,8 +473,7 @@ def test_criterion_14_hardness_gadget():
                 continue
             conclusive += 1
             gadget = hardness_gadget(a, aprime)
-            words = language_bounded(gadget, 6, nat_domain(gadget.vass),
-                                     max_run_len=20, value_cap=34)
+            words = language_bounded(gadget, 6, max_run_len=20, value_cap=34)
             assert (len(words) == 0) == (bfs.status == "unreachable")
         assert conclusive >= 12
 

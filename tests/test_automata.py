@@ -1,4 +1,8 @@
+from itertools import product as words_over
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vasslab.automata import (
     Nfa,
@@ -10,7 +14,6 @@ from vasslab.automata import (
     nfa_to_dot,
     nfa_to_json,
     product,
-    profiles_equal,
     run_word,
     strip_hash,
     union,
@@ -32,6 +35,25 @@ def random_nfa(rng, letters=("a", "b"), max_states=4, eps=False):
     initial = {states[0]}
     final = {rng.choice(states)}
     return Nfa(states, transitions, initial, final, letters)
+
+
+@st.composite
+def nfas(draw):
+    """1-4 states, letters a and b and ε moves, non-empty initial and final sets."""
+    states = list(range(draw(st.integers(1, 4))))
+    state = st.sampled_from(states)
+    transitions = draw(st.sets(st.tuples(state, st.sampled_from(("a", "b", None)), state),
+                               min_size=1, max_size=10))
+    return Nfa(states, transitions, draw(st.sets(state, min_size=1)),
+               draw(st.sets(state, min_size=1)), ("a", "b"))
+
+
+@settings(max_examples=300)
+@given(nfas(), st.integers(0, 5))
+def test_enumerate_words_equals_brute_force(nfa, max_len):
+    want = {w for k in range(max_len + 1) for w in words_over(("a", "b"), repeat=k)
+            if run_word(nfa, w)}
+    assert enumerate_words(nfa, max_len) == want
 
 
 def test_empty_nfa_language():
@@ -94,12 +116,12 @@ def test_strip_hash_projects_language():
 class TestDfaProfile:
     def test_one_state_all_equal(self):
         d = Nfa({"s"}, {("s", "a", "s")}, {"s"}, {"s"})
-        assert profiles_equal(dfa_profile(d, ("a", "a", "a")), dfa_profile(d, ()))
+        assert dfa_profile(d, ("a", "a", "a")) == dfa_profile(d, ())
 
     def test_parity(self):
         d = Nfa({"e", "o"}, {("e", "a", "o"), ("o", "a", "e")}, {"e"}, {"e"})
-        assert profiles_equal(dfa_profile(d, ("a", "a")), dfa_profile(d, ()))
-        assert not profiles_equal(dfa_profile(d, ("a",)), dfa_profile(d, ()))
+        assert dfa_profile(d, ("a", "a")) == dfa_profile(d, ())
+        assert dfa_profile(d, ("a",)) != dfa_profile(d, ())
 
     def test_nondeterministic_rejected(self):
         n = Nfa({"1", "2"}, {("1", "a", "1"), ("1", "a", "2"), ("2", "a", "2")}, {"1"}, {"2"})
@@ -144,7 +166,7 @@ def test_pumping_profile_equality():
         n = len(states)
         w1 = diff * n
         w2 = diff * (n + c * factorial(n))
-        assert profiles_equal(dfa_profile(d, w1), dfa_profile(d, w2))
+        assert dfa_profile(d, w1) == dfa_profile(d, w2)
 
 
 def test_union():

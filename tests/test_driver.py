@@ -11,7 +11,6 @@ from vasslab.driver import (
     dyck_words,
     main,
     oracle_bfs,
-    oracle_pump_search,
     reach_decide,
 )
 from vasslab.errors import ArgumentError
@@ -27,11 +26,11 @@ from vasslab.model import (
     inc_letter,
     is_dyck_word,
     language_bounded,
-    nat_domain,
 )
 from vasslab.automata import run_word
 from vasslab.values import OMEGA
 
+from pump_search_oracle import oracle_pump_search
 from conftest import (
     dyck_copy_graph,
     subject_counter_gap,
@@ -122,15 +121,13 @@ class TestSeparatePipeline:
         assert is_dyck_word(rep.witness, 1)
         d1 = dyck_vas(1)
         assert rep.witness in language_bounded(d1, max(4, len(rep.witness)),
-                                               nat_domain(d1.vass),
                                                max_run_len=8, value_cap=8)
 
     def test_even_subject_separable(self):
         rep = cmd_separate(subject_even_a1())
         assert rep.verdict == "separable"
         sub = subject_even_a1()
-        for w in language_bounded(sub, 10, nat_domain(sub.vass),
-                                  max_run_len=22, value_cap=40):
+        for w in language_bounded(sub, 10, max_run_len=22, value_cap=40):
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 10):
             assert not run_word(rep.separator, w)
@@ -145,8 +142,7 @@ class TestSeparatePipeline:
         sub = subject_counter_gap()
         rep = cmd_separate(sub)
         assert rep.verdict == "separable"
-        for w in language_bounded(sub, 8, nat_domain(sub.vass),
-                                  max_run_len=20, value_cap=40):
+        for w in language_bounded(sub, 8, max_run_len=20, value_cap=40):
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 8):
             assert not run_word(rep.separator, w)
@@ -167,8 +163,7 @@ class TestSeparatePipeline:
         assert rep.verdict == "separable"
         assert {"stage": "zsep", "result": "separable",
                 "strategy": "modulo(2,1,y.1)"} in rep.stages
-        for w in language_bounded(sub, 6, nat_domain(sub.vass),
-                                  max_run_len=16, value_cap=40):
+        for w in language_bounded(sub, 6, max_run_len=16, value_cap=40):
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 6):
             assert not run_word(rep.separator, w)

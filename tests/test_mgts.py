@@ -33,6 +33,7 @@ from vasslab.mgts import (
 from vasslab.model import (
     EPSILON,
     INT_DOMAIN,
+    accepts,
     Edge,
     GenConfig,
     InitVass,
@@ -113,7 +114,7 @@ class TestSideLanguages:
         d1 = dyck_vas(1)
         nd = initial_dmgts(d1)
         lx = side_language_bounded(nd, "x", 4, "nat", CAPS)
-        want = language_bounded(d1, 4, nat_domain(d1.vass), max_run_len=8, value_cap=10)
+        want = language_bounded(d1, 4, max_run_len=8, value_cap=10)
         assert strip_words(lx.words) == want
 
     def test_x_empty_gives_control_words(self):
@@ -169,7 +170,7 @@ class TestInitialDmgts:
         nd = initial_dmgts(sub)
         assert len(nd.graphs) == 1
         lx = strip_words(side_language_bounded(nd, "x", 4, "nat", CAPS).words)
-        assert lx == language_bounded(sub, 4, nat_domain(v), max_run_len=8, value_cap=8)
+        assert lx == language_bounded(sub, 4, max_run_len=8, value_cap=8)
 
     def test_non_dyck_alphabet_rejected(self):
         v = Vass(["q"], ("z",), [], [Edge("q", "z", {}, "q")])
@@ -227,6 +228,21 @@ class TestFaithfulness:
         hit = faithfulness_falsify(dm, 4, 4)
         assert hit is not None
 
+    def test_unreachable_intermediate_marking_with_x_counter(self):
+        # the same planted hit with an X counter that the Dyck letter moves;
+        # the X entry value is not compared by either acceptance
+        g1 = graph_loops([], ["x1", "y1"], {"x1": 0, "y1": 0}, {"x1": OMEGA, "y1": 1},
+                         alphabet=dyck_alphabet(1), root="r1")
+        g2 = graph_loops([(AB1, {"x1": -1, "y1": -1})], ["x1", "y1"],
+                         {"x1": OMEGA, "y1": OMEGA}, {"x1": OMEGA, "y1": 0}, root="r2")
+        dm = Dmgts(Mgts([g1, g2], [Update(EPSILON, {"x1": 0, "y1": 0})]), 1, ("x1",), ("y1",))
+        hit = faithfulness_falsify(dm, 4, 4)
+        assert hit is not None
+        iv, _ = dm.mgts.combined()
+        assert accepts(iv, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
+        assert intermediate_accepts(dm.mgts, hit, [ModOmega(1, ["y1"])], INT_DOMAIN)
+        assert not intermediate_accepts(dm.mgts, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
+
     def test_all_omega_intermediates_none_found(self):
         assert faithfulness_falsify(two_graph_dmgts(), 4, 4) is None
 
@@ -257,6 +273,20 @@ class TestConsistentSpecialization:
         )
         hit = consistent_specialization_falsify(dyck_copy_dmgts(), smaller, 3, 3)
         assert hit is not None and hit[0] == "no-matching-run"
+
+    def test_condition_2_with_x_counter_is_caught(self):
+        # n1 exits its first graph with y1 = 0 where its marking pins 1: the
+        # modulo run (mu = 1) passes, the exact one does not
+        g1 = graph_loops([], ["x1", "y1"], {"x1": 0, "y1": 0}, {"x1": OMEGA, "y1": 1},
+                         alphabet=dyck_alphabet(1), root="r1")
+        g2 = graph_loops([(AB1, {"x1": 1, "y1": -1})], ["x1", "y1"],
+                         {"x1": OMEGA, "y1": OMEGA}, {"x1": OMEGA, "y1": 0}, root="r2")
+        n1 = Dmgts(Mgts([g1, g2], [Update(EPSILON, {"x1": 0, "y1": 0})]), 1, ("x1",), ("y1",))
+        p = graph_loops([(EPSILON, {}), (AB1, {"x1": 1, "y1": -1})], ["x1", "y1"],
+                        {"x1": 0, "y1": 0}, {"x1": OMEGA, "y1": 0}, alphabet=dyck_alphabet(1))
+        n2 = Dmgts(Mgts([p]), 1, ("x1",), ("y1",))
+        hit = consistent_specialization_falsify(n1, n2, 3, 3)
+        assert hit is not None and hit[0] == "condition-2"
 
 
 class TestSubstitute:
@@ -293,8 +323,8 @@ def test_fold_states_preserves_language():
     sub = InitVass(v, GenConfig("p", {"c": 0}), GenConfig("p", {"c": 0}))
     folded = fold_states(sub)
     assert len(folded.vass.nodes) == 1
-    a = language_bounded(sub, 5, nat_domain(v), max_run_len=8, value_cap=8)
-    b = language_bounded(folded, 5, nat_domain(folded.vass), max_run_len=8, value_cap=8)
+    a = language_bounded(sub, 5, max_run_len=8, value_cap=8)
+    b = language_bounded(folded, 5, max_run_len=8, value_cap=8)
     assert a == b
 
 
@@ -303,7 +333,7 @@ def test_fold_to_mgts_preserves_bounded_language():
              [Edge("p", "a", {"c": 1}, "q"), Edge("q", "b", {"c": -1}, "p"),
               Edge("q", "a", {"c": 0}, "s"), Edge("s", "a", {"c": 1}, "s")])
     iv = InitVass(v, GenConfig("p", {"c": 0}), GenConfig("s", {"c": 2}))
-    want = language_bounded(iv, 5, nat_domain(v), max_run_len=8, value_cap=12)
+    want = language_bounded(iv, 5, max_run_len=8, value_cap=12)
     got = set()
     for mgts in fold_to_mgts_list(iv):
         dm = Dmgts(mgts, 1, tuple(mgts.counters), (), faithful=True)

@@ -189,8 +189,7 @@ class TestDyckVas:
         # all words <= 12 over n=1, <= 6 over n=2
         for n, max_len in ((1, 12), (2, 6)):
             d = dyck_vas(n)
-            words = language_bounded(d, max_len, nat_domain(d.vass),
-                                     max_run_len=max_len, value_cap=max_len)
+            words = language_bounded(d, max_len, max_run_len=max_len, value_cap=max_len)
             alphabet = dyck_alphabet(n)
 
             def all_words(k):
@@ -226,11 +225,11 @@ class TestFixDyckProduct:
         d = dyck_vas(1)
         v = fix_dyck_product(d, d)
         assert is_dyck_visible(v.vass, [c for c in v.vass.counters if c.startswith("y")])
-        words = language_bounded(v, 8, nat_domain(v.vass), max_run_len=12, value_cap=20)
+        words = language_bounded(v, 8, max_run_len=12, value_cap=20)
         assert any(is_dyck_word(w, 1) for w in words)
         # oracle: both sides nonempty at bound 8
         assert any(is_dyck_word(w, 1) for w in
-                   language_bounded(d, 8, nat_domain(d.vass), max_run_len=10, value_cap=10))
+                   language_bounded(d, 8, max_run_len=10, value_cap=10))
 
     def test_empty_second_language(self):
         d = dyck_vas(1)
@@ -241,7 +240,7 @@ class TestFixDyckProduct:
             GenConfig("q", {"c": 1}),
         )
         v = fix_dyck_product(d, second)
-        assert language_bounded(v, 6, nat_domain(v.vass), max_run_len=10, value_cap=20) == set()
+        assert language_bounded(v, 6, max_run_len=10, value_cap=20) == set()
 
     def test_single_edge_pair_path(self):
         mk = lambda: InitVass(
@@ -279,13 +278,12 @@ class TestHardnessGadget:
 
     def test_unreachable_gives_empty(self):
         g = hardness_gadget(self.unreachable_a(), self.aprime())
-        assert language_bounded(g, 6, nat_domain(g.vass), max_run_len=10, value_cap=10) == set()
+        assert language_bounded(g, 6, max_run_len=10, value_cap=10) == set()
 
     def test_reaching_gives_aprime(self):
         g = hardness_gadget(self.trivial_a(), self.aprime())
-        got = language_bounded(g, 6, nat_domain(g.vass), max_run_len=10, value_cap=10)
-        want = language_bounded(self.aprime(), 6, nat_domain(self.aprime().vass),
-                                max_run_len=8, value_cap=10)
+        got = language_bounded(g, 6, max_run_len=10, value_cap=10)
+        want = language_bounded(self.aprime(), 6, max_run_len=8, value_cap=10)
         assert got == want
 
     def test_bridge_effect(self):

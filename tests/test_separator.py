@@ -1,11 +1,16 @@
-import pytest
+import itertools
 from math import factorial
+
+import pytest
 
 from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
 from vasslab.chareq import build_char
 from vasslab.errors import ArgumentError
-from vasslab.mgts import Dmgts, LanguageCaps, Mgts, side_language_bounded
+from vasslab.mgts import Dmgts, LanguageCaps, Mgts, PrecoveringGraph, side_language_bounded
 from vasslab.model import (
+    Edge,
+    GenConfig,
+    InitVass,
     Vass,
     dec_letter,
     dyck_alphabet,
@@ -221,12 +226,11 @@ class TestWitness:
         assert is_dyck_word(w.o_y, 1)
         assert dfa_profile(dfa, w.o_x) == dfa_profile(dfa, w.o_y)
         # verified memberships by construction; o_x must be a subject word
-        from vasslab.model import language_bounded, nat_domain
+        from vasslab.model import language_bounded
 
         d1 = dyck_vas(1)
         if len(w.o_x) <= 8:
-            assert w.o_x in language_bounded(d1, 8, nat_domain(d1.vass),
-                                             max_run_len=10, value_cap=12)
+            assert w.o_x in language_bounded(d1, 8, max_run_len=10, value_cap=12)
 
     def test_parity_dfa_witness(self):
         # DFA counting a1 mod 2; both sides realize even counts
@@ -254,6 +258,22 @@ def test_rooted_loops_include_empty():
     g = dyck_copy_graph()
     loops = rooted_loops(g, 2)
     assert () in loops and (0, 1) in loops
+
+
+def test_rooted_loops_sorted_and_complete():
+    # one node: every edge sequence is a rooted loop
+    g = dyck_copy_graph()
+    for max_len in (2, 4, 6):
+        want = sorted(seq for k in range(max_len + 1) for seq in itertools.product((0, 1), repeat=k))
+        assert rooted_loops(g, max_len) == want
+    # two nodes: only the even sequences alternating p -> q -> p return
+    two = PrecoveringGraph(
+        InitVass(Vass(["p", "q"], dyck_alphabet(1), ["y1"],
+                      [Edge("p", inc_letter(1), {"y1": 1}, "q"),
+                       Edge("q", dec_letter(1), {"y1": -1}, "p")]),
+                 GenConfig("p", {"y1": 0}), GenConfig("p", {"y1": 0})),
+        {q: {"y1": OMEGA} for q in ("p", "q")})
+    assert rooted_loops(two, 5) == [(), (0, 1), (0, 1, 0, 1)]
 
 
 def test_lifted_separators_precise_on_suite():
