@@ -13,6 +13,7 @@ from .mgts import (
     Mgts,
     MgtsContext,
     PrecoveringGraph,
+    _sccs,
     canonical_key,
     perfectness_diagnosis,
     substitute,
@@ -163,18 +164,6 @@ class DecideCaps:
     value_enum: int = 512
 
 
-def _replace_marking(mgts: Mgts, gi: int, io: str, counter, value) -> Mgts:
-    g = mgts.graphs[gi]
-    in_val = dict(g.in_marking)
-    out_val = dict(g.out_marking)
-    (in_val if io == "in" else out_val)[counter] = value
-    base = InitVass(g.vass, GenConfig(g.root, in_val), GenConfig(g.root, out_val))
-    g2 = PrecoveringGraph(base, g.assignment)
-    graphs = list(mgts.graphs)
-    graphs[gi] = g2
-    return Mgts(graphs, mgts.bridges)
-
-
 def _set_markings(mgts: Mgts, values: dict) -> Mgts:
     """values: (gi, io, counter) -> value; rebuilds the MGTS."""
     graphs = []
@@ -206,7 +195,7 @@ def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
     target = {"graph": gi, "side": side, "counter": j, "io": io}
     if side == "x":
         x_set = [
-            dmgts.with_mgts(_replace_marking(dmgts.mgts, gi, io, j, a), faithful=True)
+            dmgts.with_mgts(_set_markings(dmgts.mgts, {(gi, io, j): a}), faithful=True)
             for a in sorted(values)
         ]
         return RefineOutcome("i-x", target, x_set, [], [])
@@ -432,10 +421,11 @@ def _enrich(p: PrecoveringGraph, j, phi) -> PrecoveringGraph:
 
 
 def _delete_edge_restrict(p: PrecoveringGraph, ei: int) -> PrecoveringGraph:
-    from .mgts import _scc_of
-
     edges = [e for i, e in enumerate(p.vass.edges) if i != ei]
-    comp = _scc_of(p.vass.nodes, [(e.src, e.dst) for e in edges], p.root)
+    succ = {}
+    for k, e in enumerate(edges):
+        succ.setdefault(e.src, []).append((k, e.dst))
+    comp = _sccs(succ, [p.root])[p.root]
     edges = [e for e in edges if e.src in comp and e.dst in comp]
     vass = Vass(sorted(comp), p.vass.alphabet, p.vass.counters, edges)
     base = InitVass(vass, GenConfig(p.root, dict(p.in_marking)),

@@ -24,12 +24,13 @@ from .mgts import (
 )
 from .errors import InvariantViolation
 from .model import (
-    EPSILON,
     InitVass,
+    Run,
     dyck_alphabet,
     dyck_vas,
     init_vass_from_json,
     language_bounded,
+    search_run,
 )
 from .separator import lift_separator, modulo_automaton
 from .solver import ilp_feasible
@@ -99,45 +100,15 @@ def oracle_bfs(iv: InitVass, counter_cap=40, length_cap=12) -> BfsResult:
     is certified only when no branch was pruned by the caps."""
     if any(is_omega(v) for v in iv.init.valuation.values()):
         raise ArgumentError("oracle_bfs needs a finite initial valuation")
-    vass = iv.vass
-    counters = vass.counters
-    start = (iv.init.node, tuple(iv.init.valuation[c] for c in counters))
-    seen = {start: ()}
-    frontier = [start]
-    pruned = False
-
-    def matches_final(node, vals):
-        if node != iv.final.node:
-            return False
-        for c, v in zip(counters, vals):
-            want = iv.final.valuation[c]
-            if not is_omega(want) and v != want:
-                return False
-        return True
-
-    depth = 0
-    while frontier and depth <= length_cap:
-        nxt = []
-        for node, vals in frontier:
-            if matches_final(node, vals):
-                return BfsResult("reachable", seen[(node, vals)])
-            for _, e in sorted(vass.out_edges(node)):
-                nv = tuple(v + e.update[c] for v, c in zip(vals, counters))
-                if any(v < 0 for v in nv):
-                    continue
-                if any(v > counter_cap for v in nv):
-                    pruned = True
-                    continue
-                key = (e.dst, nv)
-                if key in seen:
-                    continue
-                word = seen[(node, vals)]
-                seen[key] = word if e.label == EPSILON else word + (e.label,)
-                nxt.append(key)
-        frontier = nxt
-        depth += 1
-    if frontier:
-        pruned = True  # length cap cut the search
+    counters = iv.vass.counters
+    want = [(k, iv.final.valuation[c]) for k, c in enumerate(counters)
+            if not is_omega(iv.final.valuation[c])]
+    path, pruned = search_run(
+        iv.vass, iv.init.node, [iv.init.valuation[c] for c in counters], counters,
+        lambda node, vals: node == iv.final.node and all(vals[k] == v for k, v in want),
+        max_len=length_cap, value_cap=counter_cap)
+    if path is not None:
+        return BfsResult("reachable", Run(iv.init, path).word(iv.vass))
     return BfsResult("inconclusive" if pruned else "unreachable")
 
 
@@ -262,9 +233,12 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
     alphabet = frozenset(dyck_alphabet(n))
     sep = union(separators, alphabet) if separators else empty_nfa(alphabet)
 
+    # the cap bounds values above the start: a cap below a finite initial value
+    # would prune every edge and leave the coverage check with no word
+    top = max((v for v in subject.init.valuation.values() if not is_omega(v)), default=0)
     subject_words = language_bounded(
         subject, caps.max_word_len,
-        max_run_len=caps.max_run_len + caps.max_word_len, value_cap=caps.counter_cap,
+        max_run_len=caps.max_run_len + caps.max_word_len, value_cap=top + caps.counter_cap,
     )
     for w in subject_words:
         if not run_word(sep, w):

@@ -21,6 +21,7 @@ from .model import (
     Run,
     Vass,
     dyck_alphabet,
+    edge_walks,
     init_vass_from_json,
     init_vass_to_json,
     is_dyck_visible,
@@ -91,32 +92,13 @@ class PrecoveringGraph:
         return f"PrecoveringGraph(root={self.root!r}, |E|={len(self.vass.edges)}, omega={sorted(self.omega_counters)})"
 
 
-def _scc_of(nodes, edges, start):
-    """The strongly connected component of `start` w.r.t. (src, dst) pairs."""
-    fwd, bwd = {q: set() for q in nodes}, {q: set() for q in nodes}
-    for s, d in edges:
-        fwd[s].add(d)
-        bwd[d].add(s)
-
-    def reach(adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            q = stack.pop()
-            for r in adj[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return seen
-
-    return reach(fwd) & reach(bwd)
-
-
 def is_strongly_connected(vass: Vass) -> bool:
     if not vass.nodes:
         return False
-    comp = _scc_of(vass.nodes, [(e.src, e.dst) for e in vass.edges], vass.nodes[0])
-    return comp == set(vass.nodes)
+    succ = {}
+    for k, e in enumerate(vass.edges):
+        succ.setdefault(e.src, []).append((k, e.dst))
+    return _sccs(succ, vass.nodes[:1])[vass.nodes[0]] == set(vass.nodes)
 
 
 def validate_precovering(p: PrecoveringGraph) -> list:
@@ -843,21 +825,13 @@ def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8, value_cap=8):
             sval[c] = 0  # Acc_{Z,Y} pins the Y start at the zero in-marking
         starts.append(sval)
 
-    def edge_seqs(node, budget):
-        yield node, ()
-        if budget == 0:
-            return
-        for i, e in sorted(vass.out_edges(node)):
-            for end, rest in edge_seqs(e.dst, budget - 1):
-                yield end, (i,) + rest
-
     seen = set()
     for sval in starts:
         key = tuple(sorted(sval.items()))
         if key in seen:
             continue
         seen.add(key)
-        for _, seq in edge_seqs(iv.init.node, run_len_cap):
+        for _, seq in edge_walks(vass, iv.init.node, run_len_cap):
             run = Run(GenConfig(iv.init.node, sval), seq)
             if not accepts(iv, run, acc_orders, INT_DOMAIN):
                 continue
@@ -888,37 +862,19 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
         return ("markings", None)
 
     # (1): every bounded run of n1 has a label/value-equivalent walk in n2
-    sigs2 = set()
+    def steps(vass):  # per edge: its label and its update on p's counters
+        return [(e.label, tuple(sorted((c, e.update.get(c, 0)) for c in p.vass.counters)))
+                for e in vass.edges]
 
-    def walks(vass, node, budget, sig):
-        sigs2.add(sig)
-        if budget == 0:
-            return
-        for i, e in sorted(vass.out_edges(node)):
-            upd = tuple(sorted(e.update.items()))
-            walks(vass, e.dst, budget - 1, sig + ((e.label, upd),))
-
-    for q in p.vass.nodes:
-        walks(p.vass, q, run_len_cap, ())
+    steps2 = steps(p.vass)
+    sigs2 = {tuple(steps2[i] for i in seq) for q in p.vass.nodes
+             for _, seq in edge_walks(p.vass, q, run_len_cap)}
     vass1 = iv1.vass
-    bad = []
-
-    def check1(node, budget, sig, seq):
-        if sig not in sigs2:
-            bad.append(seq)
-            return
-        if budget == 0:
-            return
-        for i, e in sorted(vass1.out_edges(node)):
-            upd = tuple(sorted((c, e.update.get(c, 0)) for c in p.vass.counters))
-            check1(e.dst, budget - 1, sig + ((e.label, upd),), seq + (i,))
-            if bad:
-                return
-
+    steps1 = steps(vass1)
     for q in vass1.nodes:
-        check1(q, run_len_cap, (), ())
-        if bad:
-            return ("no-matching-run", bad[0])
+        for _, seq in edge_walks(vass1, q, run_len_cap):
+            if tuple(steps1[i] for i in seq) not in sigs2:
+                return ("no-matching-run", seq)
 
     # (2): bounded modulo-accepting runs of n1 that agree with p's extremal
     # Y-markings are intermediate accepting on Y
@@ -931,15 +887,7 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
     # faithfulness_falsify: one high X entry value loses no counterexample
     for sval in _entry_candidates(vass1.counters, in1, mod_orders, set(ys), value_cap,
                                   _free_seed(vass1, run_len_cap)):
-        def seqs(node, budget):
-            yield node, ()
-            if budget == 0:
-                return
-            for i, e in sorted(vass1.out_edges(node)):
-                for end, rest in seqs(e.dst, budget - 1):
-                    yield end, (i,) + rest
-
-        for _, seq in seqs(iv1.init.node, run_len_cap):
+        for _, seq in edge_walks(vass1, iv1.init.node, run_len_cap):
             run = Run(GenConfig(iv1.init.node, sval), seq)
             try:
                 if not intermediate_accepts(n1.mgts, run, mod_orders, INT_DOMAIN):

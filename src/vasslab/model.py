@@ -8,10 +8,12 @@ words are tuples of letters; everything is immutable after construction.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .automata import bounded_words
-from .errors import ArgumentError, StructuralError
+from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .values import (
     clip,
     int_from_json,
@@ -310,6 +312,71 @@ def accepts(init_vass: InitVass, run: Run, orders, domain: CounterDomainSpec) ->
     return valuation_le(run.start.valuation, init_vass.init.valuation, orders) and valuation_le(
         last.valuation, init_vass.final.valuation, orders
     )
+
+
+def search_run(vass: Vass, node, vals, counters, goal, max_len=None, value_cap=None,
+               state_cap=None):
+    """Breadth-first search for a run from (node, vals), `vals` aligned with
+    `counters`, keeping those counters >= 0 and ignoring the others. Returns
+    (path, cut): the edge-index path of the first configuration (in FIFO
+    order, successors in edge-index order) with goal(node, vals) true, or
+    None; `cut` is whether a value above `value_cap` or a path longer than
+    `max_len` dropped an unseen successor, so that None is no proof.
+    States are deduplicated on (node, vals); more than `state_cap` of them
+    raise ResourceExhausted."""
+    out = {}
+    for i, e in enumerate(vass.edges):
+        out.setdefault(e.src, []).append((i, e.dst, tuple(e.update[c] for c in counters)))
+    start = (node, tuple(vals))
+    seen = {start: ()}
+    queue = deque([start])
+    cut = False
+    while queue:
+        state = queue.popleft()
+        path = seen[state]
+        node, vals = state
+        if goal(node, vals):
+            return path, cut
+        for i, dst, delta in out.get(node, ()):
+            nvals = tuple(map(add, vals, delta))
+            if any(v < 0 for v in nvals):
+                continue
+            if value_cap is not None and any(v > value_cap for v in nvals):
+                cut = True
+                continue
+            key = (dst, nvals)
+            if key in seen:
+                continue
+            if max_len is not None and len(path) >= max_len:
+                cut = True
+                continue
+            if state_cap is not None and len(seen) > state_cap:
+                raise ResourceExhausted(f"run search state cap {state_cap} exceeded")
+            seen[key] = path + (i,)
+            queue.append(key)
+    return None, cut
+
+
+def edge_walks(vass: Vass, node, max_len: int):
+    """Every edge path of at most max_len edges from `node`, as (end node,
+    edge-index tuple), in pre-order: a path, then its extensions by each
+    out-edge in edge-index order."""
+    out = {}
+    for i, e in enumerate(vass.edges):
+        out.setdefault(e.src, []).append((i, e.dst))
+    yield node, ()
+    path = []
+    stack = [iter(out.get(node, ()) if max_len > 0 else ())]
+    while stack:
+        for i, dst in stack[-1]:
+            path.append(i)
+            yield dst, tuple(path)
+            stack.append(iter(out.get(dst, ()) if len(path) < max_len else ()))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
 
 
 def language_bounded(init_vass: InitVass, max_word_len: int, max_run_len: int = None,

@@ -32,11 +32,9 @@ from .model import (
     CounterDomainSpec,
     GenConfig,
     Run,
-    Violation,
     dyck_alphabet,
     is_dyck_word,
     parikh_of,
-    simulate,
 )
 from .solver import ilp_feasible
 from .structure import covering_sequences, down_covering, realization
@@ -247,8 +245,6 @@ def lambert_pump(obj, s_f, covers=None, k_cap=64, m_cap=100000, return_plan=Fals
             if gi < len(mgts.bridges):
                 seq.append(mgts.combined_index(("b", gi)))
         run = Run(GenConfig(iv.init.node, start_val), tuple(seq))
-        if isinstance(simulate(iv.vass, run.start, run.edge_seq, nat_domain(iv.vass)), Violation):
-            continue
         if intermediate_accepts(mgts, run, [_EO()], nat_domain(iv.vass)):
             if return_plan:
                 return PumpPlan(covers, mains, fillers, m, k, run)
@@ -359,9 +355,9 @@ def loop_pair_search(dmgts: Dmgts, loop_len: int, key, combo_cap: int):
         if len(combos) > combo_cap:
             raise ResourceExhausted(f"loop-pair combination cap {combo_cap} exceeded")
     for combo in combos:
-        if _solves_side(dmgts, [a for a, _ in combo], "x") and _solves_side(
-            dmgts, [b for _, b in combo], "y"
-        ):
+        xs, ys = [a for a, _ in combo], [b for _, b in combo]
+        if (_loop_solution(dmgts, xs, "x") is not None
+                and _loop_solution(dmgts, ys, "y") is not None):
             return combo
     return None
 
@@ -373,14 +369,15 @@ def find_z_pair(dmgts: Dmgts, dfa: Nfa, loop_len=4, combo_cap=20000):
                             lambda g, loop: dfa_profile(dfa, loop_labels(g, loop)), combo_cap)
 
 
-def _solves_side(dmgts: Dmgts, loops, side) -> bool:
-    cs = build_char(dmgts, side)
-    system = cs.system
+def _loop_solution(dmgts: Dmgts, loops, side):
+    """A solution of the side's characteristic system whose edge counts are
+    the Parikh vectors of the per-graph loops, or None."""
+    system = build_char(dmgts, side).system
     for gi, g in enumerate(dmgts.graphs):
         counts = parikh_of(loops[gi])
         for ei in range(len(g.vass.edges)):
             system = system.with_fixed(edge_var(gi, ei), counts.get(ei, 0))
-    return ilp_feasible(system) is not None
+    return ilp_feasible(system)
 
 
 def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
@@ -421,8 +418,10 @@ def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
     sy = {v: t * k for v, k in sy.items()}
     n_states = len(dfa.states)
     fact = factorial(n_states)
-    sol_x = _pair_solution(dmgts, [a for a, _ in z_pair], "x")
-    sol_y = _pair_solution(dmgts, [b for _, b in z_pair], "y")
+    sol_x = _loop_solution(dmgts, [a for a, _ in z_pair], "x")
+    sol_y = _loop_solution(dmgts, [b for _, b in z_pair], "y")
+    if sol_x is None or sol_y is None:
+        raise ArgumentError("the loop pair does not solve the side system")
     for c in range(1, c_cap + 1):
         ok = True
         parts = []
@@ -470,22 +469,7 @@ def _short_witness(dmgts, dfa, caps):
     return None
 
 
-def _pair_solution(dmgts: Dmgts, loops, side):
-    cs = build_char(dmgts, side)
-    system = cs.system
-    for gi, g in enumerate(dmgts.graphs):
-        counts = parikh_of(loops[gi])
-        for ei in range(len(g.vass.edges)):
-            system = system.with_fixed(edge_var(gi, ei), counts.get(ei, 0))
-    sol = ilp_feasible(system)
-    if sol is None:
-        raise ArgumentError("the loop pair does not solve the side system")
-    return sol
-
-
 def _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap):
-    from .model import nat_domain
-
     mgts = dmgts.mgts
     iv, _ = mgts.combined()
     orders_x = side_orders(dmgts, "x")
@@ -510,10 +494,6 @@ def _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap):
             blocks_y.append(tuple(dr.u) * k + tuple(sig_y) + tuple(dr.w_y) * k + tuple(dr.d) * k)
         run_x = build(blocks_x, sol_x)
         run_y = build(blocks_y, sol_y)
-        if isinstance(simulate(iv.vass, run_x.start, run_x.edge_seq, dom_x), Violation):
-            continue
-        if isinstance(simulate(iv.vass, run_y.start, run_y.edge_seq, dom_y), Violation):
-            continue
         if not intermediate_accepts(mgts, run_x, orders_x, dom_x):
             continue
         if not intermediate_accepts(mgts, run_y, orders_y, dom_y):

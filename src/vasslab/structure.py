@@ -10,7 +10,7 @@ from math import factorial, lcm
 
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
-from .model import CounterDomainSpec, GenConfig, Run, Violation, simulate
+from .model import CounterDomainSpec, Run, Violation, search_run, simulate
 from .values import OMEGA, is_omega
 
 
@@ -244,41 +244,25 @@ def covering_sequences(p: PrecoveringGraph, node_cap=20000, witness_cap=200000):
 
 
 def _pump_witness(p: PrecoveringGraph, pump, witness_cap):
-    vass = p.vass
-    counters = vass.counters
-    maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
+    """A shortest root-to-root path that raises every pump counter, from an
+    entry seeded high enough for `depth` steps, for growing depths; None past
+    `witness_cap` states of one search."""
+    counters = p.vass.counters
+    pump_at = [counters.index(c) for c in pump]
     for depth in (8, 16, 32, 64):
-        seed = depth * maxupd + 1
-        start = {
-            c: (seed if is_omega(p.in_marking[c]) else p.in_marking[c]) for c in counters
-        }
-        goal = {c: start[c] + 1 for c in pump}
-        seen = {}
-        frontier = [(p.root, tuple(start[c] for c in counters), ())]
-        seen[(p.root, frontier[0][1])] = ()
-        steps = 0
-        while frontier:
-            node, val, path = frontier.pop(0)
-            if node == p.root and all(
-                val[counters.index(c)] >= goal[c] for c in pump
-            ) and path:
-                return path
-            if len(path) >= depth:
-                continue
-            for i, e in sorted(vass.out_edges(node)):
-                nval = tuple(
-                    val[ci] + e.update[c] for ci, c in enumerate(counters)
-                )
-                if any(v < 0 for v in nval):
-                    continue
-                steps += 1
-                if steps > witness_cap:
-                    return None
-                key = (e.dst, nval)
-                if key in seen:
-                    continue
-                seen[key] = None
-                frontier.append((e.dst, nval, path + (i,)))
+        seed = depth * largest_update(p) + 1
+        start = [seed if is_omega(p.in_marking[c]) else p.in_marking[c] for c in counters]
+
+        def goal(node, vals):
+            return node == p.root and all(vals[k] > start[k] for k in pump_at)
+
+        try:
+            path, _ = search_run(p.vass, p.root, start, counters, goal, max_len=depth,
+                                 state_cap=witness_cap)
+        except ResourceExhausted:
+            return None
+        if path is not None:
+            return path
     return None
 
 
@@ -395,30 +379,15 @@ def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):
     not materialized). Verified by simulation before returning."""
     vass = p.vass
     js = sorted(set(jprime))
-    start_vals = tuple(run.start.valuation[c] for c in js)
+    start_vals = [run.start.valuation[c] for c in js]
     if any(v < 0 for v in start_vals):
         raise ArgumentError("premise violated: J' start values must be non-negative")
     target_node = run.final_config(vass).node
-    seen = {(run.start.node, start_vals): ()}
-    frontier = [(run.start.node, start_vals)]
-    while frontier:
-        node, vals = frontier.pop(0)
-        path = seen[(node, vals)]
-        if node == target_node and all(v >= C for v in vals):
-            chk = simulate(vass, GenConfig(run.start.node, dict(run.start.valuation)),
-                           path, CounterDomainSpec(frozenset(js)))
-            if isinstance(chk, Violation):
-                raise StructuralError("rackoff cover failed verification")
-            return path
-        for i, e in sorted(vass.out_edges(node)):
-            nvals = tuple(v + e.update[c] for v, c in zip(vals, js))
-            if any(v < 0 for v in nvals):
-                continue
-            key = (e.dst, nvals)
-            if key in seen:
-                continue
-            if len(seen) > state_cap:
-                raise ResourceExhausted(f"rackoff cover state cap {state_cap} exceeded")
-            seen[key] = path + (i,)
-            frontier.append(key)
-    raise ResourceExhausted("no covering J'-run found within the explored space")
+    path, _ = search_run(vass, run.start.node, start_vals, js,
+                         lambda node, vals: node == target_node and all(v >= C for v in vals),
+                         state_cap=state_cap)
+    if path is None:
+        raise ResourceExhausted("no covering J'-run found within the explored space")
+    if isinstance(simulate(vass, run.start, path, CounterDomainSpec(frozenset(js))), Violation):
+        raise StructuralError("rackoff cover failed verification")
+    return path

@@ -178,6 +178,28 @@ class TestSeparatePipeline:
         assert rep.verdict == "inseparable"
         assert rep.witness == ()
 
+    def test_coverage_check_sees_words_above_counter_cap(self, monkeypatch):
+        # the initial value 50 exceeds --counter-cap 40: the bounded coverage
+        # check must still walk subject words, not pass on an empty set
+        import vasslab.driver as driver
+
+        v = Vass(["q"], dyck_alphabet(1), ["k"],
+                 [Edge("q", A1, {"k": 1}, "q"), Edge("q", AB1, {"k": -1}, "q")])
+        sub = InitVass(v, GenConfig("q", {"k": 50}), GenConfig("q", {"k": 48}))
+        walked = []
+
+        def spy(iv, *args, **kwargs):
+            words = language_bounded(iv, *args, **kwargs)
+            if iv is sub:
+                walked.append(words)
+            return words
+
+        monkeypatch.setattr(driver, "language_bounded", spy)
+        rep = cmd_separate(sub)
+        assert rep.verdict == "separable"
+        assert walked and walked[0]
+        assert all(run_word(rep.separator, w) for w in walked[0])
+
     def test_refine_step_cap_surfaces(self):
         from vasslab.decomposition import DecideCaps, decompose
         from vasslab.errors import ResourceExhausted
