@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .automata import bounded_words
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
     EPSILON,
+    INT_DOMAIN,
     Edge,
     GenConfig,
     InitVass,
@@ -529,16 +531,6 @@ def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed):
     return per
 
 
-def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
-    """Concrete entry valuations compatible with the entry gates, capped: the
-    product of the per-counter `_entry_ranges`."""
-    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
-    starts = [{}]
-    for c in counters:
-        starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
-    return starts
-
-
 # -- constructions -------------------------------------------------------------
 
 def _sccs(succ, starts) -> dict:
@@ -802,48 +794,53 @@ def is_perfect(dmgts: Dmgts) -> bool:
     return perfectness_diagnosis(dmgts) is None
 
 
-def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8, value_cap=8):
-    """Search bounded Z-runs for a counterexample to the faithfulness inclusion;
-    None means none found (a semidecision, not a proof)."""
-    if not is_zero_reaching(dmgts):
-        raise ArgumentError("faithfulness is defined for zero-reaching DMGTS")
+def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
+    """The first bounded Z-run (entry valuations in `_entry_ranges` order, runs
+    in `edge_walks` order) that is intermediate accepting modulo mu on Y,
+    starts at y_in and ends at y_out on every Y counter where those are
+    finite, and is not intermediate accepting on Y exactly; None if none is
+    found. X is read only by the boundary non-negativity checks, which both
+    acceptances share, so one high X entry value loses no counterexample; a Y
+    counter with an ω y_in ranges over the entry gate's residues up to
+    value_cap."""
     mgts = dmgts.mgts
     iv, _ = mgts.combined()
     vass = iv.vass
     ys = dmgts.y_counters
-    acc_orders = [ExactOrOmega(ys)]
     mod_orders = [ModOmega(dmgts.mu, ys)]
-    from .model import INT_DOMAIN, accepts
-
-    # Z-semantics: X is read only by the boundary non-negativity checks, which
-    # both acceptances share, so one high X entry value loses no counterexample
-    starts = []
-    for xv in _entry_candidates(vass.counters, mgts.in_marking, mod_orders, set(ys),
-                                value_cap, _free_seed(vass, run_len_cap)):
-        sval = dict(xv)
-        for c in ys:
-            sval[c] = 0  # Acc_{Z,Y} pins the Y start at the zero in-marking
-        starts.append(sval)
-
-    seen = set()
-    for sval in starts:
-        key = tuple(sorted(sval.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        for _, seq in edge_walks(vass, iv.init.node, run_len_cap):
-            run = Run(GenConfig(iv.init.node, sval), seq)
-            if not accepts(iv, run, acc_orders, INT_DOMAIN):
+    per = _entry_ranges(vass.counters, mgts.in_marking, mod_orders, set(ys), value_cap,
+                        _free_seed(vass, run_len_cap))
+    for c in ys:
+        if not is_omega(y_in[c]):
+            per[c] = clip(per[c], y_in[c], y_in[c])
+    pinned_out = [(c, y_out[c]) for c in ys if not is_omega(y_out[c])]
+    for vals in product(*(per[c] for c in vass.counters)):
+        start = GenConfig(iv.init.node, dict(zip(vass.counters, vals)))
+        for end, seq in edge_walks(vass, iv.init.node, run_len_cap):
+            if end != iv.final.node:  # no intermediate acceptance ends elsewhere
                 continue
+            run = Run(start, seq)
             try:
-                mod_ok = intermediate_accepts(mgts, run, mod_orders, INT_DOMAIN)
+                if not intermediate_accepts(mgts, run, mod_orders, INT_DOMAIN):
+                    continue
             except StructuralError:
                 continue
-            if not mod_ok:
-                continue
-            if not intermediate_accepts(mgts, run, acc_orders, INT_DOMAIN):
+            last = run.final_config(vass).valuation
+            if all(last[c] == v for c, v in pinned_out) and not intermediate_accepts(
+                mgts, run, [ExactOrOmega(ys)], INT_DOMAIN
+            ):
                 return run
     return None
+
+
+def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8):
+    """Search bounded Z-runs for a counterexample to the faithfulness inclusion;
+    None means none found (a semidecision, not a proof)."""
+    if not is_zero_reaching(dmgts):
+        raise ArgumentError("faithfulness is defined for zero-reaching DMGTS")
+    # Acc_{Z,Y} pins Y at the zero extremal markings, so no entry value ranges
+    mgts = dmgts.mgts
+    return _modulo_not_exact_run(dmgts, mgts.in_marking, mgts.out_marking, run_len_cap, 0)
 
 
 def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value_cap=6):
@@ -851,6 +848,8 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
     conditions of n1 w.r.t. n2 (a single-graph DMGTS); None if none found."""
     if n1.mu != n2.mu:
         raise ArgumentError("consistent specialization requires equal mu")
+    if (n1.mgts.counters, n1.y_counters) != (n2.mgts.counters, n2.y_counters):
+        raise ArgumentError("consistent specialization requires equal counters and Y counters")
     if len(n2.graphs) != 1:
         raise ArgumentError("the specialized object must be a single precovering graph")
     p = n2.graphs[0]
@@ -878,36 +877,8 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
 
     # (2): bounded modulo-accepting runs of n1 that agree with p's extremal
     # Y-markings are intermediate accepting on Y
-    ys = n1.y_counters
-    from .model import INT_DOMAIN
-
-    mod_orders = [ModOmega(n1.mu, ys)]
-    acc_orders = [ExactOrOmega(ys)]
-    # X is read only by the boundary non-negativity checks, as in
-    # faithfulness_falsify: one high X entry value loses no counterexample
-    for sval in _entry_candidates(vass1.counters, in1, mod_orders, set(ys), value_cap,
-                                  _free_seed(vass1, run_len_cap)):
-        for _, seq in edge_walks(vass1, iv1.init.node, run_len_cap):
-            run = Run(GenConfig(iv1.init.node, sval), seq)
-            try:
-                if not intermediate_accepts(n1.mgts, run, mod_orders, INT_DOMAIN):
-                    continue
-            except StructuralError:
-                continue
-            last = run.final_config(vass1)
-            first_ok = valuation_le(
-                {c: sval[c] for c in ys}, {c: p.in_marking[c] for c in ys}, [ExactOrOmega()]
-            )
-            last_ok = valuation_le(
-                {c: last.valuation[c] for c in ys},
-                {c: p.out_marking[c] for c in ys},
-                [ExactOrOmega()],
-            )
-            if first_ok and last_ok and not intermediate_accepts(
-                n1.mgts, run, acc_orders, INT_DOMAIN
-            ):
-                return ("condition-2", run)
-    return None
+    run = _modulo_not_exact_run(n1, p.in_marking, p.out_marking, run_len_cap, value_cap)
+    return None if run is None else ("condition-2", run)
 
 
 # -- serialization --------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .automata import Nfa, empty_nfa, run_word, universal_nfa
 from .chareq import build_char, edge_var
 from .mgts import Dmgts, LanguageCaps, side_language_bounded
-from .model import letter_index
+from .model import EPSILON, letter_index
 from .semilinear import _halfspace_set, approx_automaton
 from .separator import annotated_alphabet, loop_labels, loop_pair_search
 from .solver import UNBOUNDED, LinSystem, ilp_feasible, lp_opt
@@ -136,8 +136,12 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
                 return SepVerdict("separable", nfa=nfa,
                                   strategy=f"modulo({mu},{v},{c})", caps=caps)
 
-    # drift strategy: a direction with sign-definite Sol_X effects
+    # drift strategy: a direction with sign-definite Sol_X effects. The rungs
+    # above rest on ILP infeasibility; this one rests on the letter check of
+    # `_reads_nonneg_letters`, not on the bounded certificate check's samples
     for v in _small_vectors(n, caps.drift_norm):
+        if not _reads_nonneg_letters(dmgts, v):
+            continue
         objective = {}
         const = 0
         for i, c in enumerate(ys):
@@ -148,10 +152,7 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
         lo = lp_opt(cs_x.system, objective, maximize=False)
         if lo is None or lo is UNBOUNDED or lo + const < 1:
             continue
-        lin = _halfspace_set(v)
-        pnorm = max((sum(abs(x) for x in p) for p in lin.periods), default=0)
-        kprime = caps.drift_k * sum(abs(x) for x in v) + pnorm + 1
-        nfa = approx_automaton(lin, kprime, annotated=True)
+        nfa = _drift_nfa(v, caps.drift_k)
         if _bounded_certificate_ok(nfa, dmgts, caps):
             return SepVerdict("separable", nfa=nfa, strategy=f"drift({v})", caps=caps)
 
@@ -161,6 +162,26 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
     if pair is not None:
         return SepVerdict("inseparable", z_pair=pair, strategy="shared-loops", caps=caps)
     return SepVerdict("unknown", reason="strategy ladder exhausted", caps=caps)
+
+
+def _reads_nonneg_letters(dmgts: Dmgts, v) -> bool:
+    """Whether every graph edge and bridge reads a letter of v-weight >= 0 (ε
+    weighs 0). Then no prefix of a Sol_X word dips below 0 or overshoots the
+    word's own weight, and R(H_v, k') accepts the words of weight >= 1 whose
+    prefixes stay in that band. A dip bound alone is not enough: at v = (-2),
+    k = 0 it rejects ā1ā1ā1a1a1, which never dips but overshoots."""
+    labels = [e.label for g in dmgts.graphs for e in g.vass.edges]
+    labels += [u.label for u in dmgts.bridges]
+    letters = (letter_index(a, len(v)) for a in labels if a != EPSILON)
+    return all(v[i - 1] * d >= 0 for i, d in letters)
+
+
+def _drift_nfa(v, k: int) -> Nfa:
+    """R(H_v, k'), annotated: the k'-th approximation of {y : <y, v> > 0} with
+    k' = k |v|_1 + the largest period norm + 1."""
+    lin = _halfspace_set(v)
+    pnorm = max((sum(abs(x) for x in p) for p in lin.periods), default=0)
+    return approx_automaton(lin, k * sum(abs(x) for x in v) + pnorm + 1, annotated=True)
 
 
 def _small_vectors(n: int, norm: int):

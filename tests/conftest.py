@@ -194,5 +194,23 @@ def subject_dyck_a1():
     return InitVass(v, GenConfig("q", {"k": 0}), GenConfig("f", {"k": 1}))
 
 
+def subject_unbounded_dips():
+    """L = a1^n ā1^m with m > n: inseparable from Dyck_1, since a DFA with N
+    states cannot tell ā1^n from ā1^(n+N!). Along v = (-1) every word drifts,
+    but its a1 prefix dips without bound."""
+    v = Vass(
+        ["p", "q"],
+        dyck_alphabet(1),
+        ["k"],
+        [
+            Edge("p", inc_letter(1), {"k": 1}, "p"),
+            Edge("p", "", {"k": 0}, "q"),
+            Edge("q", dec_letter(1), {"k": -1}, "q"),
+            Edge("q", dec_letter(1), {"k": 0}, "q"),
+        ],
+    )
+    return InitVass(v, GenConfig("p", {"k": 1}), GenConfig("q", {"k": 0}))
+
+
 def strip_words(words):
     return {tuple(a for a, _ in w) for w in words}

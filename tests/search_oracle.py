@@ -1,9 +1,9 @@
 """The hand-rolled run searches that `model.search_run` and `model.edge_walks`
 replaced, kept verbatim as differential oracles: `oracle_bfs` (the driver's
 capped N-reachability BFS), `_pump_witness` and `rackoff_cover` (structure),
-and the two bounded falsifiers of mgts. Only the package-relative imports
-became absolute. `tests/test_search_oracle.py` compares them with the
-package.
+and the two bounded falsifiers of mgts with the `_entry_candidates` they
+enumerated starts with. Only the package-relative imports became absolute.
+`tests/test_search_oracle.py` compares them with the package.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from vasslab.errors import ArgumentError, ResourceExhausted, StructuralError
 from vasslab.mgts import (
     Dmgts,
     PrecoveringGraph,
-    _entry_candidates,
+    _entry_ranges,
     _free_seed,
     intermediate_accepts,
     is_zero_reaching,
@@ -28,6 +28,16 @@ from vasslab.model import (
     simulate,
 )
 from vasslab.values import ExactOrOmega, ModOmega, is_omega, valuation_le
+
+
+def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
+    """Concrete entry valuations compatible with the entry gates, capped: the
+    product of the per-counter `_entry_ranges`."""
+    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
+    starts = [{}]
+    for c in counters:
+        starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
+    return starts
 
 
 def oracle_bfs(iv: InitVass, counter_cap=40, length_cap=12) -> BfsResult:

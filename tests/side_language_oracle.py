@@ -4,7 +4,8 @@ oracle for the tests.
 
 It starts one memoized walk per entry valuation in [0, value_cap]^k and
 carries concrete counter values; the words and the `truncated` flag must equal
-those of the range walk.
+those of the range walk. `_entry_candidates`, which the package no longer
+has, is kept here verbatim too.
 """
 
 from __future__ import annotations
@@ -12,12 +13,22 @@ from __future__ import annotations
 from vasslab.mgts import (
     BoundedLanguage,
     LanguageCaps,
-    _entry_candidates,
+    _entry_ranges,
     side_domain,
     side_orders,
 )
 from vasslab.model import EPSILON
 from vasslab.values import valuation_le, valuation_nonneg, vec_add
+
+
+def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
+    """Concrete entry valuations compatible with the entry gates, capped: the
+    product of the per-counter `_entry_ranges`."""
+    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
+    starts = [{}]
+    for c in counters:
+        starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
+    return starts
 
 
 def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",

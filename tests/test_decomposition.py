@@ -25,6 +25,8 @@ from vasslab.mgts import (
     Update,
     canonical_key,
     consistent_specialization_falsify,
+    faithfulness_falsify,
+    is_zero_reaching,
     perfectness_diagnosis,
     side_language_bounded,
     validate_precovering,
@@ -44,7 +46,9 @@ from vasslab.solver import ilp_feasible
 from vasslab.structure import rank, rank_less
 from vasslab.values import OMEGA
 
+import conftest
 from conftest import dyck_copy_dmgts, dyck_copy_graph, graph_loops, strip_words, two_graph_dmgts
+from test_acceptance import curated_suite
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
 CAPS = LanguageCaps(max_run_len=10, value_cap=24)
@@ -493,3 +497,52 @@ def test_annotated_words_differ_only_in_bridge_marks():
         after_annotated |= side_language_bounded(m, "x", 6, "nat", CAPS).words
     assert before_annotated != frozenset(after_annotated)
     assert strip_words(before_annotated) == strip_words(after_annotated)
+
+
+# -- the faithfulness audit ------------------------------------------------------
+
+_AUDIT = []
+
+
+def audited_decompositions():
+    """Decompose the curated suite and the initial DMGTS of every conftest
+    subject, recording each refine step. Returns the perfect members and the
+    (member, parent) pairs of the steps whose parent is one graph, for the
+    members that keep the parent's mu."""
+    if not _AUDIT:
+        import vasslab.decomposition as decomposition
+
+        steps = []
+        unrecorded = decomposition.refine
+
+        def recording(dm, caps):
+            outcome = unrecorded(dm, caps)
+            steps.append((dm, outcome))
+            return outcome
+
+        subjects = [getattr(conftest, name)() for name in dir(conftest)
+                    if name.startswith("subject_")]
+        perfect = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomposition, "refine", recording)
+            for dm in [dm for _, dm in curated_suite()] + [initial_dmgts(s) for s in subjects]:
+                perfect += decompose(dm).perfect
+        pairs = [(m, parent) for parent, outcome in steps if len(parent.graphs) == 1
+                 for m in outcome.x_set + outcome.y_set if m.mu == parent.mu]
+        _AUDIT.extend((perfect, pairs))
+    return _AUDIT
+
+
+def test_perfect_members_pass_faithfulness_falsify():
+    perfect, _ = audited_decompositions()
+    assert perfect
+    for m in perfect:
+        assert is_zero_reaching(m)
+        assert faithfulness_falsify(m) is None
+
+
+def test_refine_members_are_consistent_specializations():
+    _, pairs = audited_decompositions()
+    assert pairs
+    for m, parent in pairs:
+        assert consistent_specialization_falsify(m, parent) is None

@@ -36,6 +36,7 @@ from conftest import (
     subject_counter_gap,
     subject_dyck_a1,
     subject_even_a1,
+    subject_unbounded_dips,
 )
 
 A1, AB1 = inc_letter(1), dec_letter(1)
@@ -167,6 +168,17 @@ class TestSeparatePipeline:
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 6):
             assert not run_word(rep.separator, w)
+
+    def test_unbounded_dips_never_separable(self):
+        # the drift rung must not certify a1^n ā1^m (m > n) along (-1): its
+        # separator would miss long subject words beyond the bounded checks
+        from vasslab.errors import ResourceExhausted
+
+        try:
+            rep = cmd_separate(subject_unbounded_dips())
+        except ResourceExhausted:
+            return
+        assert rep.verdict in ("inseparable", "unknown")
 
     def test_omega_initial_subject(self):
         # ω in the subject's initial valuation: the BFS stage steps aside and

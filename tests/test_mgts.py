@@ -215,7 +215,7 @@ class TestPerfectness:
 
 class TestFaithfulness:
     def test_single_graph_none_found(self):
-        assert faithfulness_falsify(dyck_copy_dmgts(), 4, 4) is None
+        assert faithfulness_falsify(dyck_copy_dmgts(), 4) is None
 
     def test_unreachable_intermediate_marking(self):
         # 2 graphs, first pins exit y1 = 1 but has no edges; with mu = 1 the
@@ -225,7 +225,7 @@ class TestFaithfulness:
                          root="r1")
         g2 = graph_loops([(AB1, {"y1": -1})], ["y1"], {"y1": OMEGA}, {"y1": 0}, root="r2")
         dm = Dmgts(Mgts([g1, g2], [Update(EPSILON, {"y1": 0})]), 1, (), ("y1",))
-        hit = faithfulness_falsify(dm, 4, 4)
+        hit = faithfulness_falsify(dm, 4)
         assert hit is not None
 
     def test_unreachable_intermediate_marking_with_x_counter(self):
@@ -236,7 +236,7 @@ class TestFaithfulness:
         g2 = graph_loops([(AB1, {"x1": -1, "y1": -1})], ["x1", "y1"],
                          {"x1": OMEGA, "y1": OMEGA}, {"x1": OMEGA, "y1": 0}, root="r2")
         dm = Dmgts(Mgts([g1, g2], [Update(EPSILON, {"x1": 0, "y1": 0})]), 1, ("x1",), ("y1",))
-        hit = faithfulness_falsify(dm, 4, 4)
+        hit = faithfulness_falsify(dm, 4)
         assert hit is not None
         iv, _ = dm.mgts.combined()
         assert accepts(iv, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
@@ -244,7 +244,7 @@ class TestFaithfulness:
         assert not intermediate_accepts(dm.mgts, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
 
     def test_all_omega_intermediates_none_found(self):
-        assert faithfulness_falsify(two_graph_dmgts(), 4, 4) is None
+        assert faithfulness_falsify(two_graph_dmgts(), 4) is None
 
     def test_non_zero_reaching_rejected(self):
         g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 1})
@@ -287,6 +287,15 @@ class TestConsistentSpecialization:
         n2 = Dmgts(Mgts([p]), 1, ("x1",), ("y1",))
         hit = consistent_specialization_falsify(n1, n2, 3, 3)
         assert hit is not None and hit[0] == "condition-2"
+
+    def test_mismatched_counters_rejected(self):
+        # the Dyck VAS's initial DMGTS has counters x.y1 and y.1, not y1
+        with pytest.raises(ArgumentError):
+            consistent_specialization_falsify(dyck_copy_dmgts(), initial_dmgts(dyck_vas(1)))
+        # the same counters, split into X and Y the other way
+        as_x = Dmgts(dyck_copy_dmgts().mgts, 1, ("y1",), ())
+        with pytest.raises(ArgumentError):
+            consistent_specialization_falsify(as_x, dyck_copy_dmgts())
 
 
 class TestSubstitute:

@@ -9,9 +9,10 @@ from vasslab.model import (
     dyck_alphabet,
     dyck_vas,
     inc_letter,
+    letter_index,
 )
 from vasslab.values import OMEGA
-from vasslab.zsep import SepVerdict, ZsepCaps, z_separability
+from vasslab.zsep import SepVerdict, ZsepCaps, _drift_nfa, _small_vectors, z_separability
 
 from conftest import graph_loops
 
@@ -114,6 +115,27 @@ def test_drift_strategy():
     assert verdict.kind == "separable"
     assert verdict.strategy.startswith("drift")
     verify_separable(verdict, dm, max_len=4)
+
+
+def test_drift_nfa_accepts_words_of_nonneg_letters():
+    # the drift rung's premise: a word whose letters all weigh >= 0 along v
+    # and which weighs >= 1 in total is in R(H_v, k'), already at k = 0
+    for n, max_len in ((1, 8), (2, 6)):
+        for v in _small_vectors(n, 2):
+            nfa = _drift_nfa(v, 0)
+            letters = []
+            for a in dyck_alphabet(n):
+                i, d = letter_index(a, n)
+                if v[i - 1] * d >= 0:
+                    letters.append(((a, False), v[i - 1] * d))
+            stack = [((), nfa.eps_closure(nfa.initial), 0)]
+            while stack:
+                word, states, weight = stack.pop()
+                if weight >= 1:
+                    assert states & nfa.final, (v, word)
+                if len(word) < max_len:
+                    stack.extend((word + (a,), nfa.step(states, a), weight + w)
+                                 for a, w in letters)
 
 
 def test_modulo_strategy_via_counter_gap():
