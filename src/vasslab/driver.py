@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .automata import Nfa, dump_nfa, empty_nfa, nfa_to_dot, run_word, strip_hash, union
 from .chareq import build_char
@@ -81,7 +81,7 @@ class PipelineReport:
         if self.witness is not None:
             doc["witness"] = list(self.witness)
         if self.z_pair is not None:
-            doc["z_pair"] = repr(self.z_pair)
+            doc["z_pair"] = [[list(a), list(b)] for a, b in self.z_pair]
         if self.separator is not None:
             doc["separator"] = json.loads(dump_nfa(self.separator))
         return doc
@@ -270,26 +270,26 @@ def _parse_vector(text: str, flag: str) -> tuple:
         raise ArgumentError(f"{flag} needs comma-separated integers, got {text!r}")
 
 
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_caps(parser):
-    parser.add_argument("--max-word-len", type=int, default=10)
-    parser.add_argument("--max-run-len", type=int, default=12)
-    parser.add_argument("--counter-cap", type=int, default=40)
-    parser.add_argument("--ilp-nodes", type=int, default=100_000)
-    parser.add_argument("--observer-states", type=int, default=100_000)
-    parser.add_argument("--variants", type=int, default=10_000)
-    parser.add_argument("--pump-k", type=int, default=64)
+    """One flag per PipelineCaps field (--max-word-len for max_word_len),
+    with that field's default."""
+    for f in fields(PipelineCaps):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_nonneg_int,
+                            default=f.default)
 
 
 def _caps_from(args) -> PipelineCaps:
-    return PipelineCaps(
-        max_word_len=args.max_word_len,
-        max_run_len=args.max_run_len,
-        counter_cap=args.counter_cap,
-        ilp_nodes=args.ilp_nodes,
-        observer_states=args.observer_states,
-        variants=args.variants,
-        pump_k=args.pump_k,
-    )
+    return PipelineCaps(**{f.name: getattr(args, f.name) for f in fields(PipelineCaps)})
 
 
 def _load_json(path):

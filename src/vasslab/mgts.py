@@ -16,12 +16,12 @@ from .automata import bounded_words
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
     EPSILON,
-    INT_DOMAIN,
     Edge,
     GenConfig,
     InitVass,
     Run,
     Vass,
+    Violation,
     dyck_alphabet,
     edge_walks,
     init_vass_from_json,
@@ -30,6 +30,7 @@ from .model import (
     json_name,
     json_object,
     letter_index,
+    simulate,
 )
 from .values import (
     OMEGA,
@@ -313,22 +314,18 @@ def intermediate_accepts(mgts: Mgts, run: Run, orders, domain) -> bool:
     """Every infix's first/last configuration satisfies 0 <= . <= entry/exit of
     its precovering graph under the supplied preorder family."""
     iv, _ = mgts.combined()
-    from .model import Violation, simulate
-
     if isinstance(simulate(iv.vass, run.start, run.edge_seq, domain), Violation):
         return False
-    try:
-        factoring = factor_run(mgts, run)
-    except StructuralError:
-        raise
-    for gi, (entry, _, exit_) in enumerate(factoring.infixes):
-        g = mgts.graphs[gi]
+    return _gates_hold(mgts, factor_run(mgts, run), orders)
+
+
+def _gates_hold(mgts: Mgts, factoring: RunFactoring, orders) -> bool:
+    """Every infix enters and leaves its graph at the root with a valuation
+    that is >= 0 and <= the graph's in- resp. out-marking under `orders`."""
+    for g, (entry, _, exit_) in zip(mgts.graphs, factoring.infixes):
         for cfg, marking in ((entry, g.in_marking), (exit_, g.out_marking)):
-            if cfg.node != g.root:
-                return False
-            if not valuation_nonneg(cfg.valuation):
-                return False
-            if not valuation_le(cfg.valuation, marking, orders):
+            if (cfg.node != g.root or not valuation_nonneg(cfg.valuation)
+                    or not valuation_le(cfg.valuation, marking, orders)):
                 return False
     return True
 
@@ -802,12 +799,13 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
     found. X is read only by the boundary non-negativity checks, which both
     acceptances share, so one high X entry value loses no counterexample; a Y
     counter with an ω y_in ranges over the entry gate's residues up to
-    value_cap."""
+    value_cap. Z-runs have no domain to check, so one factoring of each run
+    answers all three conditions."""
     mgts = dmgts.mgts
     iv, _ = mgts.combined()
     vass = iv.vass
     ys = dmgts.y_counters
-    mod_orders = [ModOmega(dmgts.mu, ys)]
+    mod_orders, exact_orders = [ModOmega(dmgts.mu, ys)], [ExactOrOmega(ys)]
     per = _entry_ranges(vass.counters, mgts.in_marking, mod_orders, set(ys), value_cap,
                         _free_seed(vass, run_len_cap))
     for c in ys:
@@ -821,14 +819,13 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
                 continue
             run = Run(start, seq)
             try:
-                if not intermediate_accepts(mgts, run, mod_orders, INT_DOMAIN):
-                    continue
+                factoring = factor_run(mgts, run)
             except StructuralError:
                 continue
-            last = run.final_config(vass).valuation
-            if all(last[c] == v for c, v in pinned_out) and not intermediate_accepts(
-                mgts, run, [ExactOrOmega(ys)], INT_DOMAIN
-            ):
+            last = factoring.infixes[-1][2].valuation
+            if (all(last[c] == v for c, v in pinned_out)
+                    and _gates_hold(mgts, factoring, mod_orders)
+                    and not _gates_hold(mgts, factoring, exact_orders)):
                 return run
     return None
 

@@ -305,6 +305,8 @@ def family_mod(mu: int, v, n: int = None) -> BasicSeparatorDesc:
         raise ArgumentError("family_mod needs mu >= 1")
     v = tuple(v)
     n = len(v) if n is None else n
+    if n != len(v):
+        raise ArgumentError(f"family_mod needs n = len(v) = {len(v)}, got n = {n}")
     if all(x % mu == 0 for x in v):
         raise ArgumentError("family_mod needs v ≢ 0 mod mu")
     periods = []
@@ -325,6 +327,8 @@ def family_cov(k: int, i: int, n: int) -> BasicSeparatorDesc:
     approximation accepts every suffix; the certificate only needs the first
     factor to miss the non-negative orthant.
     """
+    if not 1 <= i <= n:
+        raise ArgumentError(f"family_cov needs 1 <= i <= n, got i = {i}, n = {n}")
     units = [tuple(1 if j == d else 0 for j in range(n)) for d in range(n)]
     neg_units = [tuple(-x for x in u) for u in units]
     others = [u for d, u in enumerate(units) if d != i - 1] + [
@@ -438,14 +442,23 @@ def counterexample_member(ell: int, word) -> bool:
     return run_word(counterexample_nfa(ell), tuple(word))
 
 
+MOVE_WORD_CAP = 1_000_000  # letters of the longest move word built
+
+
 def move_word(i: int, ell: int) -> tuple:
     """m_i = a1^{i!} . Π_{s=1..ℓ} (f_s^i b_s^i)^i with f_s = (a1 a2^s)^{L/(s+1)},
-    b_s its barred twin, L = (ℓ+1)!."""
+    b_s its barred twin, L = (ℓ+1)!. Both f_s and b_s have L letters, so
+    |m_i| = i! + 2ℓ i² L; a longer word than MOVE_WORD_CAP raises
+    ResourceExhausted before anything is built."""
     from math import factorial
 
     if ell < 1 or i < 0:
         raise ArgumentError("need ell >= 1 and i >= 0")
     L = factorial(ell + 1)
+    length = factorial(i) + 2 * ell * i * i * L
+    if length > MOVE_WORD_CAP:
+        raise ResourceExhausted(f"move word m_{i} has {length} letters, above the cap "
+                                f"{MOVE_WORD_CAP}")
     word = [inc_letter(1)] * factorial(i)
     for s in range(1, ell + 1):
         f = ([inc_letter(1)] + [inc_letter(2)] * s) * (L // (s + 1))

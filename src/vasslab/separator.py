@@ -33,12 +33,14 @@ from .model import (
     GenConfig,
     Run,
     dyck_alphabet,
+    effect,
     is_dyck_word,
+    nat_domain,
     parikh_of,
 )
 from .solver import ilp_feasible
 from .structure import covering_sequences, down_covering, realization
-from .values import is_omega
+from .values import ExactOrOmega, is_omega
 
 
 def annotated_alphabet(n: int) -> frozenset:
@@ -133,14 +135,31 @@ def preciseness_falsify(nfa_sharp: Nfa, dmgts: Dmgts, max_len: int,
 
 # -- Lambert pumping -------------------------------------------------------------
 
-@dataclass
-class PumpPlan:
-    covers: list      # per graph (u_i, d_i) local edge tuples
-    main: list        # per graph pi_i
-    filler: list      # per graph w_i
-    scale: int        # m
-    k: int
-    run: Run
+def _covers(mgts, message):
+    """Per graph, its up and down covering sequences (u_i, d_i); raises
+    ArgumentError(message) when one is missing."""
+    covers = []
+    for g in mgts.graphs:
+        u = covering_sequences(g)
+        d = down_covering(g)
+        if u is None or d is None:
+            raise ArgumentError(message)
+        covers.append((u, d))
+    return covers
+
+
+def _stitch(mgts, sol, blocks) -> Run:
+    """The run of the combined VASS from the solution's first entry valuation
+    through each graph's block of local edges, then its bridge."""
+    iv, origins = mgts.combined()
+    at = {origin: i for i, origin in enumerate(origins)}
+    seq = []
+    for gi, block in enumerate(blocks):
+        seq.extend(at["g", gi, ei] for ei in block)
+        if gi < len(mgts.bridges):
+            seq.append(at["b", gi])
+    start = {c: sol[io_var(0, "in", c)] for c in mgts.counters}
+    return Run(GenConfig(iv.init.node, start), tuple(seq))
 
 
 def scaled_support(cs, covers, m_cap=100000):
@@ -161,8 +180,8 @@ def scaled_support(cs, covers, m_cap=100000):
                     break
             if not ok:
                 break
-            du = _effect_of_local(g, u)
-            dd = _effect_of_local(g, d)
+            du = effect(u, vass=g.vass)
+            dd = effect(d, vass=g.vass)
             for j in sorted(g.omega_counters):
                 if m * base[io_var(gi, "in", j)] + du[j] < 1:
                     ok = False
@@ -173,16 +192,8 @@ def scaled_support(cs, covers, m_cap=100000):
             if not ok:
                 break
         if ok:
-            return {v: m * base[v] for v in base.assignment}, m
+            return {v: m * base[v] for v in base.assignment}
     raise ResourceExhausted(f"no support scale within {m_cap}")
-
-
-def _effect_of_local(g, edge_seq):
-    eff = {c: 0 for c in g.vass.counters}
-    for i in edge_seq:
-        for c, x in g.vass.edges[i].update.items():
-            eff[c] += x
-    return eff
 
 
 def _rooted_cycle(g, counts: dict):
@@ -194,24 +205,15 @@ def _local_counts(sol, gi, g):
     return {ei: sol[edge_var(gi, ei)] for ei in range(len(g.vass.edges))}
 
 
-def lambert_pump(obj, s_f, covers=None, k_cap=64, m_cap=100000, return_plan=False):
+def lambert_pump(obj, s_f, k_cap=64):
     """An N-run that is intermediate accepting, built from a solution of the
     characteristic system by embedding it into pumped covering sequences:
     c . u_0^k π_0 w_0^k d_0^k . bridge . u_1^k ... Soundness is by simulation:
     the first verifying k in [k0, k_cap] is returned."""
-    dm = obj if isinstance(obj, Dmgts) else None
-    mgts = obj.mgts if dm is not None else obj
-    cs = build_char(obj if dm is not None else mgts, "full")
-    if covers is None:
-        covers = []
-        for g in mgts.graphs:
-            u = covering_sequences(g)
-            d = down_covering(g)
-            if u is None or d is None:
-                raise ArgumentError("lambert_pump needs covering sequences (perfect input)")
-            covers.append((u, d))
+    mgts = obj.mgts if isinstance(obj, Dmgts) else obj
+    covers = _covers(mgts, "lambert_pump needs covering sequences (perfect input)")
     sol = s_f.assignment if hasattr(s_f, "assignment") else dict(s_f)
-    sup_scaled, m = scaled_support(cs, covers, m_cap)
+    sup_scaled = scaled_support(build_char(obj, "full"), covers)
     mains, fillers = [], []
     for gi, g in enumerate(mgts.graphs):
         u, d = covers[gi]
@@ -231,23 +233,11 @@ def lambert_pump(obj, s_f, covers=None, k_cap=64, m_cap=100000, return_plan=Fals
             }
             mains.append(_rooted_cycle(g, folded))
     iv, _ = mgts.combined()
-    start_val = {c: sol[io_var(0, "in", c)] for c in mgts.counters}
     k0 = _enable_k0(mgts, sol, covers, mains, fillers)
-    from .model import nat_domain
-    from .values import ExactOrOmega as _EO
-
     for k in range(max(1, k0), k_cap + 1):
-        seq = []
-        for gi, g in enumerate(mgts.graphs):
-            u, d = covers[gi]
-            block = list(u) * k + list(mains[gi]) + list(fillers[gi]) * k + list(d) * k
-            seq.extend(mgts.combined_index(("g", gi, ei)) for ei in block)
-            if gi < len(mgts.bridges):
-                seq.append(mgts.combined_index(("b", gi)))
-        run = Run(GenConfig(iv.init.node, start_val), tuple(seq))
-        if intermediate_accepts(mgts, run, [_EO()], nat_domain(iv.vass)):
-            if return_plan:
-                return PumpPlan(covers, mains, fillers, m, k, run)
+        run = _stitch(mgts, sol, [u * k + mains[gi] + fillers[gi] * k + d * k
+                                  for gi, (u, d) in enumerate(covers)])
+        if intermediate_accepts(mgts, run, [ExactOrOmega()], nat_domain(iv.vass)):
             return run
     raise ResourceExhausted(f"no verifying repetition count within {k_cap}")
 
@@ -258,7 +248,7 @@ def _enable_k0(mgts, sol, covers, mains, fillers):
     k0 = 1
     for gi, g in enumerate(mgts.graphs):
         u, d = covers[gi]
-        du = _effect_of_local(g, u)
+        du = effect(u, vass=g.vass)
         dip = {c: 0 for c in g.omega_counters}
         val = {c: 0 for c in g.vass.counters}
         for ei in list(mains[gi]) + list(fillers[gi]) + list(d):
@@ -396,17 +386,9 @@ def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
     if z_pair is None:
         raise ResourceExhausted("no profile-matched loop pair within the caps")
     mgts = dmgts.mgts
-    covers = []
-    for g in mgts.graphs:
-        u = covering_sequences(g)
-        d = down_covering(g)
-        if u is None or d is None:
-            raise ArgumentError("inseparability witnesses need a perfect DMGTS")
-        covers.append((u, d))
-    cs_x = build_char(dmgts, "x")
-    cs_y = build_char(dmgts, "y")
-    sx, _ = scaled_support(cs_x, covers)
-    sy, _ = scaled_support(cs_y, covers)
+    covers = _covers(mgts, "inseparability witnesses need a perfect DMGTS")
+    sx = scaled_support(build_char(dmgts, "x"), covers)
+    sy = scaled_support(build_char(dmgts, "y"), covers)
     # rescale the Dyck side so (s_y - s_x) >= 1 on every edge
     t = 1
     for gi, g in enumerate(mgts.graphs):
@@ -476,26 +458,13 @@ def _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap):
     orders_y = side_orders(dmgts, "y")
     dom_x = CounterDomainSpec(side_domain(dmgts, "x", "nat"))
     dom_y = CounterDomainSpec(side_domain(dmgts, "y", "nat"))
-
-    def build(seq_word_per_graph, sol):
-        seq = []
-        for gi in range(len(mgts.graphs)):
-            seq.extend(mgts.combined_index(("g", gi, ei)) for ei in seq_word_per_graph[gi])
-            if gi < len(mgts.bridges):
-                seq.append(mgts.combined_index(("b", gi)))
-        start = {c: sol[io_var(0, "in", c)] for c in mgts.counters}
-        return Run(GenConfig(iv.init.node, start), tuple(seq))
-
     for k in range(1, k_cap + 1):
-        blocks_x, blocks_y = [], []
-        for gi, dr in enumerate(parts):
-            sig_x, sig_y = z_pair[gi]
-            blocks_x.append(tuple(dr.u) * k + tuple(sig_x) + tuple(dr.w_x) * k + tuple(dr.d) * k)
-            blocks_y.append(tuple(dr.u) * k + tuple(sig_y) + tuple(dr.w_y) * k + tuple(dr.d) * k)
-        run_x = build(blocks_x, sol_x)
-        run_y = build(blocks_y, sol_y)
+        run_x = _stitch(mgts, sol_x, [dr.u * k + tuple(sig_x) + dr.w_x * k + dr.d * k
+                                      for dr, (sig_x, _) in zip(parts, z_pair)])
         if not intermediate_accepts(mgts, run_x, orders_x, dom_x):
             continue
+        run_y = _stitch(mgts, sol_y, [dr.u * k + tuple(sig_y) + dr.w_y * k + dr.d * k
+                                      for dr, (_, sig_y) in zip(parts, z_pair)])
         if not intermediate_accepts(mgts, run_y, orders_y, dom_y):
             continue
         return run_x.word(iv.vass), run_y.word(iv.vass), k

@@ -10,7 +10,7 @@ from math import factorial, lcm
 
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
-from .model import CounterDomainSpec, Run, Violation, search_run, simulate
+from .model import CounterDomainSpec, Run, Violation, effect, search_run, simulate
 from .values import OMEGA, is_omega
 
 
@@ -84,22 +84,10 @@ def cycle_flows(p: PrecoveringGraph):
     return kernel_basis(_kirchhoff_rows(p.vass), len(p.vass.edges))
 
 
-def _flow_effect(vass, flow):
-    eff = {c: 0 for c in vass.counters}
-    for i, k in enumerate(flow):
-        if k:
-            for c, x in vass.edges[i].update.items():
-                eff[c] += k * x
-    return eff
-
-
 def cycle_space_dim(p: PrecoveringGraph) -> int:
     """Dimension of the span of cycle effects."""
-    vass = p.vass
-    effects = [
-        [_flow_effect(vass, flow)[c] for c in vass.counters] for flow in cycle_flows(p)
-    ]
-    return matrix_rank(effects)
+    effects = [effect(dict(enumerate(flow)), vass=p.vass) for flow in cycle_flows(p)]
+    return matrix_rank([[eff[c] for c in p.vass.counters] for eff in effects])
 
 
 # -- rank ------------------------------------------------------------------------
@@ -281,12 +269,8 @@ def fixed_counters(p: PrecoveringGraph) -> frozenset:
     """Counters with zero effect on every cycle (every Kirchhoff kernel flow)."""
     if not is_strongly_connected(p.vass):
         raise StructuralError("fixed counters need a strongly connected graph")
-    flows = cycle_flows(p)
-    out = set()
-    for c in p.vass.counters:
-        if all(_flow_effect(p.vass, flow)[c] == 0 for flow in flows):
-            out.add(c)
-    return frozenset(out)
+    effects = [effect(dict(enumerate(flow)), vass=p.vass) for flow in cycle_flows(p)]
+    return frozenset(c for c in p.vass.counters if all(eff[c] == 0 for eff in effects))
 
 
 def fixed_assignment(p: PrecoveringGraph, j) -> dict:

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from vasslab.driver import (
     PipelineCaps,
+    PipelineReport,
     cmd_reach,
     cmd_separate,
     dyck_words,
@@ -275,6 +277,10 @@ class TestCli:
         (["separate", "--file", "{array_counter}"], "counter"),
         (["separate", "--file", "{object_label}"], "label"),
         (["separate", "--file", "{array_letter}"], "letter"),
+        (["basicsep", "--family", "cov", "--k", "1", "--i", "3", "--n", "1"], "1 <= i <= n"),
+        (["basicsep", "--family", "cov", "--k", "1", "--i", "1", "--n", "0"], "1 <= i <= n"),
+        (["basicsep", "--family", "cov", "--k", "1", "--i", "0", "--n", "1"], "1 <= i <= n"),
+        (["basicsep", "--family", "mod", "--mu", "2", "--v", "1", "--n", "0"], "len(v)"),
     ])
     def test_malformed_input_exit_2(self, tmp_path, capsys, args, word):
         docs = {key: json.loads(dump_init_vass(subject_even_a1()))
@@ -299,6 +305,23 @@ class TestCli:
         assert main(["basicsep", "--family", "mod", "--mu", "0"]) == 2
         err = capsys.readouterr().err
         assert "mu" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", [f.name for f in fields(PipelineCaps)])
+    def test_negative_cap_exit_2(self, tmp_path, capsys, cap):
+        path = tmp_path / "subject.json"
+        path.write_text(dump_init_vass(subject_even_a1()))
+        flag = "--" + cap.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--file", str(path), flag, "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and ">= 0" in err and "Traceback" not in err
+
+    def test_counterexample_length_cap_exit_3(self, capsys):
+        # |m_200| = 200! + 400 * 2 letters: refused before any letter is built
+        assert main(["counterexample", "--ell", "1", "--i", "200"]) == 3
+        err = capsys.readouterr().err
+        assert "cap" in err and "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_counterexample_words(self):
         out = self.run_cli("counterexample", "--ell", "2", "--i", "3")
@@ -334,3 +357,10 @@ class TestCli:
         a = self.run_cli("separate", "--file", str(path)).stdout
         b = self.run_cli("separate", "--file", str(path)).stdout
         assert a == b
+
+
+def test_report_z_pair_is_edge_index_json():
+    pair = [((0, 1), (1, 0)), ((), (2,))]
+    doc = PipelineReport(verdict="inseparable", z_pair=pair).to_json()
+    assert doc["z_pair"] == [[[0, 1], [1, 0]], [[], [2]]]
+    assert json.loads(json.dumps(doc))["z_pair"] == doc["z_pair"]
