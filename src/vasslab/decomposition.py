@@ -21,7 +21,7 @@ from .mgts import (
     validate_precovering,
 )
 from .model import GenConfig, InitVass, Vass
-from .solver import UNBOUNDED, enumerate_var_values, ilp_feasible, lp_max
+from .solver import STATS, UNBOUNDED, enumerate_var_values, ilp_feasible, lp_max
 from .structure import fixed_assignment, fixed_counters, rackoff_bound, rank, rank_less
 from .values import OMEGA, is_omega
 
@@ -507,10 +507,12 @@ def decompose(dmgts: Dmgts, caps: DecideCaps = DecideCaps()) -> DecomposeResult:
                 f"refine step cap {caps.refine_steps} exceeded",
                 partial=DecomposeResult(perfect, decided, trace),
             )
-        from .solver import STATS
-
-        stats_before = dict(STATS)
-        outcome = refine(cur, caps)
+        stats = {"lp_calls": 0, "ilp_calls": 0}
+        token = STATS.set(stats)
+        try:
+            outcome = refine(cur, caps)
+        finally:
+            STATS.reset(token)
         trace.append({
             "case": outcome.case,
             "target": {k: (v if isinstance(v, (int, str, list)) else repr(v))
@@ -519,7 +521,7 @@ def decompose(dmgts: Dmgts, caps: DecideCaps = DecideCaps()) -> DecomposeResult:
             "rank_after": [list(rank(m)) for m in outcome.x_set],
             "x": len(outcome.x_set),
             "y": len(outcome.y_set),
-            "solver_stats": {k: STATS[k] - stats_before[k] for k in STATS},
+            "solver_stats": stats,
         })
         worklist.extend(outcome.x_set)
         decided.extend(

@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("approx", help="k-th regular approximation of a linear set")
     p.add_argument("--base", required=True, help="comma-separated integers")
     p.add_argument("--periods", default="", help="semicolon-separated comma vectors")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonneg_int, required=True)
     p.add_argument("--member", help="space-separated word to test")
     p.add_argument("--emit", action="store_true", help="emit the automaton JSON")
 
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     p.add_argument("--family", choices=["mod", "cov", "drift"], required=True)
     p.add_argument("--mu", type=int, default=2)
     p.add_argument("--v", default="1", help="comma-separated vector")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_nonneg_int, default=1)
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--member", help="space-separated word to test")

@@ -4,7 +4,7 @@ counterexample family that needs unbounded concatenation length."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .automata import Nfa, enumerate_words, product, run_word
@@ -20,6 +20,8 @@ class LinearSet:
 
     base: tuple
     periods: tuple
+    # R(self, k) by (k, annotated), kept by approx_automaton
+    _approx: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))
@@ -78,18 +80,14 @@ def lin_member(lin: LinearSet, vec, node_budget=50000) -> bool:
     return ilp_feasible(sys, node_budget=node_budget) is not None
 
 
-_APPROX_CACHE = {}
-
-
 def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     """The k-th regular approximation R(lin, k): simulate letter effects inside
     [-k, k]^n and subtract period vectors without reading a symbol; final
     states are the box members of the linear set."""
     if k < 0:
         raise ArgumentError("k must be >= 0")
-    key = (lin, k, annotated)
-    if key in _APPROX_CACHE:
-        return _APPROX_CACHE[key]
+    if (k, annotated) in lin._approx:
+        return lin._approx[k, annotated]
     n = lin.dim
     letters = dyck_alphabet(n)
 
@@ -127,7 +125,7 @@ def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     alphabet = frozenset((a, h) for a in letters for h in (False, True)) if annotated \
         else frozenset(letters)
     nfa = Nfa(states, transitions, {start}, final, alphabet)
-    _APPROX_CACHE[key] = nfa
+    lin._approx[k, annotated] = nfa
     return nfa
 
 
@@ -327,6 +325,8 @@ def family_cov(k: int, i: int, n: int) -> BasicSeparatorDesc:
     approximation accepts every suffix; the certificate only needs the first
     factor to miss the non-negative orthant.
     """
+    if k < 0:
+        raise ArgumentError(f"family_cov needs k >= 0, got k = {k}")
     if not 1 <= i <= n:
         raise ArgumentError(f"family_cov needs 1 <= i <= n, got i = {i}, n = {n}")
     units = [tuple(1 if j == d else 0 for j in range(n)) for d in range(n)]
@@ -400,6 +400,8 @@ def _bezout(a, b):
 def family_drift(v, k: int, k_prime: int = None) -> BasicSeparatorDesc:
     """Covers the words drifting in direction v (effect inner product positive,
     bounded dips)."""
+    if k < 0:
+        raise ArgumentError(f"family_drift needs k >= 0, got k = {k}")
     v = tuple(v)
     h = _halfspace_set(v)
     if k_prime is None:
@@ -454,6 +456,8 @@ def move_word(i: int, ell: int) -> tuple:
 
     if ell < 1 or i < 0:
         raise ArgumentError("need ell >= 1 and i >= 0")
+    if i == 0:  # 0! = 1, and every factor is repeated 0 times
+        return (inc_letter(1),)
     L = factorial(ell + 1)
     length = factorial(i) + 2 * ell * i * i * L
     if length > MOVE_WORD_CAP:

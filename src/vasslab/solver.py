@@ -12,6 +12,7 @@ fractional variable, floor first). No floating point anywhere.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -20,8 +21,8 @@ from .errors import ArgumentError, ResourceExhausted
 
 UNBOUNDED = "unbounded"
 
-# cumulative call counters, reported in decomposition traces
-STATS = {"lp_calls": 0, "ilp_calls": 0}
+# the LP and ILP call counts of the decomposition step open in this context
+STATS = ContextVar("STATS", default=None)
 
 
 class LinSystem:
@@ -186,7 +187,8 @@ def _solve_standard(A, b, c):
 
     Returns (status, value, x) with status optimal | unbounded | infeasible.
     """
-    STATS["lp_calls"] += 1
+    if (stats := STATS.get()) is not None:
+        stats["lp_calls"] += 1
     m, n = len(A), len(c)
     # phase 1: artificials n..n+m-1
     rows = []
@@ -429,7 +431,8 @@ def ilp_feasible(system: LinSystem, node_budget: int = 100_000):
     the lowest-index fractional variable, floor side first. Exceeding the node
     budget raises ResourceExhausted, never a wrong verdict.
     """
-    STATS["ilp_calls"] += 1
+    if (stats := STATS.get()) is not None:
+        stats["ilp_calls"] += 1
     base = _rewrite_congruences(system)
     all_rows = list(base.eqs) + [({v: 1}, k) for v, k in base.fixed.items()]
     if _gcd_reject(all_rows):

@@ -1,8 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from vasslab.chareq import build_char
 from vasslab.decomposition import (
     BOT,
+    DecideCaps,
     Observer,
     ct,
     dec_along,
@@ -16,7 +20,7 @@ from vasslab.decomposition import (
     refine_case_iii,
     trace_to_jsonl,
 )
-from vasslab.errors import ArgumentError
+from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.mgts import (
     Dmgts,
     LanguageCaps,
@@ -42,7 +46,7 @@ from vasslab.model import (
     inc_letter,
 )
 from vasslab.mgts import initial_dmgts
-from vasslab.solver import ilp_feasible
+from vasslab.solver import STATS, ilp_feasible
 from vasslab.structure import rank, rank_less
 from vasslab.values import OMEGA
 
@@ -461,9 +465,6 @@ def random_visible_dmgts(rng):
 def test_decompose_soak(rng):
     # random faithful DMGTS: the loop must terminate (or abort honestly) and
     # preserve the plain subject words whenever it completes
-    from vasslab.errors import ResourceExhausted
-    from vasslab.decomposition import DecideCaps
-
     completed = 0
     for _ in range(25):
         dm = random_visible_dmgts(rng)
@@ -504,9 +505,15 @@ def test_annotated_words_differ_only_in_bridge_marks():
 _AUDIT = []
 
 
+def _audit_inputs():
+    """The curated suite and the initial DMGTS of every conftest subject."""
+    subjects = [getattr(conftest, name)() for name in dir(conftest)
+                if name.startswith("subject_")]
+    return [dm for _, dm in curated_suite()] + [initial_dmgts(s) for s in subjects]
+
+
 def audited_decompositions():
-    """Decompose the curated suite and the initial DMGTS of every conftest
-    subject, recording each refine step. Returns the perfect members and the
+    """Decompose the audit inputs, recording each refine step. Returns the perfect members and the
     (member, parent) pairs of the steps whose parent is one graph, for the
     members that keep the parent's mu."""
     if not _AUDIT:
@@ -520,12 +527,10 @@ def audited_decompositions():
             steps.append((dm, outcome))
             return outcome
 
-        subjects = [getattr(conftest, name)() for name in dir(conftest)
-                    if name.startswith("subject_")]
         perfect = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decomposition, "refine", recording)
-            for dm in [dm for _, dm in curated_suite()] + [initial_dmgts(s) for s in subjects]:
+            for dm in _audit_inputs():
                 perfect += decompose(dm).perfect
         pairs = [(m, parent) for parent, outcome in steps if len(parent.graphs) == 1
                  for m in outcome.x_set + outcome.y_set if m.mu == parent.mu]
@@ -546,3 +551,30 @@ def test_refine_members_are_consistent_specializations():
     assert pairs
     for m, parent in pairs:
         assert consistent_specialization_falsify(m, parent) is None
+
+
+# -- the per-step solver meter ---------------------------------------------------------
+
+def test_concurrent_decompositions_keep_their_traces():
+    """Each refine entry's solver_stats counts that step's own LP and ILP
+    calls, also while other decompositions run in other threads."""
+    def traced(dm):
+        return decompose(dm).trace
+
+    sequential = [traced(dm) for dm in _audit_inputs()]
+    assert any(e["solver_stats"]["lp_calls"] for t in sequential for e in t if "solver_stats" in e)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that steps interleave
+    try:
+        with ThreadPoolExecutor(max_workers=len(sequential)) as pool:
+            concurrent = list(pool.map(traced, _audit_inputs()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+
+
+def test_cap_inside_refine_closes_the_meter():
+    even = [dm for name, dm in curated_suite() if name == "even-a1"][0]
+    with pytest.raises(ResourceExhausted, match="observer product"):
+        decompose(even, DecideCaps(observer_states=0))
+    assert STATS.get() is None

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vasslab.driver import (
     PipelineCaps,
@@ -16,6 +21,7 @@ from vasslab.driver import (
     reach_decide,
 )
 from vasslab.errors import ArgumentError
+from vasslab.mgts import dump_dmgts, initial_dmgts
 from vasslab.model import (
     Edge,
     GenConfig,
@@ -317,6 +323,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert flag in err and ">= 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["basicsep", "--family", "drift", "--v", "1", "--k", "-1"],
+        ["basicsep", "--family", "cov", "--k", "-3", "--i", "1", "--n", "1"],
+        ["approx", "--base", "0", "--k", "-1"],
+    ])
+    def test_negative_k_exit_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--k" in err and ">= 0" in err and "Traceback" not in err
+
+    def test_move_word_zero_builds_no_factors(self, capsys):
+        # m_0 = a1 whatever ℓ; the factors of ℓ = 20 would have 21! letters each
+        assert main(["counterexample", "--ell", "20", "--i", "0"]) == 0
+        assert capsys.readouterr().out.split() == [A1]
+
     def test_counterexample_length_cap_exit_3(self, capsys):
         # |m_200| = 200! + 400 * 2 letters: refused before any letter is built
         assert main(["counterexample", "--ell", "1", "--i", "200"]) == 3
@@ -364,3 +387,94 @@ def test_report_z_pair_is_edge_index_json():
     doc = PipelineReport(verdict="inseparable", z_pair=pair).to_json()
     assert doc["z_pair"] == [[[0, 1], [1, 0]], [[], [2]]]
     assert json.loads(json.dumps(doc))["z_pair"] == doc["z_pair"]
+
+
+# -- fuzzing main() ------------------------------------------------------------------
+
+_SMALL = st.integers(-4, 4).map(str)
+_VECTOR = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=2).map(lambda v: ",".join(map(str, v))),
+    st.text("0123456789-,; x", max_size=4),
+)
+_PERIODS = st.lists(_VECTOR, max_size=2).map(";".join)
+_WORD = st.one_of(
+    st.lists(st.sampled_from([A1, AB1, inc_letter(2), dec_letter(2), "b", ""]),
+             max_size=4).map(" ".join),
+    st.text("a1ā2 #", max_size=6),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("pqka1ā", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("pqk", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_CAP_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(PipelineCaps)]
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _mutated(draw, text):
+    """The JSON document `text` with one value somewhere inside replaced by
+    arbitrary JSON or deleted, or the whole file replaced by free text."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.text(max_size=12))
+    doc = json.loads(text)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return json.dumps(draw(_JSON))
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["approx", "basicsep", "counterexample",
+                                    "separate", "reach", "decompose"]))
+    if command == "approx":
+        return (["approx", "--base", draw(_VECTOR), "--k", draw(_SMALL)]
+                + draw(_optional("--periods", _PERIODS)) + draw(_optional("--member", _WORD))
+                + draw(st.sampled_from([[], ["--emit"]]))), None
+    if command == "basicsep":
+        # n = 4 with k = 4 and a member builds two 6,561-state approximations
+        return (["basicsep", "--family", draw(st.sampled_from(["mod", "cov", "drift"])),
+                 "--mu", draw(_SMALL), "--v", draw(_VECTOR), "--k", draw(_SMALL),
+                 "--i", draw(_SMALL), "--n", str(draw(st.integers(-4, 3)))]
+                + draw(_optional("--member", _WORD))), None
+    if command == "counterexample":
+        return (["counterexample", "--ell", str(draw(st.integers(1, 6)))]
+                + draw(st.one_of(_optional("--i", _SMALL), _optional("--member", _WORD)))), None
+    if command == "decompose":
+        text = dump_dmgts(initial_dmgts(subject_even_a1()))
+    else:
+        text = dump_init_vass(subject_even_a1())
+    # every cap at a small value, so that each run ends quickly
+    caps = [arg for flag in _CAP_FLAGS for arg in (flag, str(draw(st.integers(0, 4))))]
+    return [command, "--file", "{file}"] + caps, draw(_mutated(text))
+
+
+@given(_argv())
+def test_main_fuzz_exits_with_a_documented_code(case):
+    argv, document = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        if document is not None:
+            with open(path, "w") as fh:
+                fh.write(document)
+        argv = [path if a == "{file}" else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), (argv, document)
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from vasslab.automata import Nfa, enumerate_words
@@ -66,6 +69,18 @@ class TestApprox:
             auto = approx_automaton(lin, 3)
             for w in enumerate_words(auto, 5):
                 assert lin_member(lin, word_effect(w, 1))
+
+    def test_automaton_memoized_on_its_linear_set(self):
+        lin = LinearSet((0,), ((2,), (-2,)))
+        auto = approx_automaton(lin, 2)
+        assert approx_automaton(lin, 2) is auto
+        assert approx_automaton(lin, 2, annotated=True) is not auto
+        assert lin == LinearSet((0,), ((-2,), (2,))) and "_approx" not in repr(lin)
+        # the memo dies with its set; nothing else in the process keeps it
+        ref = weakref.ref(auto)
+        del lin, auto
+        gc.collect()
+        assert ref() is None
 
 
 class TestCover:
@@ -168,6 +183,13 @@ class TestFamilies:
         d = family_drift((1, 0), 0)
         assert basic_member(d, (A1,))
         assert not basic_member(d, (AB1, A1))
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ArgumentError):
+            family_drift((1,), -1)
+        with pytest.raises(ArgumentError):
+            family_cov(-3, 1, 1)
+        assert family_cov(0, 1, 1).k == 1
 
     def test_drift_against_predicate(self):
         # bounded cross-check of the defining predicate on words <= 5 (n=1)
