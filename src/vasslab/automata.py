@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ArgumentError, StructuralError
+from .errors import ArgumentError, ResourceExhausted, StructuralError
 
 
 def strip_letter(a):
@@ -79,19 +79,40 @@ def run_word(nfa: Nfa, word) -> bool:
 
 
 def is_empty(nfa: Nfa) -> bool:
-    cur = nfa.eps_closure(nfa.initial)
-    seen = set(cur)
-    stack = list(cur)
+    """No final state is reachable from an initial one."""
+    out = {}
+    for p, a, q in nfa.transitions:
+        out.setdefault(p, []).append((a, q))
+    states, _ = reachable(nfa.initial, lambda p: out.get(p, ()))
+    return nfa.final.isdisjoint(states)
+
+
+def reachable(initial, moves, state_cap=None, name="state"):
+    """The part of a transition system reachable from `initial`: its states in
+    the order found and its (state, label, next state) transitions.
+
+    `moves(state)` yields (label, next state) pairs; a depth-first closure
+    takes the states of `initial` first to last. Finding more than `state_cap`
+    states raises ResourceExhausted("<name> cap <state_cap> exceeded")."""
+    states = {}
+    transitions = []
+
+    def found(state):
+        states[state] = None
+        if state_cap is not None and len(states) > state_cap:
+            raise ResourceExhausted(f"{name} cap {state_cap} exceeded")
+
+    for state in initial:
+        found(state)
+    stack = list(reversed(states))
     while stack:
         p = stack.pop()
-        if p in nfa.final:
-            return False
-        for a in nfa.alphabet:
-            for q in nfa.step({p}, a):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-    return True
+        for label, q in moves(p):
+            transitions.append((p, label, q))
+            if q not in states:
+                found(q)
+                stack.append(q)
+    return list(states), transitions
 
 
 def bounded_words(start, moves, accepting, max_len: int, max_steps: int) -> frozenset:
@@ -153,26 +174,20 @@ def product(n1: Nfa, n2: Nfa) -> Nfa:
     if n1.alphabet != n2.alphabet:
         raise StructuralError("product needs a shared alphabet")
     alphabet = n1.alphabet
-    initial = {(p, q) for p in n1.initial for q in n2.initial}
-    states = set(initial)
-    transitions = set()
-    stack = list(initial)
-    while stack:
-        p, q = stack.pop()
-        moves = []
+
+    def moves(state):
+        p, q = state
         for a in alphabet:
             for p2 in n1._step.get((p, a), ()):
                 for q2 in n2._step.get((q, a), ()):
-                    moves.append((a, (p2, q2)))
+                    yield a, (p2, q2)
         for p2 in n1._eps.get(p, ()):
-            moves.append((None, (p2, q)))
+            yield None, (p2, q)
         for q2 in n2._eps.get(q, ()):
-            moves.append((None, (p, q2)))
-        for a, s2 in moves:
-            transitions.add(((p, q), a, s2))
-            if s2 not in states:
-                states.add(s2)
-                stack.append(s2)
+            yield None, (p, q2)
+
+    initial = {(p, q) for p in n1.initial for q in n2.initial}
+    states, transitions = reachable(initial, moves)
     final = {(p, q) for (p, q) in states if p in n1.final and q in n2.final}
     return Nfa(states, transitions, initial, final, alphabet)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ArgumentError
-from .mgts import Dmgts, Mgts
+from .mgts import Dmgts, Mgts, factor_run
 from .solver import (
     UNBOUNDED,
     LinSystem,
@@ -182,8 +182,6 @@ def justifies_unboundedness(cs: CharSystem, gi: int, zprime, sup=None) -> bool:
 
 def run_assignment(mgts: Mgts, run) -> dict:
     """The variable assignment a factored run induces (for soundness tests)."""
-    from .mgts import factor_run
-
     factoring = factor_run(mgts, run)
     _, origins = mgts.combined()
     assignment = {}

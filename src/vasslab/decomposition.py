@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .automata import reachable
 from .chareq import build_char, edge_var, io_var, support
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
 from .mgts import (
@@ -74,19 +75,14 @@ def mod_residue_expansion(k: int, mu: int, mu_new: int) -> list:
 @dataclass(frozen=True)
 class Observer:
     """A transition system over the edge indices of its target graph. `step`
-    maps (state, edge index) to successor states; `states` may be a lazily
-    discovered subset."""
+    maps (state, edge index) to successor states."""
 
     initial: tuple
     step: callable
-    states: tuple = ()
-
-    def successors(self, s, ei):
-        return self.step(s, ei)
 
 
 def identity_observer() -> Observer:
-    return Observer(initial=("*",), step=lambda s, ei: (s,), states=("*",))
+    return Observer(initial=("*",), step=lambda s, ei: (s,))
 
 
 @dataclass
@@ -101,24 +97,21 @@ class ProductGraph:
 def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> ProductGraph:
     """Simulate the observer along the edges of P, restricted to the part
     reachable from {root} × initial."""
-    initial = [(p.root, s) for s in obs.initial]
-    states = set(initial)
-    transitions = {}
-    stack = sorted(initial, key=repr, reverse=True)
-    while stack:
-        q, s = stack.pop()
-        succ = []
-        for ei, e in sorted(p.vass.out_edges(q)):
-            for s2 in obs.successors(s, ei):
-                succ.append((ei, (e.dst, s2)))
-        transitions[(q, s)] = sorted(succ, key=repr)
-        for _, st in succ:
-            if st not in states:
-                states.add(st)
-                if len(states) > state_cap:
-                    raise ResourceExhausted(f"observer product cap {state_cap} exceeded")
-                stack.append(st)
-    return ProductGraph(sorted(states, key=repr), transitions, sorted(initial, key=repr))
+
+    def moves(state):
+        q, s = state
+        for ei, e in p.vass.out_edges(q):
+            for s2 in obs.step(s, ei):
+                yield ei, (e.dst, s2)
+
+    initial = sorted(((p.root, s) for s in obs.initial), key=repr)
+    states, moved = reachable(initial, moves, state_cap, "observer product")
+    transitions = {u: [] for u in states}
+    for u, ei, v in moved:
+        transitions[u].append((ei, v))
+    for succ in transitions.values():
+        succ.sort(key=repr)
+    return ProductGraph(sorted(states, key=repr), transitions, initial)
 
 
 def dec_along(p: PrecoveringGraph, obs: Observer, finals,

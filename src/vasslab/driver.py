@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from .automata import Nfa, dump_nfa, empty_nfa, nfa_to_dot, run_word, strip_hash, union
 from .chareq import build_char
 from .decomposition import DecideCaps, decompose, trace_to_jsonl
-from .errors import ArgumentError, ResourceExhausted, StructuralError
+from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .mgts import (
     Dmgts,
     LanguageCaps,
@@ -22,7 +22,6 @@ from .mgts import (
     fold_to_mgts_list,
     initial_dmgts,
 )
-from .errors import InvariantViolation
 from .model import (
     InitVass,
     Run,
@@ -32,10 +31,21 @@ from .model import (
     language_bounded,
     search_run,
 )
-from .separator import lift_separator, modulo_automaton
+from .semilinear import (
+    LinearSet,
+    approx_automaton,
+    approx_member,
+    basic_member,
+    counterexample_member,
+    family_cov,
+    family_drift,
+    family_mod,
+    move_word,
+)
+from .separator import lambert_pump, lift_separator, modulo_automaton
 from .solver import ilp_feasible
 from .values import is_omega
-from .zsep import ZsepCaps, z_separability
+from .zsep import ZsepCaps, _mod_effect_nfa, z_separability
 
 
 @dataclass
@@ -160,8 +170,6 @@ def cmd_reach(iv: InitVass, caps: PipelineCaps = PipelineCaps()) -> dict:
 def _mod_certificate_nfa(member: Dmgts) -> Nfa:
     """The separator of a modulo-decided member: words whose effect on the
     certificate counter matches its non-zero out-marking residue."""
-    from .zsep import _mod_effect_nfa
-
     n = len(member.y_counters)
     mu = member.mu
     out = member.mgts.out_marking
@@ -194,8 +202,6 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
     verdict, hit = reach_decide(inter, caps)
     if verdict == "reachable":
         member, sol = hit
-        from .separator import lambert_pump
-
         run = lambert_pump(member, sol, k_cap=caps.pump_k)
         iv, _ = member.mgts.combined()
         report.verdict = "inseparable"
@@ -385,8 +391,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "approx":
-        from .semilinear import LinearSet, approx_automaton, approx_member
-
         base = _parse_vector(args.base, "--base")
         periods = tuple(
             _parse_vector(p, "--periods") for p in args.periods.split(";") if p.strip()
@@ -400,8 +404,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "basicsep":
-        from .semilinear import basic_member, family_cov, family_drift, family_mod
-
         v = _parse_vector(args.v, "--v")
         if args.family == "mod":
             desc = family_mod(args.mu, v, args.n)
@@ -419,8 +421,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "counterexample":
-        from .semilinear import counterexample_member, move_word
-
         if args.member is not None:
             print(json.dumps({"member": counterexample_member(args.ell, _parse_word(args.member))}))
         elif args.i is not None:

@@ -98,10 +98,7 @@ class PrecoveringGraph:
 def is_strongly_connected(vass: Vass) -> bool:
     if not vass.nodes:
         return False
-    succ = {}
-    for k, e in enumerate(vass.edges):
-        succ.setdefault(e.src, []).append((k, e.dst))
-    return _sccs(succ, vass.nodes[:1])[vass.nodes[0]] == set(vass.nodes)
+    return _sccs(vass.successors(), vass.nodes[:1])[vass.nodes[0]] == set(vass.nodes)
 
 
 def validate_precovering(p: PrecoveringGraph) -> list:
@@ -812,9 +809,10 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
         if not is_omega(y_in[c]):
             per[c] = clip(per[c], y_in[c], y_in[c])
     pinned_out = [(c, y_out[c]) for c in ys if not is_omega(y_out[c])]
+    out = vass.successors()
     for vals in product(*(per[c] for c in vass.counters)):
         start = GenConfig(iv.init.node, dict(zip(vass.counters, vals)))
-        for end, seq in edge_walks(vass, iv.init.node, run_len_cap):
+        for end, seq in edge_walks(out, iv.init.node, run_len_cap):
             if end != iv.final.node:  # no intermediate acceptance ends elsewhere
                 continue
             run = Run(start, seq)
@@ -862,13 +860,13 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
         return [(e.label, tuple(sorted((c, e.update.get(c, 0)) for c in p.vass.counters)))
                 for e in vass.edges]
 
-    steps2 = steps(p.vass)
+    steps2, out2 = steps(p.vass), p.vass.successors()
     sigs2 = {tuple(steps2[i] for i in seq) for q in p.vass.nodes
-             for _, seq in edge_walks(p.vass, q, run_len_cap)}
+             for _, seq in edge_walks(out2, q, run_len_cap)}
     vass1 = iv1.vass
-    steps1 = steps(vass1)
+    steps1, out1 = steps(vass1), vass1.successors()
     for q in vass1.nodes:
-        for _, seq in edge_walks(vass1, q, run_len_cap):
+        for _, seq in edge_walks(out1, q, run_len_cap):
             if tuple(steps1[i] for i in seq) not in sigs2:
                 return ("no-matching-run", seq)
 

@@ -138,6 +138,13 @@ class Vass:
     def out_edges(self, node):
         return [(i, e) for i, e in enumerate(self.edges) if e.src == node]
 
+    def successors(self) -> dict:
+        """node -> its (edge index, target) pairs in edge-index order."""
+        out = {}
+        for i, e in enumerate(self.edges):
+            out.setdefault(e.src, []).append((i, e.dst))
+        return out
+
     def reverse(self) -> "Vass":
         return Vass(self.nodes, self.alphabet, self.counters, [e.reverse() for e in self.edges])
 
@@ -357,13 +364,11 @@ def search_run(vass: Vass, node, vals, counters, goal, max_len=None, value_cap=N
     return None, cut
 
 
-def edge_walks(vass: Vass, node, max_len: int):
-    """Every edge path of at most max_len edges from `node`, as (end node,
-    edge-index tuple), in pre-order: a path, then its extensions by each
-    out-edge in edge-index order."""
-    out = {}
-    for i, e in enumerate(vass.edges):
-        out.setdefault(e.src, []).append((i, e.dst))
+def edge_walks(out: dict, node, max_len: int):
+    """Every path of at most max_len moves from `node`, where `out` maps a
+    node to its (key, next node) moves: (end node, key tuple) in pre-order, a
+    path, then its extensions by each move in `out` order. With
+    `Vass.successors()` the keys are edge indices."""
     yield node, ()
     path = []
     stack = [iter(out.get(node, ()) if max_len > 0 else ())]

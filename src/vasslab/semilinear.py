@@ -4,13 +4,27 @@ counterexample family that needs unbounded concatenation length."""
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 
-from .automata import Nfa, enumerate_words, product, run_word
+from .automata import Nfa, enumerate_words, product, reachable, run_word
+from .chareq import build_char
+from .decomposition import DecideCaps, decompose
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
-from .model import dyck_alphabet, dec_letter, inc_letter, is_dyck_word, letter_index, word_effect
+from .mgts import Dmgts, unfold_paths
+from .model import (
+    dec_letter,
+    dyck_alphabet,
+    edge_walks,
+    inc_letter,
+    is_dyck_word,
+    letter_index,
+    word_effect,
+)
 from .solver import LinSystem, ilp_feasible
+from .values import OMEGA, is_omega
 
 
 @dataclass(frozen=True)
@@ -51,11 +65,12 @@ def linear_set_from_json(doc: dict) -> LinearSet:
 
 def descriptor_to_json(desc) -> dict:
     """Serialized descriptor with a hash of its disjointness certificate."""
+    # imported here: hashlib loads OpenSSL, 3.5 MiB of resident memory in
+    # every process that imports vasslab, and only this function needs it
     import hashlib
-    import json as _json
 
     chain = [linear_set_to_json(lin) for lin in desc.chain]
-    payload = _json.dumps({"k": desc.k, "chain": chain}, sort_keys=True)
+    payload = json.dumps({"k": desc.k, "chain": chain}, sort_keys=True)
     return {
         "k": desc.k,
         "chain": chain,
@@ -80,47 +95,40 @@ def lin_member(lin: LinearSet, vec, node_budget=50000) -> bool:
     return ilp_feasible(sys, node_budget=node_budget) is not None
 
 
+APPROX_STATE_CAP = 20_000  # states of the largest R(Λ, k) built, (2k+1)^n
+
+
 def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     """The k-th regular approximation R(lin, k): simulate letter effects inside
     [-k, k]^n and subtract period vectors without reading a symbol; final
-    states are the box members of the linear set."""
+    states are the box members of the linear set. Dyck letters reach every
+    point of the box, so R(lin, k) has (2k+1)^n states; more than
+    APPROX_STATE_CAP raise ResourceExhausted before anything is built."""
     if k < 0:
         raise ArgumentError("k must be >= 0")
     if (k, annotated) in lin._approx:
         return lin._approx[k, annotated]
     n = lin.dim
+    size = (2 * k + 1) ** n
+    if size > APPROX_STATE_CAP:
+        raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {size} states, above the "
+                                f"cap {APPROX_STATE_CAP}")
     letters = dyck_alphabet(n)
+    shifts = []
+    for a in letters:
+        i, d = letter_index(a, n)
+        labels = [(a, False), (a, True)] if annotated else [a]
+        shifts.extend((lab, tuple(d if j == i - 1 else 0 for j in range(n))) for lab in labels)
+    shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
 
-    def inside(v):
-        return all(-k <= x <= k for x in v)
+    def moves(v):
+        for lab, delta in shifts:
+            w = tuple(x + y for x, y in zip(v, delta))
+            if all(-k <= x <= k for x in w):
+                yield lab, w
 
     start = tuple(0 for _ in range(n))
-    if not inside(start):
-        raise ArgumentError("k too small for the zero start")
-    states = {start}
-    transitions = set()
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        succ = []
-        for a in letters:
-            i, d = letter_index(a, n)
-            w = tuple(x + (d if j == i - 1 else 0) for j, x in enumerate(v))
-            if inside(w):
-                if annotated:
-                    succ.append(((a, False), w))
-                    succ.append(((a, True), w))
-                else:
-                    succ.append((a, w))
-        for p in lin.periods:
-            w = tuple(x - y for x, y in zip(v, p))
-            if inside(w):
-                succ.append((None, w))
-        for lab, w in succ:
-            transitions.add((v, lab, w))
-            if w not in states:
-                states.add(w)
-                stack.append(w)
+    states, transitions = reachable([start], moves)
     final = {v for v in states if lin_member(lin, v)}
     alphabet = frozenset((a, h) for a in letters for h in (False, True)) if annotated \
         else frozenset(letters)
@@ -136,42 +144,38 @@ def approx_member(lin: LinearSet, k: int, word) -> bool:
 def nfa_to_linear_cover(nfa: Nfa, run_cap=200000):
     """(k, linear sets) with L(nfa) ⊆ ∪ R(Λ_ρ, k) and identical effect sets:
     one Λ per accepted run of length <= |Q|² + |Q| (its effect plus the effects
-    of simple cycles touching its visited states); k = (|Q| + 1)²."""
+    of simple cycles touching its visited states); k = (|Q| + 1)². The run
+    enumeration and the cycle enumeration may each take run_cap steps."""
     if any(a is None for _, a, _ in nfa.transitions):
         raise ArgumentError("nfa_to_linear_cover needs an ε-free NFA")
     letters = sorted(nfa.alphabet, key=repr)
     n = max((letter_index_any(a) for a in letters), default=0)
+    index = {a: letter_index(a, n) for a in letters}
     q = len(nfa.states)
     max_len = q * q + q
     k = (q + 1) ** 2
+    # p -> its moves in repr order, each keyed by its (letter, target) pair
     succ = {}
-    for p, a, r in nfa.transitions:
-        succ.setdefault(p, []).append((a, r))
-    for p in succ:
-        succ[p].sort(key=repr)
+    for p, a, r in sorted(nfa.transitions, key=repr):
+        succ.setdefault(p, []).append(((a, r), r))
 
-    cycles = _simple_cycles(nfa, succ)
-    runs = []
-    budget = [0]
-
-    def dfs(state, eff, visited, length):
-        budget[0] += 1
-        if budget[0] > run_cap:
-            raise ResourceExhausted(f"run enumeration cap {run_cap} exceeded")
-        if state in nfa.final:
-            runs.append((tuple(eff), frozenset(visited)))
-        if length >= max_len:
-            return
-        for a, r in succ.get(state, ()):
-            i, d = letter_index(a, n)
+    def effect(moves):
+        eff = [0] * n
+        for a, _ in moves:
+            i, d = index[a]
             eff[i - 1] += d
-            visited.append(r)
-            dfs(r, eff, visited, length + 1)
-            visited.pop()
-            eff[i - 1] -= d
+        return tuple(eff)
 
+    cycles = _simple_cycles(sorted(nfa.states, key=repr), succ, effect, run_cap)
+    runs = []
+    steps = 0
     for init in sorted(nfa.initial, key=repr):
-        dfs(init, [0] * n, [init], 0)
+        for end, moves in edge_walks(succ, init, max_len):
+            steps += 1
+            if steps > run_cap:
+                raise ResourceExhausted(f"run enumeration cap {run_cap} exceeded")
+            if end in nfa.final:
+                runs.append((effect(moves), frozenset([init, *(r for _, r in moves)])))
 
     out = []
     seen = set()
@@ -193,27 +197,33 @@ def letter_index_any(a) -> int:
     raise ArgumentError(f"letter {a!r} is not a Dyck letter")
 
 
-def _simple_cycles(nfa: Nfa, succ):
-    """(state set, effect) of every simple cycle, via rooted DFS."""
-    n = max((letter_index_any(a) for a in nfa.alphabet), default=0)
-    cycles = set()
-    states = sorted(nfa.states, key=repr)
+def _simple_cycles(states, succ, effect, step_cap):
+    """(state set, effect) of every simple cycle: from each root, a depth-first
+    walk through the states after it in `states`, one cycle per move back to
+    the root. More than step_cap walk steps raise ResourceExhausted."""
     order = {s: i for i, s in enumerate(states)}
-
-    def dfs(root, state, eff, visited):
-        for a, r in succ.get(state, ()):
-            i, d = letter_index(a, n)
-            if r == root:
-                e = list(eff)
-                e[i - 1] += d
-                cycles.add((frozenset(visited), tuple(e)))
-            elif r not in visited and order[r] > order[root]:
-                e = list(eff)
-                e[i - 1] += d
-                dfs(root, r, tuple(e), visited | {r})
-
+    cycles = set()
+    steps = 0
     for root in states:
-        dfs(root, root, tuple([0] * n), frozenset({root}))
+        path, moves = [root], []
+        stack = [iter(succ.get(root, ()))]
+        while stack:
+            for move, r in stack[-1]:
+                if r == root:
+                    cycles.add((frozenset(path), effect(moves + [move])))
+                elif r not in path and order[r] > order[root]:
+                    steps += 1
+                    if steps > step_cap:
+                        raise ResourceExhausted(f"cycle enumeration cap {step_cap} exceeded")
+                    path.append(r)
+                    moves.append(move)
+                    stack.append(iter(succ.get(r, ())))
+                    break
+            else:
+                stack.pop()
+                if moves:
+                    path.pop()
+                    moves.pop()
     return cycles
 
 
@@ -452,8 +462,6 @@ def move_word(i: int, ell: int) -> tuple:
     b_s its barred twin, L = (ℓ+1)!. Both f_s and b_s have L letters, so
     |m_i| = i! + 2ℓ i² L; a longer word than MOVE_WORD_CAP raises
     ResourceExhausted before anything is built."""
-    from math import factorial
-
     if ell < 1 or i < 0:
         raise ArgumentError("need ell >= 1 and i >= 0")
     if i == 0:  # 0! = 1, and every factor is repeated 0 times
@@ -522,32 +530,22 @@ def period_deduction_check(lin: LinearSet, k: int, w_mid, i: int,
 
 def _mod_language_nfa(mu: int, v, n: int) -> Nfa:
     """Sequences with effect ≡ v mod mu, as a complete DFA over Σ_n."""
-    v = tuple(x % mu for x in v)
-    states = set()
-    stack = [tuple(0 for _ in range(n))]
-    transitions = set()
-    while stack:
-        r = stack.pop()
-        if r in states:
-            continue
-        states.add(r)
-        for a in dyck_alphabet(n):
-            i, d = letter_index(a, n)
-            r2 = tuple((x + (d if j == i - 1 else 0)) % mu for j, x in enumerate(r))
-            transitions.add((r, a, r2))
-            if r2 not in states:
-                stack.append(r2)
+    letters = dyck_alphabet(n)
+    index = [letter_index(a, n) for a in letters]
+
+    def moves(r):
+        for a, (i, d) in zip(letters, index):
+            yield a, tuple((x + (d if j == i - 1 else 0)) % mu for j, x in enumerate(r))
+
     start = tuple(0 for _ in range(n))
-    return Nfa(states, transitions, {start}, {v}, dyck_alphabet(n))
+    states, transitions = reachable([start], moves)
+    return Nfa(states, transitions, {start}, {tuple(x % mu for x in v)}, letters)
 
 
 def fold_nfa_to_dmgts_list(nfa: Nfa, n: int, path_cap=2000):
     """Break the NFA's control flow into sequences of strongly connected
     components: one DMGTS per simple path from an initial to a final state,
     with X = ∅, μ = 1, all-ω intermediate markings and zero outer markings."""
-    from .mgts import Dmgts, unfold_paths
-    from .values import OMEGA
-
     if any(a is None for _, a, _ in nfa.transitions):
         raise ArgumentError("folding needs an ε-free NFA")
     counters = [f"y.{i}" for i in range(1, n + 1)]
@@ -577,10 +575,6 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
     Dyck language: fold into DMGTS, decompose, and emit modulo-family members
     for the modulo-decided parts and certified approximation chains for the
     faithful Y-infeasible parts."""
-    from .chareq import build_char
-    from .decomposition import DecideCaps, decompose
-    from .mgts import Dmgts
-
     if n is None:
         n = max((letter_index_any(a) for a in nfa.alphabet), default=1)
     for w in sorted(enumerate_words(nfa, disjoint_check_len), key=repr):
@@ -618,10 +612,7 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
 
 
 def _nonzero_residues(mu: int, n: int):
-    out = [()]
-    for _ in range(n):
-        out = [r + (v,) for r in out for v in range(mu)]
-    return [r for r in out if any(r)]
+    return [r for r in _all_residues(mu, n) if any(r)]
 
 
 def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
@@ -704,15 +695,10 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
 
 
 def _all_residues(mu: int, n: int):
-    out = [()]
-    for _ in range(n):
-        out = [r + (v,) for r in out for v in range(mu)]
-    return out
+    return list(itertools.product(range(mu), repeat=n))
 
 
 def _cong_ok(vec, marking, mu) -> bool:
-    from .values import is_omega
-
     return all(
         is_omega(m) or (vec[d] - m) % mu == 0 for d, m in enumerate(marking)
     )

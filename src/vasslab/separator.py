@@ -4,6 +4,7 @@ built from the diff/rem construction."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import ceil, factorial
 
@@ -61,12 +62,6 @@ def modulo_automaton(dmgts: Dmgts, track="y") -> Nfa:
     n = len(dmgts.y_counters)
     alphabet = annotated_alphabet(n)
 
-    def residues():
-        out = [()]
-        for _ in tracked:
-            out = [r + (v,) for r in out for v in range(mu)]
-        return out
-
     def compatible(r, marking):
         return all(
             is_omega(marking[c]) or (r[i] - marking[c]) % mu == 0
@@ -77,7 +72,7 @@ def modulo_automaton(dmgts: Dmgts, track="y") -> Nfa:
         return tuple((r[i] + update.get(c, 0)) % mu for i, c in enumerate(tracked))
 
     states, transitions = set(), set()
-    all_res = residues()
+    all_res = list(itertools.product(range(mu), repeat=len(tracked)))
     for gi, g in enumerate(dmgts.graphs):
         for r in all_res:
             states.add(("enter", gi, r))
@@ -317,9 +312,7 @@ class WitnessPair:
 def rooted_loops(g, max_len: int):
     """All rooted cycles of local length <= max_len as edge-index tuples, the
     empty one included, in sorted order."""
-    out = {}
-    for i, e in enumerate(g.vass.edges):
-        out.setdefault(e.src, []).append((i, e.dst))
+    out = g.vass.successors()
     return sorted(bounded_words(g.root, lambda node: out.get(node, ()),
                                 lambda node: node == g.root, max_len, max_len))
 

@@ -4,6 +4,7 @@ interface; verdicts carry bounded-verified certificates, never guesses."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .automata import Nfa, empty_nfa, run_word, universal_nfa
@@ -185,9 +186,7 @@ def _drift_nfa(v, k: int) -> Nfa:
 
 
 def _small_vectors(n: int, norm: int):
-    vecs = [()]
-    for _ in range(n):
-        vecs = [v + (x,) for v in vecs for x in range(-norm, norm + 1)]
+    vecs = itertools.product(range(-norm, norm + 1), repeat=n)
     out = [v for v in vecs if any(v) and sum(abs(x) for x in v) <= norm]
     out.sort(key=lambda v: (sum(abs(x) for x in v), v))
     return out

@@ -61,6 +61,13 @@ def test_empty_nfa_language():
     assert is_empty(empty_nfa({"a"}))
 
 
+@settings(max_examples=200)
+@given(nfas())
+def test_is_empty_iff_no_short_word(nfa):
+    # a shortest accepting path repeats no state, so it reads fewer than |Q| letters
+    assert is_empty(nfa) == (not enumerate_words(nfa, len(nfa.states)))
+
+
 def test_single_loop():
     n = Nfa({"s"}, {("s", "a", "s")}, {"s"}, {"s"})
     assert enumerate_words(n, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}

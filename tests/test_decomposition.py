@@ -112,7 +112,7 @@ class TestObserverProduct:
 
     def test_unreachable_states_absent(self):
         g = dyck_copy_graph()
-        obs = Observer(initial=(0,), step=lambda s, ei: (s,), states=(0, 99))
+        obs = Observer(initial=(0,), step=lambda s, ei: (s,))
         prod = observer_product(g, obs)
         assert ("r", 99) not in prod.states
 

@@ -35,6 +35,7 @@ from vasslab.model import (
     is_dyck_word,
     language_bounded,
 )
+from vasslab import semilinear
 from vasslab.automata import run_word
 from vasslab.values import OMEGA
 
@@ -345,6 +346,17 @@ class TestCli:
         assert main(["counterexample", "--ell", "1", "--i", "200"]) == 3
         err = capsys.readouterr().err
         assert "cap" in err and "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_approx_state_cap_exit_3(self, capsys, monkeypatch):
+        # R(Λ, 100) in dimension 3 has 201³ = 8,120,601 states: refused unbuilt
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an approximation above the cap was explored")
+
+        monkeypatch.setattr(semilinear, "reachable", unreachable)
+        assert main(["approx", "--base", "0,0,0", "--k", "100", "--member", ""]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource-exhausted:") and "8120601" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_counterexample_words(self):
         out = self.run_cli("counterexample", "--ell", "2", "--i", "3")

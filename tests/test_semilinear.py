@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from vasslab.automata import Nfa, enumerate_words
-from vasslab.errors import ArgumentError
+from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.model import (
     dec_letter,
     dyck_alphabet,
@@ -117,6 +117,26 @@ class TestCover:
         nfa = Nfa({"0", "1"}, {("0", None, "1")}, {"0"}, {"1"}, dyck_alphabet(1))
         with pytest.raises(ArgumentError):
             nfa_to_linear_cover(nfa)
+
+    def test_long_cycle_needs_no_recursion(self):
+        # runs of up to 40² + 40 letters: a recursive walk overflows the stack
+        nfa = Nfa(range(40), {(q, A1, (q + 1) % 40) for q in range(40)}, {0}, {0},
+                  dyck_alphabet(1))
+        k, lins = nfa_to_linear_cover(nfa)
+        assert k == 41 ** 2
+        assert lins == [LinearSet((40 * j,), ((40,),)) for j in range(42)]
+
+    def test_cycle_enumeration_counts_against_run_cap(self):
+        # one run from the isolated initial state, but the complete 9-state
+        # component beside it has 125,673 simple cycles
+        states = [f"c{i}" for i in range(9)]
+        nfa = Nfa(states + ["i"], {(p, A1, q) for p in states for q in states},
+                  {"i"}, {"i"}, dyck_alphabet(1))
+        with pytest.raises(ResourceExhausted, match="cycle enumeration cap 1000"):
+            nfa_to_linear_cover(nfa, run_cap=1000)
+        k, lins = nfa_to_linear_cover(Nfa(["i"], (), {"i"}, {"i"}, dyck_alphabet(1)),
+                                      run_cap=1)
+        assert lins == [LinearSet((0,), ())]
 
 
 class TestPosSum:
