@@ -78,6 +78,20 @@ def run_word(nfa: Nfa, word) -> bool:
     return bool(cur & nfa.final)
 
 
+def first_mistake(nfa: Nfa, inside, outside):
+    """The first word that `nfa` classifies wrongly, with the inclusion it
+    breaks: (word, "coverage") for a word of `inside` it rejects, else
+    (word, "disjointness") for a word of `outside` it accepts; None when it
+    accepts all of `inside` and none of `outside`."""
+    for w in inside:
+        if not run_word(nfa, w):
+            return w, "coverage"
+    for w in outside:
+        if run_word(nfa, w):
+            return w, "disjointness"
+    return None
+
+
 def is_empty(nfa: Nfa) -> bool:
     """No final state is reachable from an initial one."""
     out = {}

@@ -233,9 +233,9 @@ def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
         if all(member_out[c] == 0 for c in dmgts.y_counters if not is_omega(member_out[c])) and all(
             not is_omega(member_out[c]) for c in dmgts.y_counters
         ):
-            x_set.append(Dmgts(mg, mu_new, dmgts.x_counters, dmgts.y_counters, faithful=True))
+            x_set.append(dmgts.with_mgts(mg, mu=mu_new, faithful=True))
         else:
-            y_set.append(Dmgts(mg, mu_new, dmgts.x_counters, dmgts.y_counters, faithful=False))
+            y_set.append(dmgts.with_mgts(mg, mu=mu_new, faithful=False))
             y_certs.append("modulo-nonzero")
     return RefineOutcome("i-y", target, x_set, y_set, y_certs)
 
@@ -277,19 +277,12 @@ def refine_case_ii(dmgts: Dmgts, gi: int, side: str,
 
     ctx = MgtsContext.around(dmgts.mgts, gi)
     u_list = dec_along(g, obs, final_u, caps.observer_states, caps.paths)
-    x_set = [
-        substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters, faithful=True))
-        for m in u_list
-    ]
+    x_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in u_list]
     y_set, y_certs = [], []
     if side == "y":
         v_list = dec_along(g, obs, final_v, caps.observer_states, caps.paths)
-        for m in v_list:
-            y_set.append(
-                substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters,
-                                      faithful=True))
-            )
-            y_certs.append("y-infeasible")
+        y_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in v_list]
+        y_certs = ["y-infeasible"] * len(y_set)
     target = {"graph": gi, "side": side, "edges": sorted(eprime), "bound": l}
     return RefineOutcome(f"ii-{side}", target, x_set, y_set, y_certs)
 
@@ -332,14 +325,8 @@ def refine_case_iii(dmgts: Dmgts, gi: int, direction: str,
         u_mgts = [m.reverse() for m in u_mgts]
         v_mgts = [m.reverse() for m in v_mgts]
     ctx = MgtsContext.around(dmgts.mgts, gi)
-    x_set = [
-        substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters, faithful=True))
-        for m in u_mgts
-    ]
-    y_set = [
-        substitute(ctx, Dmgts(m, dmgts.mu, dmgts.x_counters, dmgts.y_counters, faithful=True))
-        for m in v_mgts
-    ]
+    x_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in u_mgts]
+    y_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in v_mgts]
     target = {"graph": gi, "direction": direction, "subcase": subcase}
     return RefineOutcome(f"iii-{subcase}", target, x_set, y_set,
                          ["y-infeasible"] * len(y_set))
@@ -385,17 +372,13 @@ def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
                 )
         return [Mgts([u_graph])], v_mgts, "c"
 
-    u_out = []
-    for j, obs, final_u, _ in _case_iii_trackers(p, dmgts, caps):
+    trackers = _case_iii_trackers(p, dmgts, caps)
+    u_out, v_out = [], []
+    for _, obs, final_u, _ in trackers:
         u_out.extend(dec_along(p, obs, final_u, caps.observer_states, caps.paths))
-    return u_out, _common_v(p, dmgts, caps), "d"
-
-
-def _common_v(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
-    out = []
-    for j, obs, _, final_v in _case_iii_trackers(p, dmgts, caps):
-        out.extend(dec_along(p, obs, final_v, caps.observer_states, caps.paths))
-    return out
+    for _, obs, _, final_v in trackers:
+        v_out.extend(dec_along(p, obs, final_v, caps.observer_states, caps.paths))
+    return u_out, v_out, "d"
 
 
 def _enrich(p: PrecoveringGraph, j, phi) -> PrecoveringGraph:

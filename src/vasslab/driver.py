@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 
-from .automata import Nfa, dump_nfa, empty_nfa, nfa_to_dot, run_word, strip_hash, union
+from .automata import Nfa, dump_nfa, empty_nfa, first_mistake, nfa_to_dot, strip_hash, union
 from .chareq import build_char
 from .decomposition import DecideCaps, decompose, trace_to_jsonl
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
@@ -122,12 +122,16 @@ def oracle_bfs(iv: InitVass, counter_cap=40, length_cap=12) -> BfsResult:
     return BfsResult("inconclusive" if pruned else "unreachable")
 
 
-def dyck_words(n: int, max_len: int):
-    """All Dyck words over Σ_n up to the length, in prefix-first lexicographic
-    order of the letters a1, ā1, ..., an, ān."""
+def dyck_sorted(words, n: int) -> list:
+    """Words over Σ_n in prefix-first lexicographic order of the letters
+    a1, ā1, ..., an, ān."""
     rank = {a: k for k, a in enumerate(dyck_alphabet(n))}
-    words = language_bounded(dyck_vas(n), max_len, value_cap=max_len)
     return sorted(words, key=lambda w: [rank[a] for a in w])
+
+
+def dyck_words(n: int, max_len: int):
+    """All Dyck words over Σ_n up to the length, in `dyck_sorted` order."""
+    return dyck_sorted(language_bounded(dyck_vas(n), max_len, value_cap=max_len), n)
 
 
 # -- reachability ------------------------------------------------------------------
@@ -246,16 +250,12 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
         subject, caps.max_word_len,
         max_run_len=caps.max_run_len + caps.max_word_len, value_cap=top + caps.counter_cap,
     )
-    for w in subject_words:
-        if not run_word(sep, w):
-            report.stages.append({"stage": "verify", "result": "coverage-failed",
-                                  "word": list(w)})
-            return report
-    for w in dyck_words(n, caps.max_word_len):
-        if run_word(sep, w):
-            report.stages.append({"stage": "verify", "result": "disjointness-failed",
-                                  "word": list(w)})
-            return report
+    mistake = first_mistake(sep, dyck_sorted(subject_words, n), dyck_words(n, caps.max_word_len))
+    if mistake is not None:
+        word, inclusion = mistake
+        report.stages.append({"stage": "verify", "result": f"{inclusion}-failed",
+                              "word": list(word)})
+        return report
     report.stages.append({"stage": "verify", "result": "ok",
                           "len": caps.max_word_len})
     report.verdict = "separable"

@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import add
 
-from .automata import bounded_words
+from .automata import bounded_words, reachable
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .model import (
     EPSILON,
@@ -308,18 +309,12 @@ def factor_run(mgts: Mgts, run: Run) -> RunFactoring:
 
 
 def intermediate_accepts(mgts: Mgts, run: Run, orders, domain) -> bool:
-    """Every infix's first/last configuration satisfies 0 <= . <= entry/exit of
-    its precovering graph under the supplied preorder family."""
+    """Every infix enters and leaves its graph at the root with a valuation
+    that is >= 0 and <= the graph's in- resp. out-marking under `orders`."""
     iv, _ = mgts.combined()
     if isinstance(simulate(iv.vass, run.start, run.edge_seq, domain), Violation):
         return False
-    return _gates_hold(mgts, factor_run(mgts, run), orders)
-
-
-def _gates_hold(mgts: Mgts, factoring: RunFactoring, orders) -> bool:
-    """Every infix enters and leaves its graph at the root with a valuation
-    that is >= 0 and <= the graph's in- resp. out-marking under `orders`."""
-    for g, (entry, _, exit_) in zip(mgts.graphs, factoring.infixes):
+    for g, (entry, _, exit_) in zip(mgts.graphs, factor_run(mgts, run).infixes):
         for cfg, marking in ((entry, g.in_marking), (exit_, g.out_marking)):
             if (cfg.node != g.root or not valuation_nonneg(cfg.valuation)
                     or not valuation_le(cfg.valuation, marking, orders)):
@@ -582,54 +577,27 @@ def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
     succ, back = {}, {}
     for k, (src, _, _, dst) in enumerate(edges):
         succ.setdefault(src, []).append((k, dst))
-        back.setdefault(dst, set()).add(src)
+        back.setdefault(dst, []).append((k, src))
     comp = _sccs(succ, starts)
     inner = {}  # component -> its edges, in list order
     for edge in edges:
         if edge[0] in comp and edge[3] in comp[edge[0]]:
             inner.setdefault(comp[edge[0]], []).append(edge)
-
-    live = [s for s in comp if is_final(s)]
-    can_reach = set(live)
-    while live:
-        for u in back.get(live.pop(), ()):
-            if u not in can_reach:
-                can_reach.add(u)
-                live.append(u)
+    can_reach = set(reachable([s for s in comp if is_final(s)], lambda s: back.get(s, ()))[0])
 
     paths = []
-
-    def found(states, ks):
-        paths.append((list(states), list(ks)))
-        if len(paths) > path_cap:
-            raise ResourceExhausted(f"simple path cap {path_cap} exceeded")
-
     steps = 0
     for start in starts:
         if start not in can_reach:
             continue
-        states, ks, visited = [start], [], {start}
-        iters = [iter(succ.get(start, ()))]
-        if is_final(start):
-            found(states, ks)
-        while iters:
-            steps += 1
+        for end, ks in edge_walks(succ, start, within=can_reach):
+            steps += 2  # the search enters and leaves each path
             if steps > step_cap:
                 raise ResourceExhausted(f"simple path step cap {step_cap} exceeded")
-            for k, nxt in iters[-1]:
-                if nxt in can_reach and nxt not in visited:
-                    visited.add(nxt)
-                    states.append(nxt)
-                    ks.append(k)
-                    iters.append(iter(succ.get(nxt, ())))
-                    if is_final(nxt):
-                        found(states, ks)
-                    break
-            else:
-                iters.pop()
-                visited.remove(states.pop())
-                if ks:
-                    ks.pop()
+            if is_final(end):
+                paths.append(([start, *(edges[k][3] for k in ks)], ks))
+                if len(paths) > path_cap:
+                    raise ResourceExhausted(f"simple path cap {path_cap} exceeded")
 
     out = []
     for states, ks in paths:
@@ -796,35 +764,60 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
     found. X is read only by the boundary non-negativity checks, which both
     acceptances share, so one high X entry value loses no counterexample; a Y
     counter with an ω y_in ranges over the entry gate's residues up to
-    value_cap. Z-runs have no domain to check, so one factoring of each run
-    answers all three conditions."""
+    value_cap.
+
+    A walk can reach the last graph's root only through every bridge, in
+    order, so each walk is its prefix plus one edge: it carries the prefix's
+    valuation, graph index and whether the gates passed so far hold modulo
+    mu and exactly, and extends them by that edge."""
     mgts = dmgts.mgts
-    iv, _ = mgts.combined()
+    iv, origins = mgts.combined()
     vass = iv.vass
+    counters = vass.counters
     ys = dmgts.y_counters
     mod_orders, exact_orders = [ModOmega(dmgts.mu, ys)], [ExactOrOmega(ys)]
-    per = _entry_ranges(vass.counters, mgts.in_marking, mod_orders, set(ys), value_cap,
+    per = _entry_ranges(counters, mgts.in_marking, mod_orders, set(ys), value_cap,
                         _free_seed(vass, run_len_cap))
     for c in ys:
         if not is_omega(y_in[c]):
             per[c] = clip(per[c], y_in[c], y_in[c])
-    pinned_out = [(c, y_out[c]) for c in ys if not is_omega(y_out[c])]
+    pinned_out = [(k, y_out[c]) for k, c in enumerate(counters)
+                  if c in ys and not is_omega(y_out[c])]
+    # per edge: its update, and whether it is a bridge
+    steps = [(tuple(e.update[c] for c in counters), o[0] == "b")
+             for e, o in zip(vass.edges, origins)]
+    graphs = mgts.graphs
+
+    def gate(vals, marking):  # (modulo, exact) acceptance of one boundary valuation
+        val = dict(zip(counters, vals))
+        if not valuation_nonneg(val):
+            return False, False
+        return valuation_le(val, marking, mod_orders), valuation_le(val, marking, exact_orders)
+
     out = vass.successors()
-    for vals in product(*(per[c] for c in vass.counters)):
-        start = GenConfig(iv.init.node, dict(zip(vass.counters, vals)))
+    for start in product(*(per[c] for c in counters)):
+        trail = [(start, 0, *gate(start, graphs[0].in_marking))]  # one state per prefix
         for end, seq in edge_walks(out, iv.init.node, run_len_cap):
-            if end != iv.final.node:  # no intermediate acceptance ends elsewhere
+            if seq:
+                vals, gi, mod_ok, exact_ok = trail[len(seq) - 1]
+                del trail[len(seq):]
+                update, bridge = steps[seq[-1]]
+                nvals = tuple(map(add, vals, update))
+                if bridge:  # leave graph gi and enter graph gi + 1, each at its root
+                    m_out, e_out = gate(vals, graphs[gi].out_marking)
+                    m_in, e_in = gate(nvals, graphs[gi + 1].in_marking)
+                    mod_ok = mod_ok and m_out and m_in
+                    exact_ok = exact_ok and e_out and e_in
+                    gi += 1
+                trail.append((nvals, gi, mod_ok, exact_ok))
+            vals, gi, mod_ok, exact_ok = trail[-1]
+            if end != iv.final.node or not mod_ok:  # no intermediate acceptance ends elsewhere
                 continue
-            run = Run(start, seq)
-            try:
-                factoring = factor_run(mgts, run)
-            except StructuralError:
+            if any(vals[k] != v for k, v in pinned_out):
                 continue
-            last = factoring.infixes[-1][2].valuation
-            if (all(last[c] == v for c, v in pinned_out)
-                    and _gates_hold(mgts, factoring, mod_orders)
-                    and not _gates_hold(mgts, factoring, exact_orders)):
-                return run
+            m_out, e_out = gate(vals, graphs[-1].out_marking)
+            if m_out and not (exact_ok and e_out):
+                return Run(GenConfig(iv.init.node, dict(zip(counters, start))), seq)
     return None
 
 

@@ -45,14 +45,19 @@ def dyck_alphabet(n: int):
     return tuple(out)
 
 
-def letter_index(letter: str, n: int):
-    """(counter index 1..n, +1|-1) of a Dyck letter, or None if foreign."""
-    for i in range(1, n + 1):
-        if letter == inc_letter(i):
-            return i, 1
-        if letter == dec_letter(i):
-            return i, -1
-    return None
+def letter_index(letter: str, n: int = None):
+    """(counter index i, +1|-1) of a Dyck letter a<i> or ā<i>, or None if
+    foreign: i is written in ASCII decimal without leading zeros, and
+    1 <= i <= n unless n is None."""
+    if not isinstance(letter, str) or letter[:1] not in ("a", "ā"):
+        return None
+    digits = letter[1:]
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        return None
+    i = int(digits)
+    if n is not None and i > n:
+        return None
+    return i, 1 if letter[0] == "a" else -1
 
 
 def word_effect(word, n: int):
@@ -364,24 +369,34 @@ def search_run(vass: Vass, node, vals, counters, goal, max_len=None, value_cap=N
     return None, cut
 
 
-def edge_walks(out: dict, node, max_len: int):
-    """Every path of at most max_len moves from `node`, where `out` maps a
-    node to its (key, next node) moves: (end node, key tuple) in pre-order, a
-    path, then its extensions by each move in `out` order. With
-    `Vass.successors()` the keys are edge indices."""
+def edge_walks(out: dict, node, max_len: int = None, within=None):
+    """Every path from `node`, where `out` maps a node to its (key, next node)
+    moves, as (end node, key tuple) in pre-order: a path, then its extensions
+    by each move in `out` order. A path grows by a move while it has fewer
+    than `max_len` moves (None: no bound) and, when `within` is given, only
+    into a node of `within` that is not on it yet, so that every path is
+    simple. With `Vass.successors()` the keys are edge indices."""
+    free = None if within is None else set(within) - {node}
     yield node, ()
-    path = []
-    stack = [iter(out.get(node, ()) if max_len > 0 else ())]
+    keys = []
+    stack = [(node, iter(out.get(node, ()) if max_len != 0 else ()))]
     while stack:
-        for i, dst in stack[-1]:
-            path.append(i)
-            yield dst, tuple(path)
-            stack.append(iter(out.get(dst, ()) if len(path) < max_len else ()))
+        for key, dst in stack[-1][1]:
+            if free is not None:
+                if dst not in free:
+                    continue
+                free.remove(dst)
+            keys.append(key)
+            yield dst, tuple(keys)
+            grows = max_len is None or len(keys) < max_len
+            stack.append((dst, iter(out.get(dst, ()) if grows else ())))
             break
         else:
-            stack.pop()
-            if path:
-                path.pop()
+            end, _ = stack.pop()
+            if stack:
+                keys.pop()
+                if free is not None:
+                    free.add(end)
 
 
 def language_bounded(init_vass: InitVass, max_word_len: int, max_run_len: int = None,

@@ -149,8 +149,8 @@ def nfa_to_linear_cover(nfa: Nfa, run_cap=200000):
     if any(a is None for _, a, _ in nfa.transitions):
         raise ArgumentError("nfa_to_linear_cover needs an ε-free NFA")
     letters = sorted(nfa.alphabet, key=repr)
-    n = max((letter_index_any(a) for a in letters), default=0)
-    index = {a: letter_index(a, n) for a in letters}
+    n = _dyck_dim(letters, 0)
+    index = {a: letter_index(a) for a in letters}
     q = len(nfa.states)
     max_len = q * q + q
     k = (q + 1) ** 2
@@ -189,41 +189,39 @@ def nfa_to_linear_cover(nfa: Nfa, run_cap=200000):
     return k, out
 
 
-def letter_index_any(a) -> int:
-    for n in range(1, 64):
-        hit = letter_index(a, n)
-        if hit is not None:
-            return hit[0]
-    raise ArgumentError(f"letter {a!r} is not a Dyck letter")
+def _dyck_dim(letters, default: int) -> int:
+    """The largest counter index among Dyck letters, at least `default`."""
+    dim = default
+    for a in sorted(letters, key=repr):
+        hit = letter_index(a)
+        if hit is None:
+            raise ArgumentError(f"letter {a!r} is not a Dyck letter")
+        dim = max(dim, hit[0])
+    return dim
 
 
 def _simple_cycles(states, succ, effect, step_cap):
-    """(state set, effect) of every simple cycle: from each root, a depth-first
-    walk through the states after it in `states`, one cycle per move back to
-    the root. More than step_cap walk steps raise ResourceExhausted."""
-    order = {s: i for i, s in enumerate(states)}
+    """(state set, effect) of every simple cycle, where `succ` maps a state to
+    its ((letter, target), target) moves: from each root, the simple paths
+    through the states after it in `states`, one cycle per move from a path's
+    end back to the root. More than step_cap paths besides the roots raise
+    ResourceExhausted."""
+    into = {}  # state -> the moves into it, by their source
+    for p, moves in succ.items():
+        for move, r in moves:
+            into.setdefault(r, {}).setdefault(p, []).append(move)
     cycles = set()
     steps = 0
-    for root in states:
-        path, moves = [root], []
-        stack = [iter(succ.get(root, ()))]
-        while stack:
-            for move, r in stack[-1]:
-                if r == root:
-                    cycles.add((frozenset(path), effect(moves + [move])))
-                elif r not in path and order[r] > order[root]:
-                    steps += 1
-                    if steps > step_cap:
-                        raise ResourceExhausted(f"cycle enumeration cap {step_cap} exceeded")
-                    path.append(r)
-                    moves.append(move)
-                    stack.append(iter(succ.get(r, ())))
-                    break
-            else:
-                stack.pop()
-                if moves:
-                    path.pop()
-                    moves.pop()
+    for i, root in enumerate(states):
+        closing = into.get(root, {})
+        for end, moves in edge_walks(succ, root, within=states[i + 1:]):
+            if moves:
+                steps += 1
+                if steps > step_cap:
+                    raise ResourceExhausted(f"cycle enumeration cap {step_cap} exceeded")
+            for move in closing.get(end, ()):
+                path = frozenset([root, *(r for _, r in moves)])
+                cycles.add((path, effect(moves + (move,))))
     return cycles
 
 
@@ -576,7 +574,7 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
     for the modulo-decided parts and certified approximation chains for the
     faithful Y-infeasible parts."""
     if n is None:
-        n = max((letter_index_any(a) for a in nfa.alphabet), default=1)
+        n = _dyck_dim(nfa.alphabet, 1)
     for w in sorted(enumerate_words(nfa, disjoint_check_len), key=repr):
         if is_dyck_word(w, n):
             raise ArgumentError(f"input intersects the Dyck language: witness {w}")

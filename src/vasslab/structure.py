@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
+from .automata import reachable
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
 from .model import CounterDomainSpec, Run, Violation, effect, search_run, simulate
@@ -280,18 +281,13 @@ def fixed_assignment(p: PrecoveringGraph, j) -> dict:
     root_val = p.in_marking[j]
     if is_omega(root_val):
         raise ArgumentError(f"fixed assignment needs a finite in-marking on {j!r}")
+    _, moves = reachable([p.root],
+                         lambda q: ((e.update[j], e.dst) for _, e in p.vass.out_edges(q)))
     phi = {p.root: root_val}
-    queue = [p.root]
-    while queue:
-        q = queue.pop(0)
-        for _, e in p.vass.out_edges(q):
-            v = phi[q] + e.update[j]
-            if e.dst in phi:
-                if phi[e.dst] != v:
-                    raise StructuralError("fixed assignment inconsistent; counter not fixed")
-            else:
-                phi[e.dst] = v
-                queue.append(e.dst)
+    for q, d, r in moves:  # a move's source was reached by an earlier move
+        v = phi[q] + d
+        if phi.setdefault(r, v) != v:
+            raise StructuralError("fixed assignment inconsistent; counter not fixed")
     return phi
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .automata import Nfa, empty_nfa, run_word, universal_nfa
+from .automata import Nfa, empty_nfa, first_mistake, universal_nfa
 from .chareq import build_char, edge_var
 from .mgts import Dmgts, LanguageCaps, side_language_bounded
 from .model import EPSILON, letter_index
@@ -54,13 +54,7 @@ def _bounded_certificate_ok(nfa: Nfa, dmgts: Dmgts, caps: ZsepCaps) -> bool:
     """Coverage of the bounded Sol_X and disjointness from the bounded Sol_Y."""
     solx = side_language_bounded(dmgts, "x", caps.verify_len, "int", caps.language).words
     soly = side_language_bounded(dmgts, "y", caps.verify_len, "int", caps.language).words
-    for w in solx:
-        if not run_word(nfa, w):
-            return False
-    for w in soly:
-        if run_word(nfa, w):
-            return False
-    return True
+    return first_mistake(nfa, solx, soly) is None
 
 
 def _effect_expression(dmgts: Dmgts, counter):

@@ -221,6 +221,29 @@ class TestSeparatePipeline:
         assert walked and walked[0]
         assert all(run_word(rep.separator, w) for w in walked[0])
 
+    def test_coverage_failure_word_independent_of_hash_seed(self):
+        # the verify stage checks the subject's words in `dyck_words` order; in
+        # set order the failing word depended on PYTHONHASHSEED
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(semilinear.__file__)))
+        script = "\n".join([
+            "import json, sys",
+            f"sys.path[:0] = [{tests!r}, {src!r}]",
+            "import vasslab.driver as driver",
+            "from vasslab.automata import empty_nfa",
+            "from conftest import subject_even_a1",
+            "driver.union = lambda nfas, alphabet=None: empty_nfa(alphabet)",
+            "print(json.dumps(driver.cmd_separate(subject_even_a1()).stages[-1]))",
+        ])
+        seen = set()
+        for seed in range(1, 7):
+            out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                 env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+            assert out.returncode == 0, out.stderr
+            seen.add(out.stdout)
+        assert [json.loads(line) for line in seen] == [
+            {"stage": "verify", "result": "coverage-failed", "word": [A1, A1]}]
+
     def test_refine_step_cap_surfaces(self):
         from vasslab.decomposition import DecideCaps, decompose
         from vasslab.errors import ResourceExhausted

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from vasslab.errors import ArgumentError, StructuralError
+import vasslab.mgts as mgts_module
+from vasslab.errors import ArgumentError, ResourceExhausted, StructuralError
 from vasslab.mgts import (
     Dmgts,
     LanguageCaps,
@@ -28,6 +29,7 @@ from vasslab.mgts import (
     perfectness_diagnosis,
     side_language_bounded,
     substitute,
+    unfold_paths,
     validate_precovering,
 )
 from vasslab.model import (
@@ -228,20 +230,37 @@ class TestFaithfulness:
         hit = faithfulness_falsify(dm, 4)
         assert hit is not None
 
-    def test_unreachable_intermediate_marking_with_x_counter(self):
+    @staticmethod
+    def planted_with_x_counter():
         # the same planted hit with an X counter that the Dyck letter moves;
         # the X entry value is not compared by either acceptance
         g1 = graph_loops([], ["x1", "y1"], {"x1": 0, "y1": 0}, {"x1": OMEGA, "y1": 1},
                          alphabet=dyck_alphabet(1), root="r1")
         g2 = graph_loops([(AB1, {"x1": -1, "y1": -1})], ["x1", "y1"],
                          {"x1": OMEGA, "y1": OMEGA}, {"x1": OMEGA, "y1": 0}, root="r2")
-        dm = Dmgts(Mgts([g1, g2], [Update(EPSILON, {"x1": 0, "y1": 0})]), 1, ("x1",), ("y1",))
+        return Dmgts(Mgts([g1, g2], [Update(EPSILON, {"x1": 0, "y1": 0})]), 1, ("x1",), ("y1",))
+
+    def test_unreachable_intermediate_marking_with_x_counter(self):
+        dm = self.planted_with_x_counter()
         hit = faithfulness_falsify(dm, 4)
         assert hit is not None
         iv, _ = dm.mgts.combined()
         assert accepts(iv, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
         assert intermediate_accepts(dm.mgts, hit, [ModOmega(1, ["y1"])], INT_DOMAIN)
         assert not intermediate_accepts(dm.mgts, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
+
+    def test_no_walk_is_factored(self, monkeypatch):
+        # each walk extends its prefix's valuation and gates by one edge, so
+        # the search gives the same counterexample without factoring any run
+        dm = self.planted_with_x_counter()
+        want = faithfulness_falsify(dm, 4)
+
+        def fail(*args):
+            raise AssertionError("factor_run called")
+
+        monkeypatch.setattr(mgts_module, "factor_run", fail)
+        assert want is not None
+        assert faithfulness_falsify(dm, 4) == want
 
     def test_all_omega_intermediates_none_found(self):
         assert faithfulness_falsify(two_graph_dmgts(), 4) is None
@@ -348,6 +367,30 @@ def test_fold_to_mgts_preserves_bounded_language():
         dm = Dmgts(mgts, 1, tuple(mgts.counters), (), faithful=True)
         got |= strip_words(side_language_bounded(dm, "x", 5, "nat", CAPS).words)
     assert got == want
+
+
+class TestUnfoldCaps:
+    @staticmethod
+    def unfold(edges, final, **caps):
+        return unfold_paths([(s, "a", {}, d) for s, d in edges], ["n0"], final.__eq__,
+                            lambda pos, q: f"f{pos}.{q}", lambda q: {}, {}, {}, ("a",), [],
+                            **caps)
+
+    def test_path_cap(self):
+        # three diamonds in a row: 8 simple paths from n0 to n3
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(3) for _ in range(2)]
+        assert len(self.unfold(edges, "n3", path_cap=8)) == 8
+        with pytest.raises(ResourceExhausted, match="^simple path cap 7 exceeded$"):
+            self.unfold(edges, "n3", path_cap=7)
+
+    def test_step_cap(self):
+        # the complete graph on 5 nodes: 65 simple paths from n0, one of
+        # them n0 itself, the only final state
+        nodes = [f"n{i}" for i in range(5)]
+        edges = [(u, v) for u in nodes for v in nodes if u != v]
+        assert len(self.unfold(edges, "n0", step_cap=130)) == 1
+        with pytest.raises(ResourceExhausted, match="^simple path step cap 129 exceeded$"):
+            self.unfold(edges, "n0", step_cap=129)
 
 
 def test_json_roundtrip():

@@ -16,6 +16,7 @@ from vasslab.model import (
     dec_letter,
     dyck_alphabet,
     dyck_vas,
+    edge_walks,
     effect,
     fix_dyck_product,
     hardness_gadget,
@@ -25,6 +26,7 @@ from vasslab.model import (
     is_dyck_visible,
     is_dyck_word,
     language_bounded,
+    letter_index,
     nat_domain,
     simulate,
     word_effect,
@@ -37,6 +39,38 @@ A1, AB1, A2 = inc_letter(1), dec_letter(1), inc_letter(2)
 def one_counter_loop(delta, label=A1):
     v = Vass(["q"], dyck_alphabet(1), ["c"], [Edge("q", label, {"c": delta}, "q")])
     return v
+
+
+class TestLetterIndex:
+    def test_index_read_without_a_bound(self):
+        assert letter_index("a64") == (64, 1)
+        assert letter_index("ā12") == (12, -1)
+        assert letter_index("a64", 64) == (64, 1)
+        assert letter_index("a3", 2) is None
+
+    @pytest.mark.parametrize("letter", ["a0", "a01", "ā", "b1", "a", "a+1", "a 1", "a١", "",
+                                        ("a1", True)])
+    def test_foreign_letters(self, letter):
+        assert letter_index(letter) is None
+        assert letter_index(letter, 99) is None
+
+
+class TestEdgeWalks:
+    # p -0-> q, p -1-> r, q -2-> p, q -3-> r, r -4-> q
+    OUT = {"p": [(0, "q"), (1, "r")], "q": [(2, "p"), (3, "r")], "r": [(4, "q")]}
+
+    def test_walks_in_pre_order(self):
+        assert list(edge_walks(self.OUT, "p", 2)) == [
+            ("p", ()), ("q", (0,)), ("p", (0, 2)), ("r", (0, 3)),
+            ("r", (1,)), ("q", (1, 4)),
+        ]
+        assert list(edge_walks(self.OUT, "p", 0)) == [("p", ())]
+
+    def test_simple_paths_within_a_set(self):
+        assert list(edge_walks(self.OUT, "p", within={"p", "q", "r"})) == [
+            ("p", ()), ("q", (0,)), ("r", (0, 3)), ("r", (1,)), ("q", (1, 4)),
+        ]
+        assert list(edge_walks(self.OUT, "p", within={"r"})) == [("p", ()), ("r", (1,))]
 
 
 class TestEffect:

@@ -113,6 +113,17 @@ class TestCover:
             for e in nfa_effects:
                 assert any(lin_member(lin, e) for lin in lins)
 
+    def test_letter_index_above_63(self):
+        nfa = Nfa({"0", "1"}, {("0", "a64", "1")}, {"0"}, {"1"}, {"a64"})
+        k, lins = nfa_to_linear_cover(nfa)
+        assert lins == [LinearSet(tuple(int(i == 63) for i in range(64)), ())]
+
+    @pytest.mark.parametrize("letter", ["a0", "a01", "ā", "b1"])
+    def test_foreign_letter_rejected(self, letter):
+        nfa = Nfa({"0", "1"}, {("0", letter, "1")}, {"0"}, {"1"}, {letter})
+        with pytest.raises(ArgumentError, match="is not a Dyck letter"):
+            nfa_to_linear_cover(nfa)
+
     def test_epsilon_rejected(self):
         nfa = Nfa({"0", "1"}, {("0", None, "1")}, {"0"}, {"1"}, dyck_alphabet(1))
         with pytest.raises(ArgumentError):
