@@ -12,7 +12,9 @@ Builds each workload's inputs with `bench/inputs.py` at the seed (default
 - `toolkit`: every operation's output as `bench/child.py` describes it, as
   sorted-key JSON.
 
-The digests must not depend on PYTHONHASHSEED; CI runs this under two.
+The digests must not depend on PYTHONHASHSEED; CI runs this under two and
+compares both with `scripts/output_digests.txt`, the digests at the default
+seed. A change that alters an output on purpose updates that file.
 """
 
 import argparse

@@ -13,6 +13,7 @@ from .mgts import (
     Dmgts,
     Mgts,
     MgtsContext,
+    PipelineCaps,
     PrecoveringGraph,
     _sccs,
     canonical_key,
@@ -25,6 +26,9 @@ from .model import GenConfig, InitVass, Vass
 from .solver import STATS, UNBOUNDED, enumerate_var_values, ilp_feasible, lp_max
 from .structure import fixed_assignment, fixed_counters, rackoff_bound, rank, rank_less
 from .values import OMEGA, is_omega
+
+REFINE_STEPS = 200  # refine steps of one `decompose` call
+PATH_CAP = 2000     # simple accepted paths of one DEC-along unfolding
 
 
 class Bot:
@@ -115,7 +119,7 @@ def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> Pr
 
 
 def dec_along(p: PrecoveringGraph, obs: Observer, finals,
-              state_cap=100000, path_cap=2000) -> list:
+              state_cap=100000, path_cap=PATH_CAP) -> list:
     """Unfold P along the simple accepted paths of P × obs into MGTS: one
     precovering graph per visited product state (its SCC, rooted there, with
     the inherited assignment), joined by the path edges as bridges; the outer
@@ -147,16 +151,6 @@ class RefineOutcome:
     y_certificates: list  # "y-infeasible" | "modulo-nonzero", aligned with y_set
 
 
-@dataclass
-class DecideCaps:
-    variants: int = 10_000
-    observer_states: int = 100_000
-    paths: int = 2_000
-    refine_steps: int = 200
-    ilp_nodes: int = 100_000
-    value_enum: int = 512
-
-
 def _set_markings(mgts: Mgts, values: dict) -> Mgts:
     """values: (gi, io, counter) -> value; rebuilds the MGTS."""
     graphs = []
@@ -172,7 +166,7 @@ def _set_markings(mgts: Mgts, values: dict) -> Mgts:
 
 
 def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
-                  caps: DecideCaps = DecideCaps()) -> RefineOutcome:
+                  caps: PipelineCaps = PipelineCaps()) -> RefineOutcome:
     g = dmgts.graphs[gi]
     marking = g.in_marking if io == "in" else g.out_marking
     if not is_omega(marking[j]):
@@ -181,8 +175,7 @@ def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
     var = io_var(gi, io, j)
     if var in support(cs):
         raise ArgumentError("case (i) needs the io variable outside the support")
-    values = enumerate_var_values(cs.system, var, hard_cap=caps.value_enum,
-                                  node_budget=caps.ilp_nodes)
+    values = enumerate_var_values(cs.system, var, node_budget=caps.ilp_nodes)
     if values is UNBOUNDED:
         raise InvariantViolation("value set unbounded although outside the support")
     target = {"graph": gi, "side": side, "counter": j, "io": io}
@@ -241,7 +234,7 @@ def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
 
 
 def refine_case_ii(dmgts: Dmgts, gi: int, side: str,
-                   caps: DecideCaps = DecideCaps()) -> RefineOutcome:
+                   caps: PipelineCaps = PipelineCaps()) -> RefineOutcome:
     g = dmgts.graphs[gi]
     cs = build_char(dmgts, side)
     sup = support(cs)
@@ -276,18 +269,18 @@ def refine_case_ii(dmgts: Dmgts, gi: int, side: str,
         return any(is_omega(v) for v in s)
 
     ctx = MgtsContext.around(dmgts.mgts, gi)
-    u_list = dec_along(g, obs, final_u, caps.observer_states, caps.paths)
+    u_list = dec_along(g, obs, final_u, caps.observer_states, PATH_CAP)
     x_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in u_list]
     y_set, y_certs = [], []
     if side == "y":
-        v_list = dec_along(g, obs, final_v, caps.observer_states, caps.paths)
+        v_list = dec_along(g, obs, final_v, caps.observer_states, PATH_CAP)
         y_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in v_list]
         y_certs = ["y-infeasible"] * len(y_set)
     target = {"graph": gi, "side": side, "edges": sorted(eprime), "bound": l}
     return RefineOutcome(f"ii-{side}", target, x_set, y_set, y_certs)
 
 
-def _case_iii_trackers(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
+def _case_iii_trackers(p: PrecoveringGraph, dmgts: Dmgts):
     """The per-counter observers of case (iii) and their U/V final predicates."""
     finite_in = [v for v in p.in_marking.values() if not is_omega(v)]
     C = max(2, max(finite_in, default=0) + 1)
@@ -317,7 +310,7 @@ def _case_iii_trackers(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
 
 
 def refine_case_iii(dmgts: Dmgts, gi: int, direction: str,
-                    caps: DecideCaps = DecideCaps()) -> RefineOutcome:
+                    caps: PipelineCaps = PipelineCaps()) -> RefineOutcome:
     g = dmgts.graphs[gi]
     work = g if direction == "up" else g.reverse()
     u_mgts, v_mgts, subcase = _case_iii_core(work, dmgts, caps)
@@ -332,7 +325,7 @@ def refine_case_iii(dmgts: Dmgts, gi: int, direction: str,
                          ["y-infeasible"] * len(y_set))
 
 
-def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
+def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: PipelineCaps):
     """U and V for a precovering graph without covering sequences (in the
     working orientation); returns (U, V, subcase tag)."""
     fixed = fixed_counters(p)
@@ -365,19 +358,17 @@ def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: DecideCaps):
         # Dyck counter they are captured by j's own tracker (X-side dips are
         # already excluded by positivity), so only that observer is unfolded
         v_mgts = []
-        for j2, obs, _, final_v in _case_iii_trackers(p, dmgts, caps):
+        for j2, obs, _, final_v in _case_iii_trackers(p, dmgts):
             if j2 == j:
-                v_mgts.extend(
-                    dec_along(p, obs, final_v, caps.observer_states, caps.paths)
-                )
+                v_mgts.extend(dec_along(p, obs, final_v, caps.observer_states, PATH_CAP))
         return [Mgts([u_graph])], v_mgts, "c"
 
-    trackers = _case_iii_trackers(p, dmgts, caps)
+    trackers = _case_iii_trackers(p, dmgts)
     u_out, v_out = [], []
     for _, obs, final_u, _ in trackers:
-        u_out.extend(dec_along(p, obs, final_u, caps.observer_states, caps.paths))
+        u_out.extend(dec_along(p, obs, final_u, caps.observer_states, PATH_CAP))
     for _, obs, _, final_v in trackers:
-        v_out.extend(dec_along(p, obs, final_v, caps.observer_states, caps.paths))
+        v_out.extend(dec_along(p, obs, final_v, caps.observer_states, PATH_CAP))
     return u_out, v_out, "d"
 
 
@@ -414,7 +405,7 @@ def _delete_edge_restrict(p: PrecoveringGraph, ei: int) -> PrecoveringGraph:
     return g
 
 
-def refine(dmgts: Dmgts, caps: DecideCaps = DecideCaps()) -> RefineOutcome:
+def refine(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> RefineOutcome:
     """Dispatch on the first failing perfectness condition; the outcome's X
     members strictly decrease the rank and inherit the faithful flag."""
     if not dmgts.faithful:
@@ -453,7 +444,7 @@ class DecomposeResult:
     trace: list
 
 
-def decompose(dmgts: Dmgts, caps: DecideCaps = DecideCaps()) -> DecomposeResult:
+def decompose(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> DecomposeResult:
     """Worklist decomposition: perfect members are collected, X-infeasible ones
     dropped, Y-infeasible ones decided, the rest refined (X recursed, Y decided).
     Terminates by rank well-foundedness; caps abort with the partial trace."""
@@ -478,9 +469,9 @@ def decompose(dmgts: Dmgts, caps: DecideCaps = DecideCaps()) -> DecomposeResult:
             trace.append({"case": "decide-y-infeasible", "rank_before": list(cur_rank)})
             continue
         steps += 1
-        if steps > caps.refine_steps:
+        if steps > REFINE_STEPS:
             raise ResourceExhausted(
-                f"refine step cap {caps.refine_steps} exceeded",
+                f"refine step cap {REFINE_STEPS} exceeded",
                 partial=DecomposeResult(perfect, decided, trace),
             )
         stats = {"lp_calls": 0, "ilp_calls": 0}

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field, fields
 
 from .automata import Nfa, dump_nfa, empty_nfa, first_mistake, nfa_to_dot, strip_hash, union
 from .chareq import build_char
-from .decomposition import DecideCaps, decompose, trace_to_jsonl
+from .decomposition import decompose, trace_to_jsonl
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
 from .mgts import (
     Dmgts,
-    LanguageCaps,
+    PipelineCaps,
     dmgts_from_json,
     fold_to_mgts_list,
     initial_dmgts,
@@ -45,31 +45,7 @@ from .semilinear import (
 from .separator import lambert_pump, lift_separator, modulo_automaton
 from .solver import ilp_feasible
 from .values import is_omega
-from .zsep import ZsepCaps, _mod_effect_nfa, z_separability
-
-
-@dataclass
-class PipelineCaps:
-    max_word_len: int = 10
-    max_run_len: int = 12
-    counter_cap: int = 40
-    ilp_nodes: int = 100_000
-    observer_states: int = 100_000
-    variants: int = 10_000
-    pump_k: int = 64
-
-    def decide(self) -> DecideCaps:
-        return DecideCaps(
-            variants=self.variants,
-            observer_states=self.observer_states,
-            ilp_nodes=self.ilp_nodes,
-        )
-
-    def language(self) -> LanguageCaps:
-        return LanguageCaps(max_run_len=self.max_run_len, value_cap=self.counter_cap)
-
-    def zsep(self) -> ZsepCaps:
-        return ZsepCaps(ilp_nodes=self.ilp_nodes, language=self.language())
+from .zsep import _mod_effect_nfa, z_separability
 
 
 @dataclass
@@ -144,7 +120,7 @@ def reach_decide(iv: InitVass, caps: PipelineCaps = PipelineCaps()):
     counters = iv.vass.counters
     for mgts in fold_to_mgts_list(iv):
         dm = Dmgts(mgts, 1, counters, (), faithful=True)
-        res = decompose(dm, caps.decide())
+        res = decompose(dm, caps)
         for member in res.perfect:
             sol = ilp_feasible(build_char(member, "full").system,
                                node_budget=caps.ilp_nodes)
@@ -214,7 +190,7 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
         return report
     report.stages.append({"stage": "intersection", "result": "empty-certified"})
 
-    res = decompose(nd, caps.decide())
+    res = decompose(nd, caps)
     report.trace = res.trace
     report.stages.append({
         "stage": "decompose", "perfect": len(res.perfect), "decided": len(res.decided),
@@ -222,7 +198,7 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
 
     separators = []
     for member in res.perfect:
-        v = z_separability(member, caps.zsep())
+        v = z_separability(member, caps)
         if v.kind == "inseparable":
             report.verdict = "inseparable"
             report.z_pair = v.z_pair
@@ -286,16 +262,26 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _add_caps(parser):
-    """One flag per PipelineCaps field (--max-word-len for max_word_len),
-    with that field's default."""
+# the PipelineCaps fields that each verb reads
+_DECOMPOSE_CAPS = {"ilp_nodes", "observer_states", "variants"}
+_REACH_CAPS = _DECOMPOSE_CAPS | {"max_run_len", "counter_cap"}
+_SEPARATE_CAPS = {f.name for f in fields(PipelineCaps)}
+
+
+def _add_caps(parser, names):
+    """One flag per named PipelineCaps field (--max-word-len for
+    max_word_len), with that field's default."""
     for f in fields(PipelineCaps):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=_nonneg_int,
-                            default=f.default)
+        if f.name in names:
+            parser.add_argument("--" + f.name.replace("_", "-"), type=_nonneg_int,
+                                default=f.default)
 
 
 def _caps_from(args) -> PipelineCaps:
-    return PipelineCaps(**{f.name: getattr(args, f.name) for f in fields(PipelineCaps)})
+    """The caps set by a verb's flags; the fields it does not read keep their
+    defaults."""
+    return PipelineCaps(**{f.name: getattr(args, f.name)
+                           for f in fields(PipelineCaps) if hasattr(args, f.name)})
 
 
 def _load_json(path):
@@ -304,6 +290,14 @@ def _load_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise ArgumentError(str(exc))
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ArgumentError(str(exc))
 
@@ -317,17 +311,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("separate", help="decide L(subject) | Dyck_n")
     p.add_argument("--file", required=True)
-    _add_caps(p)
+    _add_caps(p, _SEPARATE_CAPS)
 
     p = sub.add_parser("reach", help="decide N-reachability of an initialized VASS")
     p.add_argument("--file", required=True)
-    _add_caps(p)
+    _add_caps(p, _REACH_CAPS)
 
     p = sub.add_parser("decompose", help="decompose a DMGTS into perfect and decided sets")
     p.add_argument("--file", required=True)
     p.add_argument("--trace-out", help="also write the trace as JSONL here")
     p.add_argument("--dot", help="write the first perfect member's modulo automaton DOT here")
-    _add_caps(p)
+    _add_caps(p, _DECOMPOSE_CAPS)
 
     p = sub.add_parser("approx", help="k-th regular approximation of a linear set")
     p.add_argument("--base", required=True, help="comma-separated integers")
@@ -376,18 +370,17 @@ def _dispatch(args) -> int:
 
     if args.command == "decompose":
         dm = dmgts_from_json(_load_json(args.file))
-        res = decompose(dm, _caps_from(args).decide())
+        res = decompose(dm, _caps_from(args))
+        # the files first: an unwritable path exits 2 before anything is printed
+        if args.trace_out:
+            _write_text(args.trace_out, trace_to_jsonl(res.trace) + "\n")
+        if args.dot and res.perfect:
+            _write_text(args.dot, nfa_to_dot(strip_hash(modulo_automaton(res.perfect[0]))))
         print(json.dumps({
             "perfect": len(res.perfect),
             "decided": [d.certificate for d in res.decided],
             "trace": res.trace,
         }, sort_keys=True, indent=2))
-        if args.trace_out:
-            with open(args.trace_out, "w") as fh:
-                fh.write(trace_to_jsonl(res.trace) + "\n")
-        if args.dot and res.perfect:
-            with open(args.dot, "w") as fh:
-                fh.write(nfa_to_dot(strip_hash(modulo_automaton(res.perfect[0]))))
         return 0
 
     if args.command == "approx":

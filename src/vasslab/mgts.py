@@ -374,6 +374,25 @@ class LanguageCaps:
     value_cap: int = 40
 
 
+@dataclass
+class PipelineCaps:
+    """The caps that `decompose`, `z_separability` and the `separate` pipeline
+    take: words up to max_word_len are verified; runs, counter values, ILP
+    nodes, observer-product states and refine variants are bounded; pump_k
+    bounds the pumping of an intersection witness."""
+
+    max_word_len: int = 10
+    max_run_len: int = 12
+    counter_cap: int = 40
+    ilp_nodes: int = 100_000
+    observer_states: int = 100_000
+    variants: int = 10_000
+    pump_k: int = 64
+
+    def language(self) -> LanguageCaps:
+        return LanguageCaps(max_run_len=self.max_run_len, value_cap=self.counter_cap)
+
+
 def _residue(r: range, m: int, mu: int) -> range:
     """The members of r (positive step) congruent to m modulo mu."""
     period = mu // gcd(r.step, mu)

@@ -11,7 +11,7 @@ from math import factorial, gcd
 
 from .automata import Nfa, enumerate_words, product, reachable, run_word
 from .chareq import build_char
-from .decomposition import DecideCaps, decompose
+from .decomposition import decompose
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
 from .mgts import Dmgts, unfold_paths
 from .model import (
@@ -581,7 +581,7 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
 
     covers = []
     for dm in fold_nfa_to_dmgts_list(nfa, n):
-        res = decompose(dm, DecideCaps())
+        res = decompose(dm)
         chain_members = [d.dmgts for d in res.decided if d.certificate == "y-infeasible"]
         for member in res.perfect:
             # for a Dyck-disjoint regular input every perfect member has an

@@ -48,16 +48,10 @@ def annotated_alphabet(n: int) -> frozenset:
     return frozenset((a, h) for a in dyck_alphabet(n) for h in (False, True))
 
 
-def modulo_automaton(dmgts: Dmgts, track="y") -> Nfa:
-    """The NFA that follows the DMGTS, maintains the tracked counters modulo mu,
-    and checks intermediate acceptance modulo mu. Residues are tracked for the
-    Y counters by default ("xy" tracks both sides)."""
-    if track == "y":
-        tracked = list(dmgts.y_counters)
-    elif track == "xy":
-        tracked = sorted(dmgts.mgts.counters)
-    else:
-        raise ArgumentError(f"unknown tracking {track!r}")
+def modulo_automaton(dmgts: Dmgts) -> Nfa:
+    """The NFA that follows the DMGTS, maintains the Y counters modulo mu, and
+    checks intermediate acceptance modulo mu."""
+    tracked = list(dmgts.y_counters)
     mu = dmgts.mu
     n = len(dmgts.y_counters)
     alphabet = annotated_alphabet(n)

@@ -121,30 +121,15 @@ def rank_less(r1, r2) -> bool:
 
 # -- Karp-Miller and covering sequences -------------------------------------------
 
+KM_NODE_CAP = 20_000    # nodes of one Karp-Miller tree
+WITNESS_CAP = 200_000   # states of one covering-witness search
+
+
 @dataclass
 class KmNode:
     node: str
     valuation: tuple
     parent: "KmNode" = None
-    edge: int = None
-    depth: int = 0
-
-
-class KmTree:
-    def __init__(self, nodes, counters):
-        self.nodes = nodes
-        self.counters = counters
-
-    def to_dot(self) -> str:
-        lines = ["digraph km {", "  rankdir=TB;"]
-        ids = {id(n): f"k{i}" for i, n in enumerate(self.nodes)}
-        for n in self.nodes:
-            val = ",".join(str(v) for v in n.valuation)
-            lines.append(f'  {ids[id(n)]} [label="{n.node}\\n({val})"];')
-            if n.parent is not None:
-                lines.append(f'  {ids[id(n.parent)]} -> {ids[id(n)]} [label="e{n.edge}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _dominates(low, high):
@@ -161,7 +146,9 @@ def _dominates(low, high):
     return True, strict
 
 
-def karp_miller(vass, start_node, start_val, node_cap=20000) -> KmTree:
+def karp_miller(vass, start_node, start_val) -> list:
+    """The Karp-Miller tree from (start_node, start_val) as its list of
+    KmNode, root first."""
     counters = vass.counters
     root = KmNode(start_node, tuple(start_val[c] for c in counters))
     tree = [root]
@@ -178,7 +165,7 @@ def karp_miller(vass, start_node, start_val, node_cap=20000) -> KmTree:
             anc = anc.parent
         if dup:
             continue
-        for i, e in sorted(vass.out_edges(cur.node)):
+        for _, e in sorted(vass.out_edges(cur.node)):
             val = list(cur.valuation)
             ok = True
             for ci, c in enumerate(counters):
@@ -197,12 +184,12 @@ def karp_miller(vass, start_node, start_val, node_cap=20000) -> KmTree:
                         for ci in strict:
                             val[ci] = OMEGA
                 anc = anc.parent
-            child = KmNode(e.dst, tuple(val), cur, i, cur.depth + 1)
+            child = KmNode(e.dst, tuple(val), cur)
             tree.append(child)
             queue.append(child)
-            if len(tree) > node_cap:
-                raise ResourceExhausted(f"Karp-Miller node cap {node_cap} exceeded")
-    return KmTree(tree, counters)
+            if len(tree) > KM_NODE_CAP:
+                raise ResourceExhausted(f"Karp-Miller node cap {KM_NODE_CAP} exceeded")
+    return tree
 
 
 def _pump_targets(p: PrecoveringGraph):
@@ -211,7 +198,7 @@ def _pump_targets(p: PrecoveringGraph):
     ))
 
 
-def covering_sequences(p: PrecoveringGraph, node_cap=20000, witness_cap=200000):
+def covering_sequences(p: PrecoveringGraph):
     """A witness σ with (root,c1).σ.(root,c2) an N-run, c1 <= in (ω free) and
     c2 strictly larger on the ω-decorated concretely-initialized counters; None
     if no covering sequence exists. Decision by Karp-Miller, witness by bounded
@@ -219,23 +206,22 @@ def covering_sequences(p: PrecoveringGraph, node_cap=20000, witness_cap=200000):
     pump = _pump_targets(p)
     if not pump:
         return ()
-    tree = karp_miller(p.vass, p.root, p.in_marking, node_cap)
     hit = any(
         n.node == p.root and all(is_omega(n.valuation[p.vass.counters.index(c)]) for c in pump)
-        for n in tree.nodes
+        for n in karp_miller(p.vass, p.root, p.in_marking)
     )
     if not hit:
         return None
-    witness = _pump_witness(p, pump, witness_cap)
+    witness = _pump_witness(p, pump)
     if witness is None:
         raise ResourceExhausted("covering sequence exists but witness search hit its cap")
     return witness
 
 
-def _pump_witness(p: PrecoveringGraph, pump, witness_cap):
+def _pump_witness(p: PrecoveringGraph, pump):
     """A shortest root-to-root path that raises every pump counter, from an
     entry seeded high enough for `depth` steps, for growing depths; None past
-    `witness_cap` states of one search."""
+    WITNESS_CAP states of one search."""
     counters = p.vass.counters
     pump_at = [counters.index(c) for c in pump]
     for depth in (8, 16, 32, 64):
@@ -247,7 +233,7 @@ def _pump_witness(p: PrecoveringGraph, pump, witness_cap):
 
         try:
             path, _ = search_run(p.vass, p.root, start, counters, goal, max_len=depth,
-                                 state_cap=witness_cap)
+                                 state_cap=WITNESS_CAP)
         except ResourceExhausted:
             return None
         if path is not None:
@@ -255,10 +241,10 @@ def _pump_witness(p: PrecoveringGraph, pump, witness_cap):
     return None
 
 
-def down_covering(p: PrecoveringGraph, node_cap=20000, witness_cap=200000):
+def down_covering(p: PrecoveringGraph):
     """Cov↓(P) = rev(Cov(rev(P))): the down witness, reversed, pumps up the
     reversed graph."""
-    up = covering_sequences(p.reverse(), node_cap, witness_cap)
+    up = covering_sequences(p.reverse())
     if up is None:
         return None
     return tuple(reversed(up))
@@ -339,18 +325,15 @@ def largest_update(p: PrecoveringGraph) -> int:
     return max((abs(x) for e in p.vass.edges for x in e.update.values()), default=0) or 1
 
 
-def rackoff_bound(p: PrecoveringGraph, jprime, C=None, exponent_mode="factorial") -> int:
+def rackoff_bound(p: PrecoveringGraph, jprime, C=None) -> int:
     """B = (|nodes| * l * C) ** (|J'| + 1)! with l the largest absolute
-    transition effect. exponent_mode="literal" reads the exponent as |J'| + 1
-    instead (the typographically ambiguous alternative)."""
+    transition effect."""
     if C is None:
         finite = [v for v in p.in_marking.values() if not is_omega(v)]
         C = max(finite, default=0) + 1
     C = max(2, C)
     base = len(p.vass.nodes) * largest_update(p) * C
-    k = len(set(jprime))
-    exponent = factorial(k + 1) if exponent_mode == "factorial" else k + 1
-    return base ** exponent
+    return base ** factorial(len(set(jprime)) + 1)
 
 
 def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):

@@ -5,26 +5,22 @@ interface; verdicts carry bounded-verified certificates, never guesses."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import Nfa, empty_nfa, first_mistake, universal_nfa
 from .chareq import build_char, edge_var
-from .mgts import Dmgts, LanguageCaps, side_language_bounded
+from .mgts import Dmgts, PipelineCaps, side_language_bounded
 from .model import EPSILON, letter_index
 from .semilinear import _halfspace_set, approx_automaton
 from .separator import annotated_alphabet, loop_labels, loop_pair_search
 from .solver import UNBOUNDED, LinSystem, ilp_feasible, lp_opt
 
 
-@dataclass
-class ZsepCaps:
-    verify_len: int = 6
-    modulo_max: int = 6
-    drift_norm: int = 2
-    drift_k: int = 8
-    loop_len: int = 4
-    ilp_nodes: int = 100_000
-    language: LanguageCaps = field(default_factory=LanguageCaps)
+VERIFY_LEN = 6  # word length of the bounded certificate check
+MODULO_MAX = 6  # largest modulus of the modulo rung
+DRIFT_NORM = 2  # largest |v|_1 of a drift direction
+DRIFT_K = 8     # approximation index of a drift separator
+LOOP_LEN = 4    # longest rooted loop of the shared-loops rung
 
 
 @dataclass
@@ -34,26 +30,18 @@ class SepVerdict:
     z_pair: list = None       # per-graph loop pairs for "inseparable"
     strategy: str = None
     reason: str = None
-    caps: ZsepCaps = None
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "certificate": self.strategy, "reason": self.reason}
-        if self.caps is not None:
-            doc["caps"] = {
-                "verify_len": self.caps.verify_len,
-                "modulo_max": self.caps.modulo_max,
-                "drift_norm": self.caps.drift_norm,
-                "loop_len": self.caps.loop_len,
-            }
         if self.z_pair is not None:
             doc["z_pair"] = [[list(a), list(b)] for a, b in self.z_pair]
         return doc
 
 
-def _bounded_certificate_ok(nfa: Nfa, dmgts: Dmgts, caps: ZsepCaps) -> bool:
+def _bounded_certificate_ok(nfa: Nfa, dmgts: Dmgts, caps: PipelineCaps) -> bool:
     """Coverage of the bounded Sol_X and disjointness from the bounded Sol_Y."""
-    solx = side_language_bounded(dmgts, "x", caps.verify_len, "int", caps.language).words
-    soly = side_language_bounded(dmgts, "y", caps.verify_len, "int", caps.language).words
+    solx = side_language_bounded(dmgts, "x", VERIFY_LEN, "int", caps.language()).words
+    soly = side_language_bounded(dmgts, "y", VERIFY_LEN, "int", caps.language()).words
     return first_mistake(nfa, solx, soly) is None
 
 
@@ -88,7 +76,7 @@ def _mod_effect_nfa(counter_idx: int, mu: int, residue: int, n: int) -> Nfa:
     return Nfa(states, transitions, {0}, {residue % mu}, alpha)
 
 
-def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
+def z_separability(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> SepVerdict:
     """The strategy ladder: Y-infeasible, X-infeasible, modulo counting, drift,
     equal-label inseparability pairs, then Unknown. Separable verdicts carry an
     NFA that passed the bounded coverage/disjointness checks; Inseparable ones
@@ -100,15 +88,15 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
     if ilp_feasible(cs_y.system, node_budget=caps.ilp_nodes) is None:
         nfa = universal_nfa(annotated_alphabet(n))
         if _bounded_certificate_ok(nfa, dmgts, caps):
-            return SepVerdict("separable", nfa=nfa, strategy="y-infeasible", caps=caps)
+            return SepVerdict("separable", nfa=nfa, strategy="y-infeasible")
     if ilp_feasible(cs_x.system, node_budget=caps.ilp_nodes) is None:
         nfa = empty_nfa(annotated_alphabet(n))
         if _bounded_certificate_ok(nfa, dmgts, caps):
-            return SepVerdict("separable", nfa=nfa, strategy="x-infeasible", caps=caps)
+            return SepVerdict("separable", nfa=nfa, strategy="x-infeasible")
 
     # modulo strategy: one counter whose Sol_X effects occupy a single non-zero
     # residue class avoided by Sol_Y
-    for mu in range(2, caps.modulo_max + 1):
+    for mu in range(2, MODULO_MAX + 1):
         for idx, c in enumerate(ys, start=1):
             coeffs, const = _effect_expression(dmgts, c)
             occupied = [
@@ -128,13 +116,12 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
                 continue
             nfa = _mod_effect_nfa(idx, mu, v, n)
             if _bounded_certificate_ok(nfa, dmgts, caps):
-                return SepVerdict("separable", nfa=nfa,
-                                  strategy=f"modulo({mu},{v},{c})", caps=caps)
+                return SepVerdict("separable", nfa=nfa, strategy=f"modulo({mu},{v},{c})")
 
     # drift strategy: a direction with sign-definite Sol_X effects. The rungs
     # above rest on ILP infeasibility; this one rests on the letter check of
     # `_reads_nonneg_letters`, not on the bounded certificate check's samples
-    for v in _small_vectors(n, caps.drift_norm):
+    for v in _small_vectors(n, DRIFT_NORM):
         if not _reads_nonneg_letters(dmgts, v):
             continue
         objective = {}
@@ -147,16 +134,16 @@ def z_separability(dmgts: Dmgts, caps: ZsepCaps = ZsepCaps()) -> SepVerdict:
         lo = lp_opt(cs_x.system, objective, maximize=False)
         if lo is None or lo is UNBOUNDED or lo + const < 1:
             continue
-        nfa = _drift_nfa(v, caps.drift_k)
+        nfa = _drift_nfa(v, DRIFT_K)
         if _bounded_certificate_ok(nfa, dmgts, caps):
-            return SepVerdict("separable", nfa=nfa, strategy=f"drift({v})", caps=caps)
+            return SepVerdict("separable", nfa=nfa, strategy=f"drift({v})")
 
     # inseparability: equal-label per-graph loop pairs solving both sides,
     # which certify Sol_X ∩ Sol_Y ≠ ∅
-    pair = loop_pair_search(dmgts, caps.loop_len, loop_labels, 50_000)
+    pair = loop_pair_search(dmgts, LOOP_LEN, loop_labels, 50_000)
     if pair is not None:
-        return SepVerdict("inseparable", z_pair=pair, strategy="shared-loops", caps=caps)
-    return SepVerdict("unknown", reason="strategy ladder exhausted", caps=caps)
+        return SepVerdict("inseparable", z_pair=pair, strategy="shared-loops")
+    return SepVerdict("unknown", reason="strategy ladder exhausted")
 
 
 def _reads_nonneg_letters(dmgts: Dmgts, v) -> bool:

@@ -3,10 +3,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from vasslab import decomposition
 from vasslab.chareq import build_char
 from vasslab.decomposition import (
     BOT,
-    DecideCaps,
     Observer,
     ct,
     dec_along,
@@ -25,6 +25,7 @@ from vasslab.mgts import (
     Dmgts,
     LanguageCaps,
     Mgts,
+    PipelineCaps,
     PrecoveringGraph,
     Update,
     canonical_key,
@@ -462,14 +463,16 @@ def random_visible_dmgts(rng):
                  ("y1",), faithful=True)
 
 
-def test_decompose_soak(rng):
+def test_decompose_soak(rng, monkeypatch):
     # random faithful DMGTS: the loop must terminate (or abort honestly) and
     # preserve the plain subject words whenever it completes
+    monkeypatch.setattr(decomposition, "REFINE_STEPS", 60)
+    monkeypatch.setattr(decomposition, "PATH_CAP", 500)
     completed = 0
     for _ in range(25):
         dm = random_visible_dmgts(rng)
         try:
-            res = decompose(dm, DecideCaps(refine_steps=60, paths=500, variants=2000))
+            res = decompose(dm, PipelineCaps(variants=2000))
         except ResourceExhausted:
             continue
         completed += 1
@@ -576,5 +579,5 @@ def test_concurrent_decompositions_keep_their_traces():
 def test_cap_inside_refine_closes_the_meter():
     even = [dm for name, dm in curated_suite() if name == "even-a1"][0]
     with pytest.raises(ResourceExhausted, match="observer product"):
-        decompose(even, DecideCaps(observer_states=0))
+        decompose(even, PipelineCaps(observer_states=0))
     assert STATS.get() is None

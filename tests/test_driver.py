@@ -50,6 +50,14 @@ from conftest import (
 
 A1, AB1 = inc_letter(1), dec_letter(1)
 
+# the cap flags each verb takes: the PipelineCaps fields it reads
+_DECOMPOSE_CAP_FLAGS = ["--ilp-nodes", "--observer-states", "--variants"]
+_CAP_FLAGS = {
+    "separate": ["--" + f.name.replace("_", "-") for f in fields(PipelineCaps)],
+    "reach": ["--max-run-len", "--counter-cap"] + _DECOMPOSE_CAP_FLAGS,
+    "decompose": _DECOMPOSE_CAP_FLAGS,
+}
+
 
 def plus_loop_iv(target):
     v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": 1}, "q")])
@@ -244,16 +252,17 @@ class TestSeparatePipeline:
         assert [json.loads(line) for line in seen] == [
             {"stage": "verify", "result": "coverage-failed", "word": [A1, A1]}]
 
-    def test_refine_step_cap_surfaces(self):
-        from vasslab.decomposition import DecideCaps, decompose
+    def test_refine_step_cap_surfaces(self, monkeypatch):
+        from vasslab import decomposition
         from vasslab.errors import ResourceExhausted
         from vasslab.mgts import initial_dmgts as idm
 
         v = Vass(["p", "q"], dyck_alphabet(1), [],
                  [Edge("p", A1, {}, "q"), Edge("q", A1, {}, "p")])
         dm = idm(InitVass(v, GenConfig("p", {}), GenConfig("p", {})))
+        monkeypatch.setattr(decomposition, "REFINE_STEPS", 0)
         with pytest.raises(ResourceExhausted) as err:
-            decompose(dm, DecideCaps(refine_steps=0))
+            decomposition.decompose(dm)
         assert err.value.partial is not None
 
 
@@ -274,6 +283,9 @@ class TestCli:
         doc = json.loads(out.stdout)
         assert doc["verdict"] == "separable"
         assert doc["separator"]["transitions"]
+        assert doc["caps"] == {"max_word_len": 10, "max_run_len": 12, "counter_cap": 40,
+                               "ilp_nodes": 100_000, "observer_states": 100_000,
+                               "variants": 10_000, "pump_k": 64}
 
     def test_bad_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -346,6 +358,46 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and ">= 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb, flags", list(_CAP_FLAGS.items()))
+    def test_each_verb_takes_the_caps_it_reads(self, capsys, verb, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        shown = {word.strip("[],") for word in capsys.readouterr().out.split()}
+        assert {f for f in _CAP_FLAGS["separate"] if f in shown} == set(flags)
+
+    @pytest.mark.parametrize("args", [
+        ["reach", "--pump-k", "1"],
+        ["reach", "--max-word-len", "1"],
+        ["decompose", "--counter-cap", "1"],
+    ])
+    def test_cap_a_verb_does_not_read_exit_2(self, tmp_path, capsys, args):
+        path = tmp_path / "input.json"
+        path.write_text(dump_init_vass(subject_even_a1()))
+        with pytest.raises(SystemExit) as exc:
+            main([args[0], "--file", str(path)] + args[1:])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert args[1] in err and "Traceback" not in err
+
+    def test_separate_takes_every_cap(self, tmp_path, capsys):
+        path = tmp_path / "subject.json"
+        path.write_text(dump_init_vass(subject_even_a1()))
+        caps = [arg for flag in _CAP_FLAGS["separate"] for arg in (flag, "1")]
+        assert main(["separate", "--file", str(path)] + caps) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--dot"])
+    def test_decompose_unwritable_output_exit_2(self, tmp_path, capsys, flag):
+        # the Dyck VAS's initial DMGTS is perfect, so --dot has a member to write
+        path = tmp_path / "dm.json"
+        path.write_text(dump_dmgts(initial_dmgts(dyck_vas(1))))
+        target = str(tmp_path / "missing" / "out.txt")
+        assert main(["decompose", "--file", str(path), flag, target]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and target in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("args", [
         ["basicsep", "--family", "drift", "--v", "1", "--k", "-1"],
@@ -443,7 +495,6 @@ _JSON = st.recursive(
     | st.dictionaries(st.text("pqk", max_size=2), inner, max_size=3),
     max_leaves=6,
 )
-_CAP_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(PipelineCaps)]
 
 
 def _optional(flag, values):
@@ -492,7 +543,7 @@ def _argv(draw):
     else:
         text = dump_init_vass(subject_even_a1())
     # every cap at a small value, so that each run ends quickly
-    caps = [arg for flag in _CAP_FLAGS for arg in (flag, str(draw(st.integers(0, 4))))]
+    caps = [arg for flag in _CAP_FLAGS[command] for arg in (flag, str(draw(st.integers(0, 4))))]
     return [command, "--file", "{file}"] + caps, draw(_mutated(text))
 
 

@@ -25,6 +25,7 @@ from vasslab.mgts import (
     faithfulness_falsify,
 )
 from vasslab.model import EPSILON, Edge, GenConfig, InitVass, Run, Vass
+from vasslab import structure
 from vasslab.structure import _pump_witness, rackoff_cover
 from vasslab.values import OMEGA
 
@@ -90,8 +91,10 @@ def test_pump_witness_matches_oracle(iv, data):
     p = rooted(iv)
     # the caps differ in kind (the oracle counts generated successors, the
     # search counts states) and agree only where neither binds, as at 3000 here
-    assert outcome(_pump_witness, p, sorted(pump), 3000) == outcome(
-        search_oracle._pump_witness, p, sorted(pump), 3000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "WITNESS_CAP", 3000)
+        assert outcome(_pump_witness, p, sorted(pump)) == outcome(
+            search_oracle._pump_witness, p, sorted(pump), 3000)
 
 
 @settings(max_examples=300, deadline=None)

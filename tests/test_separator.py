@@ -65,11 +65,6 @@ class TestModuloAutomaton:
             for w in solx:
                 assert run_word(a, w), w
 
-    def test_xy_tracking_flag(self):
-        dm = dyck_copy_dmgts(mu=2)
-        a = modulo_automaton(dm, track="xy")
-        assert run_word(a, ((A1, False), (A1, False)))
-
 
 class TestPreciseness:
     def test_asharp_precise_on_faithful(self):

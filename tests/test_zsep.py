@@ -12,7 +12,8 @@ from vasslab.model import (
     letter_index,
 )
 from vasslab.values import OMEGA
-from vasslab.zsep import SepVerdict, ZsepCaps, _drift_nfa, _small_vectors, z_separability
+from vasslab import zsep
+from vasslab.zsep import SepVerdict, _drift_nfa, _small_vectors, z_separability
 
 from conftest import graph_loops
 
@@ -156,22 +157,29 @@ def test_verdict_json():
     json.dumps(v.to_json())
 
 
-def test_unknown_when_caps_too_small():
+def test_unknown_when_caps_too_small(monkeypatch):
     # the counter-gap subject needs modulus 3; with the modulo search capped at
     # 2 and the drift box too small for the deep-dipping words visible at
     # verification length 8, no strategy certifies and the ladder ends honestly
     from conftest import subject_counter_gap
 
     dm = initial_dmgts(subject_counter_gap())
-    v = z_separability(dm, ZsepCaps(modulo_max=2, drift_k=0, verify_len=8))
+    monkeypatch.setattr(zsep, "MODULO_MAX", 2)
+    monkeypatch.setattr(zsep, "DRIFT_K", 0)
+    monkeypatch.setattr(zsep, "VERIFY_LEN", 8)
+    v = z_separability(dm)
     assert v.kind == "unknown"
     assert v.reason
 
 
-def test_unknown_monotone_under_caps():
+def test_unknown_monotone_under_caps(monkeypatch):
     # raising caps never flips a certified verdict: run twice with growing caps
     dm = initial_dmgts(dyck_vas(1))
-    small = z_separability(dm, ZsepCaps(verify_len=3, loop_len=2))
-    big = z_separability(dm, ZsepCaps(verify_len=5, loop_len=4))
+    monkeypatch.setattr(zsep, "VERIFY_LEN", 3)
+    monkeypatch.setattr(zsep, "LOOP_LEN", 2)
+    small = z_separability(dm)
+    monkeypatch.setattr(zsep, "VERIFY_LEN", 5)
+    monkeypatch.setattr(zsep, "LOOP_LEN", 4)
+    big = z_separability(dm)
     if small.kind != "unknown":
         assert big.kind == small.kind
