@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ArgumentError
-from .mgts import Dmgts, Mgts, factor_run
+from .mgts import Dmgts, Mgts, intermediate_accepts, side_gates
 from .solver import (
     UNBOUNDED,
     LinSystem,
@@ -44,44 +44,19 @@ class CharSystem:
         return self.source.mgts if isinstance(self.source, Dmgts) else self.source
 
 
-def _marking_constraints(side, counter_side, value, mu, homogeneous):
-    """(fixed_value | None, congruence residue | None) for one io entry."""
-    if is_omega(value):
-        return None, None
-    if side == "full":
-        return (0 if homogeneous else value), None
-    if side == "x":
-        if counter_side == "x":
-            return (0 if homogeneous else value), None
-        return None, (0 if homogeneous else value % mu)
-    if side == "y":
-        if counter_side == "y":
-            return (0 if homogeneous else value), None
-        return None, None
-    raise ArgumentError(f"unknown side {side!r}")
-
-
-def build_char(source, side="full", mu=None, homogeneous=False) -> CharSystem:
+def build_char(source, side="full", homogeneous=False) -> CharSystem:
     """The characteristic system of an MGTS (side "full") or of one side of a
-    DMGTS ("x": exact on X, modulo mu on Y; "y": exact on Y only).
+    DMGTS, with the side's `side_gates` on every finite entry and exit
+    marking: a gate of modulus 0 fixes the variable, one of modulus m >= 1
+    adds a congruence modulo m.
 
     All entry/exit and edge variables are non-negative; bridging equalities
     link consecutive graphs. The homogeneous variant zeroes concrete marking
     values, congruence residues, and bridge right-hand sides, preserving the
     ω-pattern.
     """
-    if isinstance(source, Dmgts):
-        dm = source
-        mgts = dm.mgts
-        mu = dm.mu if mu is None else mu
-        cside = {c: "x" for c in dm.x_counters}
-        cside.update({c: "y" for c in dm.y_counters})
-    else:
-        if side != "full":
-            raise ArgumentError("sided systems need a DMGTS with a counter partition")
-        mgts = source
-        mu = 1 if mu is None else mu
-        cside = {c: "x" for c in mgts.counters}
+    gates = side_gates(source, side)
+    mgts, mu = (source.mgts, source.mu) if isinstance(source, Dmgts) else (source, 1)
     counters = mgts.counters
 
     vars = []
@@ -111,11 +86,14 @@ def build_char(source, side="full", mu=None, homogeneous=False) -> CharSystem:
             eqs.append((coeffs, 0))
         for io, marking in (("in", g.in_marking), ("out", g.out_marking)):
             for c in counters:
-                fix, cong = _marking_constraints(side, cside[c], marking[c], mu, homogeneous)
-                if fix is not None:
-                    fixed[io_var(gi, io, c)] = fix
-                if cong is not None:
-                    congruences.append(({io_var(gi, io, c): 1}, cong, mu))
+                m = gates.get(c)
+                if m is None or is_omega(marking[c]):
+                    continue
+                value = 0 if homogeneous else marking[c]
+                if m == 0:
+                    fixed[io_var(gi, io, c)] = value
+                else:
+                    congruences.append(({io_var(gi, io, c): 1}, value % m, m))
     for bi, u in enumerate(mgts.bridges):
         for c in counters:
             coeffs = {io_var(bi + 1, "in", c): 1, io_var(bi, "out", c): -1}
@@ -126,7 +104,7 @@ def build_char(source, side="full", mu=None, homogeneous=False) -> CharSystem:
 
 
 def homogenize(cs: CharSystem) -> CharSystem:
-    return build_char(cs.source, cs.side, cs.mu, homogeneous=True)
+    return build_char(cs.source, cs.side, homogeneous=True)
 
 
 def support(cs: CharSystem) -> frozenset:
@@ -181,11 +159,15 @@ def justifies_unboundedness(cs: CharSystem, gi: int, zprime, sup=None) -> bool:
 
 
 def run_assignment(mgts: Mgts, run) -> dict:
-    """The variable assignment a factored run induces (for soundness tests)."""
-    factoring = factor_run(mgts, run)
+    """The variable assignment that a run through every graph of the MGTS
+    induces, read off its `intermediate_accepts` visits with no gate (for
+    soundness tests)."""
+    visits = intermediate_accepts(mgts, run, {}, frozenset())
+    if visits is None:
+        raise ArgumentError("the run does not pass through every graph at its root")
     _, origins = mgts.combined()
     assignment = {}
-    for gi, (entry, seq, exit_) in enumerate(factoring.infixes):
+    for gi, (entry, seq, exit_) in enumerate(visits):
         counts = {}
         for i in seq:
             counts[i] = counts.get(i, 0) + 1
@@ -195,6 +177,6 @@ def run_assignment(mgts: Mgts, run) -> dict:
             kind, g_of, ei = origins[i]
             assignment[edge_var(g_of, ei)] = k
         for c in mgts.counters:
-            assignment[io_var(gi, "in", c)] = entry.valuation[c]
-            assignment[io_var(gi, "out", c)] = exit_.valuation[c]
+            assignment[io_var(gi, "in", c)] = entry[c]
+            assignment[io_var(gi, "out", c)] = exit_[c]
     return assignment

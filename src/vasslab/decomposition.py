@@ -10,6 +10,7 @@ from .automata import reachable
 from .chareq import build_char, edge_var, io_var, support
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
 from .mgts import (
+    PATH_CAP,
     Dmgts,
     Mgts,
     MgtsContext,
@@ -28,7 +29,6 @@ from .structure import fixed_assignment, fixed_counters, rackoff_bound, rank, ra
 from .values import OMEGA, is_omega
 
 REFINE_STEPS = 200  # refine steps of one `decompose` call
-PATH_CAP = 2000     # simple accepted paths of one DEC-along unfolding
 
 
 class Bot:
@@ -118,12 +118,12 @@ def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> Pr
     return ProductGraph(sorted(states, key=repr), transitions, initial)
 
 
-def dec_along(p: PrecoveringGraph, obs: Observer, finals,
-              state_cap=100000, path_cap=PATH_CAP) -> list:
+def dec_along(p: PrecoveringGraph, obs: Observer, finals, state_cap=100000) -> list:
     """Unfold P along the simple accepted paths of P × obs into MGTS: one
     precovering graph per visited product state (its SCC, rooted there, with
     the inherited assignment), joined by the path edges as bridges; the outer
-    markings are reset to P's. Returns a deterministic list of Mgts."""
+    markings are reset to P's. Returns a deterministic list of Mgts; more than
+    PATH_CAP paths raise ResourceExhausted."""
     prod = observer_product(p, obs, state_cap)
     obs_names = {}
     for _, s in prod.states:
@@ -138,7 +138,7 @@ def dec_along(p: PrecoveringGraph, obs: Observer, finals,
         edges, prod.initial, lambda st: st[0] == p.root and accepts(st[1]),
         lambda pos, st: f"p{pos}.{st[0]}#{obs_names[st[1]]}",
         lambda st: p.assignment[st[0]],
-        p.in_marking, p.out_marking, p.vass.alphabet, p.vass.counters, path_cap,
+        p.in_marking, p.out_marking, p.vass.alphabet, p.vass.counters, PATH_CAP,
     )
 
 
@@ -269,11 +269,11 @@ def refine_case_ii(dmgts: Dmgts, gi: int, side: str,
         return any(is_omega(v) for v in s)
 
     ctx = MgtsContext.around(dmgts.mgts, gi)
-    u_list = dec_along(g, obs, final_u, caps.observer_states, PATH_CAP)
+    u_list = dec_along(g, obs, final_u, caps.observer_states)
     x_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in u_list]
     y_set, y_certs = [], []
     if side == "y":
-        v_list = dec_along(g, obs, final_v, caps.observer_states, PATH_CAP)
+        v_list = dec_along(g, obs, final_v, caps.observer_states)
         y_set = [substitute(ctx, dmgts.with_mgts(m, faithful=True)) for m in v_list]
         y_certs = ["y-infeasible"] * len(y_set)
     target = {"graph": gi, "side": side, "edges": sorted(eprime), "bound": l}
@@ -360,15 +360,15 @@ def _case_iii_core(p: PrecoveringGraph, dmgts: Dmgts, caps: PipelineCaps):
         v_mgts = []
         for j2, obs, _, final_v in _case_iii_trackers(p, dmgts):
             if j2 == j:
-                v_mgts.extend(dec_along(p, obs, final_v, caps.observer_states, PATH_CAP))
+                v_mgts.extend(dec_along(p, obs, final_v, caps.observer_states))
         return [Mgts([u_graph])], v_mgts, "c"
 
     trackers = _case_iii_trackers(p, dmgts)
     u_out, v_out = [], []
     for _, obs, final_u, _ in trackers:
-        u_out.extend(dec_along(p, obs, final_u, caps.observer_states, PATH_CAP))
+        u_out.extend(dec_along(p, obs, final_u, caps.observer_states))
     for _, obs, _, final_v in trackers:
-        v_out.extend(dec_along(p, obs, final_v, caps.observer_states, PATH_CAP))
+        v_out.extend(dec_along(p, obs, final_v, caps.observer_states))
     return u_out, v_out, "d"
 
 

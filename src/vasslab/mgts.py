@@ -22,7 +22,6 @@ from .model import (
     InitVass,
     Run,
     Vass,
-    Violation,
     dyck_alphabet,
     edge_walks,
     init_vass_from_json,
@@ -31,19 +30,15 @@ from .model import (
     json_name,
     json_object,
     letter_index,
-    simulate,
 )
 from .values import (
     OMEGA,
-    ExactOrOmega,
-    ModOmega,
     clip,
+    gate_ok,
     int_from_json,
     is_omega,
     omega_set,
     shifted,
-    valuation_le,
-    valuation_nonneg,
     value_from_json,
     value_to_json,
 )
@@ -284,65 +279,75 @@ def substitute(context: MgtsContext, inner):
     return Mgts(graphs, bridges)
 
 
-# -- runs, factoring, acceptance ----------------------------------------------
+# -- acceptance ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunFactoring:
-    """Per-graph infixes of a run, as (entry config, edge indices, exit config)."""
+def side_gates(source, side) -> dict:
+    """The acceptance gates of one side of an MGTS or DMGTS, as a map from
+    counter to the modulus that `gate_ok` reads: "x" is exact (0) on X and
+    modulo mu on Y, "y" is exact on Y, "full" is exact on every counter; a
+    counter absent from the map is not compared. An N-run of the side keeps
+    the map's counters >= 0, a Z-run none."""
+    if side == "full":
+        return dict.fromkeys(source.mgts.counters if isinstance(source, Dmgts)
+                             else source.counters, 0)
+    if side not in ("x", "y"):
+        raise ArgumentError(f"unknown side {side!r}")
+    if not isinstance(source, Dmgts):
+        raise ArgumentError("sided systems need a DMGTS with a counter partition")
+    gates = dict.fromkeys(source.side_counters(side), 0)
+    if side == "x":
+        gates.update(dict.fromkeys(source.y_counters, source.mu))
+    return gates
 
-    infixes: tuple
+
+def _gates_pass(val: dict, marking: dict, gates: dict) -> bool:
+    return all(gate_ok(val[c], marking[c], m) for c, m in gates.items())
 
 
-def factor_run(mgts: Mgts, run: Run) -> RunFactoring:
+def intermediate_accepts(mgts: Mgts, run: Run, gates: dict, nonneg: frozenset):
+    """The run's visits to the graphs, one (entry valuation, edge indices,
+    exit valuation) per graph, if the run is intermediate accepting, else
+    None: it keeps the counters in `nonneg` >= 0 after every edge, and enters
+    and leaves every graph, in order, at its root with a valuation that is
+    >= 0 and passes `gates` against the graph's in- resp. out-marking.
+
+    One pass: each boundary is checked as the run passes it, so a run that
+    stops short of the last graph's root is not accepted."""
+    if gates.keys() - set(mgts.counters):
+        raise StructuralError("gates name undeclared counters")
     iv, origins = mgts.combined()
-    cfgs = list(run.configurations(iv.vass))
-    bridge_positions = [k for k, i in enumerate(run.edge_seq) if origins[i][0] == "b"]
-    expected = list(range(len(mgts.bridges)))
-    if [origins[run.edge_seq[k]][1] for k in bridge_positions] != expected:
-        raise StructuralError("run does not traverse the bridges once each, in order")
-    infixes = []
-    lo = 0
-    for k in bridge_positions + [len(run.edge_seq)]:
-        infixes.append((cfgs[lo], tuple(run.edge_seq[lo:k]), cfgs[k]))
-        lo = k + 1
-    return RunFactoring(tuple(infixes))
+    edges, graphs = iv.vass.edges, mgts.graphs
 
+    def boundary_ok(val, marking):
+        return all(v >= 0 for v in val.values()) and _gates_pass(val, marking, gates)
 
-def intermediate_accepts(mgts: Mgts, run: Run, orders, domain) -> bool:
-    """Every infix enters and leaves its graph at the root with a valuation
-    that is >= 0 and <= the graph's in- resp. out-marking under `orders`."""
-    iv, _ = mgts.combined()
-    if isinstance(simulate(iv.vass, run.start, run.edge_seq, domain), Violation):
-        return False
-    for g, (entry, _, exit_) in zip(mgts.graphs, factor_run(mgts, run).infixes):
-        for cfg, marking in ((entry, g.in_marking), (exit_, g.out_marking)):
-            if (cfg.node != g.root or not valuation_nonneg(cfg.valuation)
-                    or not valuation_le(cfg.valuation, marking, orders)):
-                return False
-    return True
-
-
-def side_orders(dmgts: Dmgts, side):
-    if side == "x":
-        return [ExactOrOmega(dmgts.x_counters), ModOmega(dmgts.mu, dmgts.y_counters)]
-    if side == "y":
-        return [ExactOrOmega(dmgts.y_counters)]
-    if side == "full":
-        return [ExactOrOmega()]
-    raise ArgumentError(f"unknown side {side!r}")
-
-
-def side_domain(dmgts: Dmgts, side, kind):
-    """Non-negativity domain of the N- or Z-variant of a side's run set."""
-    if kind == "int":
-        return frozenset()
-    if side == "x":
-        return frozenset(dmgts.x_counters) | frozenset(dmgts.y_counters)
-    if side == "y":
-        return frozenset(dmgts.y_counters)
-    if side == "full":
-        return frozenset(dmgts.mgts.counters)
-    raise ArgumentError(f"unknown side {side!r}")
+    node, val = run.start.node, run.start.valuation
+    if node != graphs[0].root or not boundary_ok(val, graphs[0].in_marking):
+        return None
+    visits, entry, seq = [], val, []
+    for i in run.edge_seq:
+        if not 0 <= i < len(edges):
+            raise StructuralError(f"unknown edge reference {i}")
+        e = edges[i]
+        if e.src != node:
+            raise StructuralError(f"edge {i} does not continue from {node!r}")
+        nval = {c: v + e.update[c] for c, v in val.items()}
+        if any(nval[c] < 0 for c in nonneg):
+            return None
+        if origins[i][0] == "b":  # leave graph gi at its root, enter gi + 1 at its root
+            gi = len(visits)
+            if not (boundary_ok(val, graphs[gi].out_marking)
+                    and boundary_ok(nval, graphs[gi + 1].in_marking)):
+                return None
+            visits.append((entry, tuple(seq), val))
+            entry, seq = nval, []
+        else:
+            seq.append(i)
+        node, val = e.dst, nval
+    if node != graphs[-1].root or not boundary_ok(val, graphs[-1].out_marking):
+        return None
+    visits.append((entry, tuple(seq), val))
+    return visits
 
 
 def dmgts_word(run: Run, mgts: Mgts) -> tuple:
@@ -402,13 +407,6 @@ def _residue(r: range, m: int, mu: int) -> range:
     return r[0:0]
 
 
-def _intersect(a: range, b: range) -> range:
-    """The members of both a and b (positive steps)."""
-    if not b:
-        return b
-    return _residue(clip(a, b[0], b[-1]), b[0], b.step)
-
-
 def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
                           caps: LanguageCaps = LanguageCaps()) -> BoundedLanguage:
     """Bounded enumeration of the annotated side language: all λ_#(ρ) with
@@ -422,17 +420,14 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
     words, so the result equals one concrete walk per entry valuation, at a
     cost that does not grow as value_cap^k."""
     mgts = dmgts.mgts
-    orders = side_orders(dmgts, side)
-    domain = side_domain(dmgts, side, kind)
+    gates = side_gates(dmgts, side)
+    domain = frozenset() if kind == "int" else frozenset(gates)
     iv, origins = mgts.combined()
     vass = iv.vass
     counters = vass.counters
     index = {c: k for k, c in enumerate(counters)}
     truncated = [False]
-    gated = set()
-    for o in orders:
-        gated |= set(counters) if o.restrict is None else set(o.restrict)
-    gated_idx = [index[c] for c in counters if c in gated]
+    gated_idx = [index[c] for c in counters if c in gates]
     cap = caps.value_cap
 
     def shifts(update):
@@ -452,21 +447,18 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
                     for i, org in enumerate(origins) if org[0] == "b"}
 
     def gate_checks(marking):
-        return [(index[c], o, marking[c])
-                for o in orders
-                for c in (marking if o.restrict is None else o.restrict)
-                if not is_omega(marking[c])]
+        return [(index[c], m, marking[c]) for c, m in gates.items() if not is_omega(marking[c])]
 
     in_checks = [gate_checks(g.in_marking) for g in mgts.graphs]
     out_checks = [gate_checks(g.out_marking) for g in mgts.graphs]
     last = len(mgts.graphs) - 1
 
     def gate(val, checks):
-        """The members of val that are >= 0 and <= the marking under every
-        order, or None if there are none."""
+        """The members of val that are >= 0 and pass every gate, or None if
+        there are none."""
         rs = [clip(r, 0) for r in val]
-        for k, o, m in checks:
-            rs[k] = clip(rs[k], m, m) if isinstance(o, ExactOrOmega) else _residue(rs[k], m, o.mu)
+        for k, m, bound in checks:
+            rs[k] = clip(rs[k], bound, bound) if m == 0 else _residue(rs[k], bound, m)
         return tuple(rs) if all(rs) else None
 
     def accepting(state):
@@ -499,8 +491,7 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
 
     words = frozenset()
     g0 = mgts.graphs[0]
-    entry = _entry_ranges(counters, g0.in_marking, orders, gated, cap,
-                          _free_seed(vass, caps.max_run_len))
+    entry = _entry_ranges(counters, g0.in_marking, gates, cap, _free_seed(vass, caps.max_run_len))
     sval = gate([entry[c] for c in counters], in_checks[0])
     if sval is not None:
         words = bounded_words((0, g0.root, sval), moves, accepting, max_len, caps.max_run_len)
@@ -515,27 +506,21 @@ def _free_seed(vass, run_len):
     return run_len * maxupd
 
 
-def _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed):
-    """Per counter, the range of entry values compatible with the entry gates,
-    capped; an ungated counter gets the one value free_seed (see `_free_seed`)."""
+def _entry_ranges(counters, in_marking, gates, value_cap, free_seed):
+    """Per counter, the range of entry values that pass its entry gate,
+    capped; a counter without a gate gets the one value free_seed (see
+    `_free_seed`)."""
     per = {}
     for c in counters:
-        if c not in gated:
+        bound, m = in_marking[c], gates.get(c)
+        if m is None:
             per[c] = range(free_seed, free_seed + 1)
-            continue
-        bound = in_marking[c]
-        vals = None
-        for o in orders:
-            if o.restrict is not None and c not in o.restrict:
-                continue
-            if is_omega(bound):
-                cand = range(0, value_cap + 1)
-            elif isinstance(o, ExactOrOmega):
-                cand = range(bound, bound + 1)
-            else:
-                cand = _residue(range(0, value_cap + 1), bound, o.mu)
-            vals = cand if vals is None else _intersect(vals, cand)
-        per[c] = range(0) if vals is None else vals
+        elif is_omega(bound):
+            per[c] = range(0, value_cap + 1)
+        elif m == 0:
+            per[c] = range(bound, bound + 1)
+        else:
+            per[c] = _residue(range(0, value_cap + 1), bound, m)
     return per
 
 
@@ -579,8 +564,11 @@ def _sccs(succ, starts) -> dict:
     return comp
 
 
+PATH_CAP = 2000  # simple accepted paths of one unfolding
+
+
 def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
-                 alphabet, counters, path_cap=2000, step_cap=2_000_000) -> list:
+                 alphabet, counters, path_cap=PATH_CAP, step_cap=2_000_000) -> list:
     """Unfold a graph into MGTS, one per simple path from a start to a final
     state: the i-th state of the path becomes a precovering graph of its
     strongly connected component, rooted there, and the path's edges become
@@ -638,7 +626,7 @@ def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
     return out
 
 
-def fold_to_mgts_list(iv: InitVass, path_cap=2000) -> list:
+def fold_to_mgts_list(iv: InitVass) -> list:
     """Break an initialized VASS into MGTS: one per simple init-to-final node
     path, with per-state SCC precovering graphs (all-ω assignment, all-ω
     intermediate markings) joined by the path edges; outer markings are the
@@ -649,7 +637,7 @@ def fold_to_mgts_list(iv: InitVass, path_cap=2000) -> list:
         [(e.src, e.label, e.update, e.dst) for e in vass.edges],
         [iv.init.node], lambda q: q == iv.final.node,
         lambda pos, q: f"f{pos}.{q}", lambda q: omega_all,
-        iv.init.valuation, iv.final.valuation, vass.alphabet, vass.counters, path_cap,
+        iv.init.valuation, iv.final.valuation, vass.alphabet, vass.counters,
     )
 
 
@@ -794,8 +782,9 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
     vass = iv.vass
     counters = vass.counters
     ys = dmgts.y_counters
-    mod_orders, exact_orders = [ModOmega(dmgts.mu, ys)], [ExactOrOmega(ys)]
-    per = _entry_ranges(counters, mgts.in_marking, mod_orders, set(ys), value_cap,
+    exact, x_side = side_gates(dmgts, "y"), side_gates(dmgts, "x")
+    modulo = {c: x_side[c] for c in exact}  # Y as the X side compares it
+    per = _entry_ranges(counters, mgts.in_marking, modulo, value_cap,
                         _free_seed(vass, run_len_cap))
     for c in ys:
         if not is_omega(y_in[c]):
@@ -808,10 +797,10 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
     graphs = mgts.graphs
 
     def gate(vals, marking):  # (modulo, exact) acceptance of one boundary valuation
-        val = dict(zip(counters, vals))
-        if not valuation_nonneg(val):
+        if any(v < 0 for v in vals):
             return False, False
-        return valuation_le(val, marking, mod_orders), valuation_le(val, marking, exact_orders)
+        val = dict(zip(counters, vals))
+        return _gates_pass(val, marking, modulo), _gates_pass(val, marking, exact)
 
     out = vass.successors()
     for start in product(*(per[c] for c in counters)):
@@ -862,9 +851,8 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
     p = n2.graphs[0]
     iv1, _ = n1.mgts.combined()
     in1, out1 = n1.mgts.in_marking, n1.mgts.out_marking
-    if not valuation_le(in1, p.in_marking, [ExactOrOmega()]) or not valuation_le(
-        out1, p.out_marking, [ExactOrOmega()]
-    ):
+    full = side_gates(n2, "full")
+    if not (_gates_pass(in1, p.in_marking, full) and _gates_pass(out1, p.out_marking, full)):
         return ("markings", None)
 
     # (1): every bounded run of n1 has a label/value-equivalent walk in n2

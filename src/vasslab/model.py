@@ -19,7 +19,6 @@ from .values import (
     int_from_json,
     is_omega,
     shifted,
-    valuation_le,
     value_from_json,
     value_to_json,
     vec_add,
@@ -203,24 +202,17 @@ class Run:
             if is_omega(v):
                 raise StructuralError("run start must be finite-valued")
 
-    def configurations(self, vass: Vass):
+    def word(self, vass: Vass):
+        return tuple(vass.edges[i].label for i in self.edge_seq if vass.edges[i].label != EPSILON)
+
+    def final_config(self, vass: Vass) -> GenConfig:
         node, val = self.start.node, dict(self.start.valuation)
-        yield GenConfig(node, val)
         for i in self.edge_seq:
             e = vass.edges[i]
             if e.src != node:
                 raise StructuralError(f"edge {i} does not start at {node!r}")
             node, val = e.dst, vec_add(val, e.update)
-            yield GenConfig(node, val)
-
-    def word(self, vass: Vass):
-        return tuple(vass.edges[i].label for i in self.edge_seq if vass.edges[i].label != EPSILON)
-
-    def final_config(self, vass: Vass) -> GenConfig:
-        cfg = None
-        for cfg in self.configurations(vass):
-            pass
-        return cfg
+        return GenConfig(node, val)
 
 
 @dataclass(frozen=True)
@@ -228,24 +220,6 @@ class Violation:
     position: int
     counter: str
     value: int
-
-
-@dataclass(frozen=True)
-class CounterDomainSpec:
-    """Which counters must stay non-negative along a run; {} is Z-semantics."""
-
-    nonneg_counters: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "nonneg_counters", frozenset(self.nonneg_counters))
-
-
-def nat_domain(vass_or_counters) -> CounterDomainSpec:
-    cs = vass_or_counters.counters if isinstance(vass_or_counters, Vass) else vass_or_counters
-    return CounterDomainSpec(frozenset(cs))
-
-
-INT_DOMAIN = CounterDomainSpec(frozenset())
 
 
 def effect(item, *, vass: Vass = None, n: int = None):
@@ -288,9 +262,10 @@ def parikh_of(edge_seq) -> dict:
     return psi
 
 
-def simulate(vass: Vass, start: GenConfig, edges, domain: CounterDomainSpec):
-    """Walk `edges` from `start`; returns the Run, or the first Violation of the
-    non-negativity domain. Disconnected sequences are structural errors."""
+def simulate(vass: Vass, start: GenConfig, edges, nonneg: frozenset):
+    """Walk `edges` from `start`; returns the Run, or the first Violation of
+    non-negativity on the counters in `nonneg` (empty: Z-semantics).
+    Disconnected sequences are structural errors."""
     for v in start.valuation.values():
         if is_omega(v):
             raise ArgumentError("simulate needs a finite start valuation")
@@ -302,28 +277,10 @@ def simulate(vass: Vass, start: GenConfig, edges, domain: CounterDomainSpec):
         if e.src != node:
             raise StructuralError(f"edge {i} does not continue from {node!r}")
         node, val = e.dst, vec_add(val, e.update)
-        for c in sorted(domain.nonneg_counters):
+        for c in sorted(nonneg):
             if val[c] < 0:
                 return Violation(pos, c, val[c])
     return Run(start, tuple(edges))
-
-
-def accepts(init_vass: InitVass, run: Run, orders, domain: CounterDomainSpec) -> bool:
-    """True iff the run is valid for the domain and its extremal configurations
-    are below init resp. final under every preorder in `orders`."""
-    vass = init_vass.vass
-    for order in orders if isinstance(orders, (list, tuple)) else [orders]:
-        if order.restrict is not None and not order.restrict <= set(vass.counters):
-            raise StructuralError("preorder restricted to undeclared counters")
-    res = simulate(vass, run.start, run.edge_seq, domain)
-    if isinstance(res, Violation):
-        return False
-    last = run.final_config(vass)
-    if run.start.node != init_vass.init.node or last.node != init_vass.final.node:
-        return False
-    return valuation_le(run.start.valuation, init_vass.init.valuation, orders) and valuation_le(
-        last.valuation, init_vass.final.valuation, orders
-    )
 
 
 def search_run(vass: Vass, node, vals, counters, goal, max_len=None, value_cap=None,

@@ -13,7 +13,7 @@ from .automata import Nfa, enumerate_words, product, reachable, run_word
 from .chareq import build_char
 from .decomposition import decompose
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
-from .mgts import Dmgts, unfold_paths
+from .mgts import Dmgts, side_gates, unfold_paths
 from .model import (
     dec_letter,
     dyck_alphabet,
@@ -24,7 +24,7 @@ from .model import (
     word_effect,
 )
 from .solver import LinSystem, ilp_feasible
-from .values import OMEGA, is_omega
+from .values import OMEGA, gate_ok
 
 
 @dataclass(frozen=True)
@@ -424,10 +424,19 @@ def family_drift(v, k: int, k_prime: int = None) -> BasicSeparatorDesc:
 
 # -- the counterexample family --------------------------------------------------------
 
+COUNTEREXAMPLE_STATE_CAP = 100_000  # states of the largest counterexample NFA built
+
+
 def counterexample_nfa(ell: int) -> Nfa:
-    """The two-counter family a1+ . {a1 a2, ā1 ā2}* ... {a1 a2^ℓ, ā1 ā2^ℓ}*."""
+    """The two-counter family a1+ . {a1 a2, ā1 ā2}* ... {a1 a2^ℓ, ā1 ā2^ℓ}*.
+    It has ℓ² + 2ℓ + 2 states; more than COUNTEREXAMPLE_STATE_CAP raise
+    ResourceExhausted before anything is built."""
     if ell < 1:
         raise ArgumentError("ell must be >= 1")
+    size = ell * ell + 2 * ell + 2
+    if size > COUNTEREXAMPLE_STATE_CAP:
+        raise ResourceExhausted(f"the counterexample NFA for ℓ = {ell} has {size} states, "
+                                f"above the cap {COUNTEREXAMPLE_STATE_CAP}")
     a1, abar1 = inc_letter(1), dec_letter(1)
     a2, abar2 = inc_letter(2), dec_letter(2)
     states = {"start", "plus"}
@@ -540,7 +549,7 @@ def _mod_language_nfa(mu: int, v, n: int) -> Nfa:
     return Nfa(states, transitions, {start}, {tuple(x % mu for x in v)}, letters)
 
 
-def fold_nfa_to_dmgts_list(nfa: Nfa, n: int, path_cap=2000):
+def fold_nfa_to_dmgts_list(nfa: Nfa, n: int):
     """Break the NFA's control flow into sequences of strongly connected
     components: one DMGTS per simple path from an initial to a final state,
     with X = ∅, μ = 1, all-ω intermediate markings and zero outer markings."""
@@ -562,7 +571,7 @@ def fold_nfa_to_dmgts_list(nfa: Nfa, n: int, path_cap=2000):
     mgts_list = unfold_paths(
         edges, sorted(nfa.initial, key=repr), nfa.final.__contains__,
         lambda pos, q: f"f{pos}.{q}", lambda q: omega_all,
-        zero, zero, dyck_alphabet(n), counters, path_cap,
+        zero, zero, dyck_alphabet(n), counters,
     )
     return [Dmgts(m, 1, (), counters, faithful=True) for m in mgts_list]
 
@@ -620,12 +629,13 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
     bridges = dm.bridges
     ell = len(graphs)
     ys = list(dm.y_counters)
+    gates = side_gates(dm, "x")
 
     def bridge_effect(u):
         return tuple(u.update.get(c, 0) for c in ys)
 
-    def marking_vec(m):
-        return tuple(m[c] for c in ys)
+    def passes(vec, marking):
+        return all(gate_ok(v, marking[c], gates[c]) for v, c in zip(vec, ys))
 
     control = []
     for g in graphs:
@@ -646,10 +656,10 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
     def gates_ok(vtuple):
         entry = tuple(0 for _ in range(n))
         for gi in range(ell):
-            if not _cong_ok(entry, marking_vec(graphs[gi].in_marking), mu):
+            if not passes(entry, graphs[gi].in_marking):
                 return False
             exit_ = tuple((entry[d] + vtuple[gi][d]) % mu for d in range(n))
-            if not _cong_ok(exit_, marking_vec(graphs[gi].out_marking), mu):
+            if not passes(exit_, graphs[gi].out_marking):
                 return False
             if gi < ell - 1:
                 be = bridge_effect(bridges[gi])
@@ -694,9 +704,3 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
 
 def _all_residues(mu: int, n: int):
     return list(itertools.product(range(mu), repeat=n))
-
-
-def _cong_ok(vec, marking, mu) -> bool:
-    return all(
-        is_omega(m) or (vec[d] - m) % mu == 0 for d, m in enumerate(marking)
-    )

@@ -22,26 +22,23 @@ from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import (
     Dmgts,
     LanguageCaps,
-    side_domain,
-    side_language_bounded,
-    side_orders,
     intermediate_accepts,
     is_zero_reaching,
+    side_gates,
+    side_language_bounded,
 )
 from .model import (
     EPSILON,
-    CounterDomainSpec,
     GenConfig,
     Run,
     dyck_alphabet,
     effect,
     is_dyck_word,
-    nat_domain,
     parikh_of,
 )
 from .solver import ilp_feasible
 from .structure import covering_sequences, down_covering, realization
-from .values import ExactOrOmega, is_omega
+from .values import gate_ok
 
 
 def annotated_alphabet(n: int) -> frozenset:
@@ -55,12 +52,10 @@ def modulo_automaton(dmgts: Dmgts) -> Nfa:
     mu = dmgts.mu
     n = len(dmgts.y_counters)
     alphabet = annotated_alphabet(n)
+    gates = side_gates(dmgts, "x")
 
     def compatible(r, marking):
-        return all(
-            is_omega(marking[c]) or (r[i] - marking[c]) % mu == 0
-            for i, c in enumerate(tracked)
-        )
+        return all(gate_ok(r[i], marking[c], gates[c]) for i, c in enumerate(tracked))
 
     def shift(r, update):
         return tuple((r[i] + update.get(c, 0)) % mu for i, c in enumerate(tracked))
@@ -221,12 +216,12 @@ def lambert_pump(obj, s_f, k_cap=64):
                 for ei in main_counts
             }
             mains.append(_rooted_cycle(g, folded))
-    iv, _ = mgts.combined()
+    gates = side_gates(obj, "full")
     k0 = _enable_k0(mgts, sol, covers, mains, fillers)
     for k in range(max(1, k0), k_cap + 1):
         run = _stitch(mgts, sol, [u * k + mains[gi] + fillers[gi] * k + d * k
                                   for gi, (u, d) in enumerate(covers)])
-        if intermediate_accepts(mgts, run, [ExactOrOmega()], nat_domain(iv.vass)):
+        if intermediate_accepts(mgts, run, gates, frozenset(gates)):
             return run
     raise ResourceExhausted(f"no verifying repetition count within {k_cap}")
 
@@ -441,18 +436,15 @@ def _short_witness(dmgts, dfa, caps):
 def _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap):
     mgts = dmgts.mgts
     iv, _ = mgts.combined()
-    orders_x = side_orders(dmgts, "x")
-    orders_y = side_orders(dmgts, "y")
-    dom_x = CounterDomainSpec(side_domain(dmgts, "x", "nat"))
-    dom_y = CounterDomainSpec(side_domain(dmgts, "y", "nat"))
+    gates_x, gates_y = side_gates(dmgts, "x"), side_gates(dmgts, "y")
     for k in range(1, k_cap + 1):
         run_x = _stitch(mgts, sol_x, [dr.u * k + tuple(sig_x) + dr.w_x * k + dr.d * k
                                       for dr, (sig_x, _) in zip(parts, z_pair)])
-        if not intermediate_accepts(mgts, run_x, orders_x, dom_x):
+        if not intermediate_accepts(mgts, run_x, gates_x, frozenset(gates_x)):
             continue
         run_y = _stitch(mgts, sol_y, [dr.u * k + tuple(sig_y) + dr.w_y * k + dr.d * k
                                       for dr, (_, sig_y) in zip(parts, z_pair)])
-        if not intermediate_accepts(mgts, run_y, orders_y, dom_y):
+        if not intermediate_accepts(mgts, run_y, gates_y, frozenset(gates_y)):
             continue
         return run_x.word(iv.vass), run_y.word(iv.vass), k
     return None

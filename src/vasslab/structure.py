@@ -11,7 +11,7 @@ from math import factorial, lcm
 from .automata import reachable
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
-from .model import CounterDomainSpec, Run, Violation, effect, search_run, simulate
+from .model import Run, Violation, effect, search_run, simulate
 from .values import OMEGA, is_omega
 
 
@@ -351,6 +351,6 @@ def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):
                          state_cap=state_cap)
     if path is None:
         raise ResourceExhausted("no covering J'-run found within the explored space")
-    if isinstance(simulate(vass, run.start, path, CounterDomainSpec(frozenset(js))), Violation):
+    if isinstance(simulate(vass, run.start, path, frozenset(js)), Violation):
         raise StructuralError("rackoff cover failed verification")
     return path

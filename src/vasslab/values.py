@@ -112,59 +112,12 @@ def clip(r: range, lo=None, hi=None) -> range:
     return r[i:j]
 
 
-class ExactOrOmega:
-    """The specialization preorder: k <= k and k <= omega, nothing else.
-
-    `restrict` limits the comparison to a counter subset; counters outside it
-    are unconstrained.
-    """
-
-    def __init__(self, restrict=None):
-        self.restrict = None if restrict is None else frozenset(restrict)
-
-    def le(self, a, b) -> bool:
-        if b is OMEGA:
-            return True
-        return a == b
-
-    def __repr__(self):
-        r = "" if self.restrict is None else f"|{sorted(self.restrict)}"
-        return f"<=omega{r}"
-
-
-class ModOmega:
-    """Congruence-modulo-mu with omega on the right absorbing everything."""
-
-    def __init__(self, mu: int, restrict=None):
-        if mu < 1:
-            raise ValueError("modulus must be >= 1")
-        self.mu = mu
-        self.restrict = None if restrict is None else frozenset(restrict)
-
-    def le(self, a, b) -> bool:
-        if b is OMEGA:
-            return True
-        if a is OMEGA:
-            return False
-        return (a - b) % self.mu == 0
-
-    def __repr__(self):
-        r = "" if self.restrict is None else f"|{sorted(self.restrict)}"
-        return f"=mod{self.mu}^omega{r}"
-
-
-def valuation_le(val: dict, bound: dict, orders) -> bool:
-    """val <= bound under every preorder in `orders`, each on its restriction."""
-    if not isinstance(orders, (list, tuple)):
-        orders = [orders]
-    for order in orders:
-        counters = bound.keys() if order.restrict is None else order.restrict
-        for c in counters:
-            if not order.le(val[c], bound[c]):
-                return False
-    return True
-
-
-def valuation_nonneg(val: dict, counters=None) -> bool:
-    cs = val.keys() if counters is None else counters
-    return all(val[c] is OMEGA or val[c] >= 0 for c in cs)
+def gate_ok(value, bound, m) -> bool:
+    """Whether `value` passes the gate of modulus m against the marking
+    `bound`: an ω bound admits every value; m = 0 asks for equality and
+    m >= 1 for a finite value congruent to bound modulo m."""
+    if bound is OMEGA:
+        return True
+    if m == 0:
+        return value == bound
+    return value is not OMEGA and (value - bound) % m == 0

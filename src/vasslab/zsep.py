@@ -21,6 +21,7 @@ MODULO_MAX = 6  # largest modulus of the modulo rung
 DRIFT_NORM = 2  # largest |v|_1 of a drift direction
 DRIFT_K = 8     # approximation index of a drift separator
 LOOP_LEN = 4    # longest rooted loop of the shared-loops rung
+LOOP_PAIRS = 50_000  # loop-pair combinations the shared-loops rung tries
 
 
 @dataclass
@@ -140,7 +141,7 @@ def z_separability(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> SepVerd
 
     # inseparability: equal-label per-graph loop pairs solving both sides,
     # which certify Sol_X ∩ Sol_Y ≠ ∅
-    pair = loop_pair_search(dmgts, LOOP_LEN, loop_labels, 50_000)
+    pair = loop_pair_search(dmgts, LOOP_LEN, loop_labels, LOOP_PAIRS)
     if pair is not None:
         return SepVerdict("inseparable", z_pair=pair, strategy="shared-loops")
     return SepVerdict("unknown", reason="strategy ladder exhausted")

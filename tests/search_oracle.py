@@ -2,8 +2,11 @@
 replaced, kept verbatim as differential oracles: `oracle_bfs` (the driver's
 capped N-reachability BFS), `_pump_witness` and `rackoff_cover` (structure),
 and the two bounded falsifiers of mgts with the `_entry_candidates` they
-enumerated starts with. Only the package-relative imports became absolute.
-`tests/test_search_oracle.py` compares them with the package.
+enumerated starts with. Only the package-relative imports became absolute,
+and the acceptance arguments became gate maps (counter -> modulus, see
+`side_gates`): `_valuation_le` and `_accepts` are private copies, rewritten
+to the maps, of the `valuation_le` and `model.accepts` the package no
+longer has. `tests/test_search_oracle.py` compares them with the package.
 """
 
 from __future__ import annotations
@@ -20,20 +23,38 @@ from vasslab.mgts import (
 )
 from vasslab.model import (
     EPSILON,
-    CounterDomainSpec,
     GenConfig,
     InitVass,
     Run,
     Violation,
     simulate,
 )
-from vasslab.values import ExactOrOmega, ModOmega, is_omega, valuation_le
+from vasslab.values import gate_ok, is_omega
 
 
-def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
+def _valuation_le(val: dict, bound: dict, gates: dict) -> bool:
+    """val passes every gate against bound."""
+    return all(gate_ok(val[c], bound[c], m) for c, m in gates.items())
+
+
+def _accepts(init_vass: InitVass, run: Run, gates: dict, nonneg: frozenset) -> bool:
+    """True iff the run keeps `nonneg` >= 0 and its extremal configurations
+    pass the gates against init resp. final."""
+    vass = init_vass.vass
+    if isinstance(simulate(vass, run.start, run.edge_seq, nonneg), Violation):
+        return False
+    last = run.final_config(vass)
+    if run.start.node != init_vass.init.node or last.node != init_vass.final.node:
+        return False
+    return _valuation_le(run.start.valuation, init_vass.init.valuation, gates) and _valuation_le(
+        last.valuation, init_vass.final.valuation, gates
+    )
+
+
+def _entry_candidates(counters, in_marking, gates, value_cap, free_seed):
     """Concrete entry valuations compatible with the entry gates, capped: the
     product of the per-counter `_entry_ranges`."""
-    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
+    per = _entry_ranges(counters, in_marking, gates, value_cap, free_seed)
     starts = [{}]
     for c in counters:
         starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
@@ -143,7 +164,7 @@ def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):
         path = seen[(node, vals)]
         if node == target_node and all(v >= C for v in vals):
             chk = simulate(vass, GenConfig(run.start.node, dict(run.start.valuation)),
-                           path, CounterDomainSpec(frozenset(js)))
+                           path, frozenset(js))
             if isinstance(chk, Violation):
                 raise StructuralError("rackoff cover failed verification")
             return path
@@ -170,14 +191,13 @@ def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8, value_cap=8):
     iv, _ = mgts.combined()
     vass = iv.vass
     ys = dmgts.y_counters
-    acc_orders = [ExactOrOmega(ys)]
-    mod_orders = [ModOmega(dmgts.mu, ys)]
-    from vasslab.model import INT_DOMAIN, accepts
+    acc_gates = dict.fromkeys(ys, 0)
+    mod_gates = dict.fromkeys(ys, dmgts.mu)
 
     # Z-semantics: X is read only by the boundary non-negativity checks, which
     # both acceptances share, so one high X entry value loses no counterexample
     starts = []
-    for xv in _entry_candidates(vass.counters, mgts.in_marking, mod_orders, set(ys),
+    for xv in _entry_candidates(vass.counters, mgts.in_marking, mod_gates,
                                 value_cap, _free_seed(vass, run_len_cap)):
         sval = dict(xv)
         for c in ys:
@@ -200,15 +220,15 @@ def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8, value_cap=8):
         seen.add(key)
         for _, seq in edge_seqs(iv.init.node, run_len_cap):
             run = Run(GenConfig(iv.init.node, sval), seq)
-            if not accepts(iv, run, acc_orders, INT_DOMAIN):
+            if not _accepts(iv, run, acc_gates, frozenset()):
                 continue
             try:
-                mod_ok = intermediate_accepts(mgts, run, mod_orders, INT_DOMAIN)
+                mod_ok = intermediate_accepts(mgts, run, mod_gates, frozenset())
             except StructuralError:
                 continue
             if not mod_ok:
                 continue
-            if not intermediate_accepts(mgts, run, acc_orders, INT_DOMAIN):
+            if not intermediate_accepts(mgts, run, acc_gates, frozenset()):
                 return run
     return None
 
@@ -223,8 +243,9 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
     p = n2.graphs[0]
     iv1, _ = n1.mgts.combined()
     in1, out1 = n1.mgts.in_marking, n1.mgts.out_marking
-    if not valuation_le(in1, p.in_marking, [ExactOrOmega()]) or not valuation_le(
-        out1, p.out_marking, [ExactOrOmega()]
+    full = dict.fromkeys(p.vass.counters, 0)
+    if not _valuation_le(in1, p.in_marking, full) or not _valuation_le(
+        out1, p.out_marking, full
     ):
         return ("markings", None)
 
@@ -264,13 +285,11 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
     # (2): bounded modulo-accepting runs of n1 that agree with p's extremal
     # Y-markings are intermediate accepting on Y
     ys = n1.y_counters
-    from vasslab.model import INT_DOMAIN
-
-    mod_orders = [ModOmega(n1.mu, ys)]
-    acc_orders = [ExactOrOmega(ys)]
+    mod_gates = dict.fromkeys(ys, n1.mu)
+    acc_gates = dict.fromkeys(ys, 0)
     # X is read only by the boundary non-negativity checks, as in
     # faithfulness_falsify: one high X entry value loses no counterexample
-    for sval in _entry_candidates(vass1.counters, in1, mod_orders, set(ys), value_cap,
+    for sval in _entry_candidates(vass1.counters, in1, mod_gates, value_cap,
                                   _free_seed(vass1, run_len_cap)):
         def seqs(node, budget):
             yield node, ()
@@ -283,21 +302,21 @@ def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value
         for _, seq in seqs(iv1.init.node, run_len_cap):
             run = Run(GenConfig(iv1.init.node, sval), seq)
             try:
-                if not intermediate_accepts(n1.mgts, run, mod_orders, INT_DOMAIN):
+                if not intermediate_accepts(n1.mgts, run, mod_gates, frozenset()):
                     continue
             except StructuralError:
                 continue
             last = run.final_config(vass1)
-            first_ok = valuation_le(
-                {c: sval[c] for c in ys}, {c: p.in_marking[c] for c in ys}, [ExactOrOmega()]
+            first_ok = _valuation_le(
+                {c: sval[c] for c in ys}, {c: p.in_marking[c] for c in ys}, acc_gates
             )
-            last_ok = valuation_le(
+            last_ok = _valuation_le(
                 {c: last.valuation[c] for c in ys},
                 {c: p.out_marking[c] for c in ys},
-                [ExactOrOmega()],
+                acc_gates,
             )
             if first_ok and last_ok and not intermediate_accepts(
-                n1.mgts, run, acc_orders, INT_DOMAIN
+                n1.mgts, run, acc_gates, frozenset()
             ):
                 return ("condition-2", run)
     return None

@@ -5,7 +5,9 @@ oracle for the tests.
 It starts one memoized walk per entry valuation in [0, value_cap]^k and
 carries concrete counter values; the words and the `truncated` flag must equal
 those of the range walk. `_entry_candidates`, which the package no longer
-has, is kept here verbatim too.
+has, is kept here verbatim too. The side's gates come from `side_gates`;
+`_passes` compares against them on its own, so the oracle does not share the
+package's gate check.
 """
 
 from __future__ import annotations
@@ -14,17 +16,30 @@ from vasslab.mgts import (
     BoundedLanguage,
     LanguageCaps,
     _entry_ranges,
-    side_domain,
-    side_orders,
+    side_gates,
 )
 from vasslab.model import EPSILON
-from vasslab.values import valuation_le, valuation_nonneg, vec_add
+from vasslab.values import OMEGA, vec_add
 
 
-def _entry_candidates(counters, in_marking, orders, gated, value_cap, free_seed):
+def _passes(val, marking, gates):
+    """val >= 0 on every counter, and each gated counter equal (modulus 0) or
+    congruent (modulus m) to a finite marking."""
+    if any(v < 0 for v in val.values()):
+        return False
+    for c, m in gates.items():
+        bound = marking[c]
+        if bound is OMEGA:
+            continue
+        if not (val[c] == bound if m == 0 else (val[c] - bound) % m == 0):
+            return False
+    return True
+
+
+def _entry_candidates(counters, in_marking, gates, value_cap, free_seed):
     """Concrete entry valuations compatible with the entry gates, capped: the
     product of the per-counter `_entry_ranges`."""
-    per = _entry_ranges(counters, in_marking, orders, gated, value_cap, free_seed)
+    per = _entry_ranges(counters, in_marking, gates, value_cap, free_seed)
     starts = [{}]
     for c in counters:
         starts = [dict(s, **{c: v}) for s in starts for v in per[c]]
@@ -37,15 +52,13 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
     |word| <= max_len found within the caps. Exact up to the caps; the flag
     reports whether any branch was cut off."""
     mgts = dmgts.mgts
-    orders = side_orders(dmgts, side)
-    domain = side_domain(dmgts, side, kind)
+    gates = side_gates(dmgts, side)
+    domain = frozenset() if kind == "int" else frozenset(gates)
     iv, origins = mgts.combined()
     vass = iv.vass
     counters = vass.counters
     truncated = [False]
-    gated = set()
-    for o in orders:
-        gated |= set(counters) if o.restrict is None else set(o.restrict)
+    gated = set(gates)
     # ungated counters are monotone: one sufficiently high entry value is exact
     maxupd = max((abs(x) for e in vass.edges for x in e.update.values()), default=0) or 1
     free_seed = caps.max_run_len * maxupd
@@ -57,7 +70,7 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
     bridge_index = {origins[i][1]: i for i in range(len(origins)) if origins[i][0] == "b"}
 
     def gate_ok(val, marking):
-        return valuation_nonneg(val) and valuation_le(val, marking, orders)
+        return _passes(val, marking, gates)
 
     memo = {}
 
@@ -102,7 +115,7 @@ def side_language_bounded(dmgts: Dmgts, side, max_len: int, kind="nat",
     words = set()
     g0 = mgts.graphs[0]
     try:
-        for sval in _entry_candidates(counters, g0.in_marking, orders, gated,
+        for sval in _entry_candidates(counters, g0.in_marking, gates,
                                       caps.value_cap, free_seed):
             if not gate_ok(sval, g0.in_marking):
                 continue

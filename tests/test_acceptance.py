@@ -7,8 +7,6 @@ Run with `pytest tests/test_acceptance.py -s -v` to see the per-criterion lines.
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
 from vasslab.chareq import build_char, full_support_solution, support
 from vasslab.decomposition import decompose, mod_residue_expansion
@@ -37,7 +35,6 @@ from vasslab.model import (
     inc_letter,
     is_dyck_word,
     language_bounded,
-    nat_domain,
     word_effect,
 )
 from vasslab.semilinear import (
@@ -196,12 +193,12 @@ def test_criterion_2_coverability_agreement():
                 checked_neg += 1
             elif sigma != ():
                 # the returned witness is verified by simulation
-                from vasslab.model import Run, Violation, simulate
+                from vasslab.model import Run, simulate
 
                 seed = 10 * 2 + 30
                 start = {c: (seed if p.in_marking[c] is OMEGA else p.in_marking[c])
                          for c in p.vass.counters}
-                out = simulate(p.vass, GenConfig(p.root, start), sigma, nat_domain(p.vass))
+                out = simulate(p.vass, GenConfig(p.root, start), sigma, frozenset(p.vass.counters))
                 assert isinstance(out, Run)
         assert checked_pos >= 20 and checked_neg >= 5
 
@@ -316,8 +313,7 @@ def test_criterion_7_decided_certificates():
 
 def test_criterion_8_lambert_pumping():
     with criterion(8, "lambert_pump verified on 3 hand-built perfect MGTS, k <= 64", 10.0):
-        from vasslab.mgts import intermediate_accepts
-        from vasslab.values import ExactOrOmega
+        from vasslab.mgts import intermediate_accepts, side_gates
 
         cases = [
             Mgts([dyck_copy_graph()]),
@@ -328,8 +324,8 @@ def test_criterion_8_lambert_pumping():
             sol = ilp_feasible(build_char(mgts).system)
             assert sol is not None
             run = lambert_pump(mgts, sol, k_cap=64)
-            iv, _ = mgts.combined()
-            assert intermediate_accepts(mgts, run, [ExactOrOmega()], nat_domain(iv.vass))
+            gates = side_gates(mgts, "full")
+            assert intermediate_accepts(mgts, run, gates, frozenset(gates))
 
 
 def test_criterion_9_regular_approximation():
@@ -381,7 +377,7 @@ def test_criterion_10_basic_separator_disjointness():
         for v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)):
             descs.append((2, family_drift(v, 1)))
         # mixed chains of length 3 built from certified components
-        from vasslab.semilinear import BasicSeparatorDesc, make_basic_separator, singleton_set
+        from vasslab.semilinear import BasicSeparatorDesc, make_basic_separator
 
         while len(descs) < 50:
             n = rng.choice((1, 2))

@@ -1,3 +1,5 @@
+import pytest
+
 from vasslab.chareq import (
     build_char,
     edge_var,
@@ -8,10 +10,10 @@ from vasslab.chareq import (
     run_assignment,
     support,
 )
-from vasslab.mgts import Dmgts, Mgts, intermediate_accepts
-from vasslab.model import GenConfig, INT_DOMAIN, Run, dec_letter, inc_letter
-from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible, lp_feasible
-from vasslab.values import OMEGA, ExactOrOmega
+from vasslab.mgts import Dmgts, Mgts, Update, intermediate_accepts, side_gates
+from vasslab.model import GenConfig, Run, dec_letter, edge_walks, inc_letter
+from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
+from vasslab.values import OMEGA
 
 from conftest import dyck_copy_graph, graph_loops, make_rng, random_finite_precovering
 
@@ -176,12 +178,40 @@ def test_runs_induce_solutions(rng):
                 seq.append(i)
                 node = e.dst
             run = Run(GenConfig(iv.init.node, dict(iv.init.valuation)), tuple(seq))
-            try:
-                ok = intermediate_accepts(mgts, run, [ExactOrOmega()], INT_DOMAIN)
-            except Exception:
-                continue
-            if ok:
+            if intermediate_accepts(mgts, run, side_gates(mgts, "full"), frozenset()):
                 assignment = run_assignment(mgts, run)
                 assert cs.system.satisfied_by(assignment)
                 checked += 1
     assert checked > 5
+
+
+def split_two_graph_dmgts():
+    """Two graphs, X = {x1} and Y = {y1}, mu = 2: finite markings on both
+    sides, an ω X marking between the graphs, and a visible bridge."""
+    g1 = graph_loops([(A1, {"x1": 1, "y1": 1}), (AB1, {"y1": -1})], ["x1", "y1"],
+                     {"x1": 0, "y1": 0}, {"x1": OMEGA, "y1": 1}, root="r1")
+    g2 = graph_loops([(AB1, {"x1": -1, "y1": -1}), (A1, {"x1": 2, "y1": 1})], ["x1", "y1"],
+                     {"x1": OMEGA, "y1": 2}, {"x1": 1, "y1": 0}, root="r2")
+    return Dmgts(Mgts([g1, g2], [Update(A1, {"x1": -1, "y1": 1})]), 2, ("x1",), ("y1",))
+
+
+@pytest.mark.parametrize("kind", ["nat", "int"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_side_runs_induce_solutions(side, kind):
+    # the run check and the characteristic system read the same gates: every
+    # bounded run accepted under side_gates satisfies the side's system
+    dm = split_two_graph_dmgts()
+    iv, _ = dm.mgts.combined()
+    gates = side_gates(dm, side)
+    nonneg = frozenset(gates) if kind == "nat" else frozenset()
+    system = build_char(dm, side).system
+    accepted = 0
+    for x1 in range(3):
+        for y1 in range(3):
+            start = GenConfig(iv.init.node, {"x1": x1, "y1": y1})
+            for _, seq in edge_walks(iv.vass.successors(), iv.init.node, 6):
+                run = Run(start, seq)
+                if intermediate_accepts(dm.mgts, run, gates, nonneg):
+                    assert system.satisfied_by(run_assignment(dm.mgts, run)), (start, seq)
+                    accepted += 1
+    assert accepted >= 3

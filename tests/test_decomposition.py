@@ -14,7 +14,6 @@ from vasslab.decomposition import (
     identity_observer,
     mod_residue_expansion,
     observer_product,
-    refine,
     refine_case_i,
     refine_case_ii,
     refine_case_iii,
@@ -52,7 +51,7 @@ from vasslab.structure import rank, rank_less
 from vasslab.values import OMEGA
 
 import conftest
-from conftest import dyck_copy_dmgts, dyck_copy_graph, graph_loops, strip_words, two_graph_dmgts
+from conftest import dyck_copy_graph, graph_loops, strip_words
 from test_acceptance import curated_suite
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)

@@ -422,6 +422,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cap" in err and "Traceback" not in err and len(err.splitlines()) == 1
 
+    def test_counterexample_state_cap_exit_3(self, capsys):
+        # ℓ = 100000 asks for ℓ² + 2ℓ + 2 = 10,000,200,002 states: refused unbuilt
+        assert main(["counterexample", "--ell", "100000", "--member", A1]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource-exhausted:") and "10000200002" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_approx_state_cap_exit_3(self, capsys, monkeypatch):
         # R(Λ, 100) in dimension 3 has 201³ = 8,120,601 states: refused unbuilt
         def unreachable(*args, **kwargs):

@@ -18,7 +18,6 @@ from vasslab.mgts import (
     dmgts_from_json,
     dmgts_to_json,
     dmgts_word,
-    factor_run,
     faithfulness_falsify,
     fold_states,
     fold_to_mgts_list,
@@ -27,6 +26,7 @@ from vasslab.mgts import (
     is_perfect,
     is_zero_reaching,
     perfectness_diagnosis,
+    side_gates,
     side_language_bounded,
     substitute,
     unfold_paths,
@@ -34,8 +34,6 @@ from vasslab.mgts import (
 )
 from vasslab.model import (
     EPSILON,
-    INT_DOMAIN,
-    accepts,
     Edge,
     GenConfig,
     InitVass,
@@ -46,9 +44,8 @@ from vasslab.model import (
     dyck_vas,
     inc_letter,
     language_bounded,
-    nat_domain,
 )
-from vasslab.values import OMEGA, ExactOrOmega, ModOmega
+from vasslab.values import OMEGA
 
 from conftest import (
     dyck_copy_dmgts,
@@ -81,34 +78,38 @@ class TestValidate:
 class TestIntermediateAccepts:
     def test_single_graph_reduces_to_acceptance(self):
         dm = dyck_copy_dmgts()
-        iv, _ = dm.mgts.combined()
         run = Run(GenConfig("r", {"y1": 0}), (0, 1))
-        assert intermediate_accepts(dm.mgts, run, [ExactOrOmega()], nat_domain(iv.vass))
+        assert intermediate_accepts(dm.mgts, run, {"y1": 0}, frozenset({"y1"}))
 
     def test_bridge_exit_value(self):
         # exit marking 1 while the run exits at 0
         g1 = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 1}, root="r1")
         g2 = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 1}, {"y1": 1}, root="r2")
         mgts = Mgts([g1, g2], [Update(EPSILON, {"y1": 0})])
-        iv, _ = mgts.combined()
         bridge = mgts.combined_index(("b", 0))
         bad = Run(GenConfig("r1", {"y1": 0}), (bridge,))
-        assert not intermediate_accepts(mgts, bad, [ExactOrOmega()], INT_DOMAIN)
+        assert not intermediate_accepts(mgts, bad, {"y1": 0}, frozenset())
         good = Run(GenConfig("r1", {"y1": 0}), (mgts.combined_index(("g", 0, 0)), bridge))
-        assert intermediate_accepts(mgts, good, [ExactOrOmega()], INT_DOMAIN)
+        assert intermediate_accepts(mgts, good, {"y1": 0}, frozenset())
 
     def test_modulo_exit(self):
         g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 2}, root="r")
         mgts = Mgts([g])
         run = Run(GenConfig("r", {"y1": 0}), (0,) * 5)
-        assert intermediate_accepts(mgts, run, [ModOmega(3)], INT_DOMAIN)
-        assert not intermediate_accepts(mgts, run, [ExactOrOmega()], INT_DOMAIN)
+        assert intermediate_accepts(mgts, run, {"y1": 3}, frozenset())
+        assert not intermediate_accepts(mgts, run, {"y1": 0}, frozenset())
+
+    def test_unknown_edge_reference_is_structural(self):
+        dm = dyck_copy_dmgts()
+        for seq in ((0, -1), (2,)):
+            with pytest.raises(StructuralError, match="unknown edge reference"):
+                intermediate_accepts(dm.mgts, Run(GenConfig("r", {"y1": 0}), seq), {}, frozenset())
 
     def test_unfactorable_run(self):
+        # a run that stops short of the last graph is not accepted
         dm = two_graph_dmgts()
         run = Run(GenConfig("r1", {"y1": 0}), ())
-        with pytest.raises(StructuralError):
-            factor_run(dm.mgts, run)
+        assert intermediate_accepts(dm.mgts, run, {}, frozenset()) is None
 
 
 class TestSideLanguages:
@@ -245,20 +246,24 @@ class TestFaithfulness:
         hit = faithfulness_falsify(dm, 4)
         assert hit is not None
         iv, _ = dm.mgts.combined()
-        assert accepts(iv, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
-        assert intermediate_accepts(dm.mgts, hit, [ModOmega(1, ["y1"])], INT_DOMAIN)
-        assert not intermediate_accepts(dm.mgts, hit, [ExactOrOmega(["y1"])], INT_DOMAIN)
+        end = hit.final_config(iv.vass)
+        # accepting on Y at the outer markings, modulo mu = 1 but not exactly in between
+        assert end.node == iv.final.node
+        assert (hit.start.valuation["y1"], end.valuation["y1"]) == (0, 0)
+        assert intermediate_accepts(dm.mgts, hit, {"y1": 1}, frozenset())
+        assert not intermediate_accepts(dm.mgts, hit, side_gates(dm, "y"), frozenset())
 
     def test_no_walk_is_factored(self, monkeypatch):
         # each walk extends its prefix's valuation and gates by one edge, so
-        # the search gives the same counterexample without factoring any run
+        # the search gives the same counterexample without running the
+        # one-pass run check on any walk
         dm = self.planted_with_x_counter()
         want = faithfulness_falsify(dm, 4)
 
         def fail(*args):
-            raise AssertionError("factor_run called")
+            raise AssertionError("intermediate_accepts called")
 
-        monkeypatch.setattr(mgts_module, "factor_run", fail)
+        monkeypatch.setattr(mgts_module, "intermediate_accepts", fail)
         assert want is not None
         assert faithfulness_falsify(dm, 4) == want
 

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 from vasslab.errors import ArgumentError, StructuralError
 from vasslab.model import (
     EPSILON,
-    INT_DOMAIN,
     Edge,
     GenConfig,
     InitVass,
     Run,
     Vass,
     Violation,
-    accepts,
     dec_letter,
     dyck_alphabet,
     dyck_vas,
@@ -27,11 +25,11 @@ from vasslab.model import (
     is_dyck_word,
     language_bounded,
     letter_index,
-    nat_domain,
     simulate,
     word_effect,
 )
-from vasslab.values import OMEGA, ExactOrOmega, ModOmega
+from vasslab.mgts import Mgts, PrecoveringGraph, intermediate_accepts
+from vasslab.values import OMEGA
 
 A1, AB1, A2 = inc_letter(1), dec_letter(1), inc_letter(2)
 
@@ -106,24 +104,24 @@ class TestEffect:
 class TestSimulate:
     def test_three_increments(self):
         v = one_counter_loop(1)
-        run = simulate(v, GenConfig("q", {"c": 0}), [0, 0, 0], nat_domain(v))
+        run = simulate(v, GenConfig("q", {"c": 0}), [0, 0, 0], frozenset(v.counters))
         assert run.final_config(v).valuation == {"c": 3}
 
     def test_violation_position(self):
         v = one_counter_loop(-1)
-        out = simulate(v, GenConfig("q", {"c": 0}), [0], nat_domain(v))
+        out = simulate(v, GenConfig("q", {"c": 0}), [0], frozenset(v.counters))
         assert out == Violation(1, "c", -1)
 
     def test_int_domain_goes_negative(self):
         v = one_counter_loop(-1)
-        run = simulate(v, GenConfig("q", {"c": 0}), [0, 0, 0], INT_DOMAIN)
+        run = simulate(v, GenConfig("q", {"c": 0}), [0, 0, 0], frozenset())
         assert run.final_config(v).valuation == {"c": -3}
 
     def test_disconnected_sequence(self):
         v = Vass(["p", "q"], ("a",), ["c"],
                  [Edge("p", "a", {"c": 0}, "q"), Edge("p", "a", {"c": 0}, "q")])
         with pytest.raises(StructuralError):
-            simulate(v, GenConfig("p", {"c": 0}), [0, 1], nat_domain(v))
+            simulate(v, GenConfig("p", {"c": 0}), [0, 1], frozenset(v.counters))
 
     def test_agrees_with_naive_interpreter(self, rng):
         # random instances vs a per-step reference interpreter
@@ -146,7 +144,7 @@ class TestSimulate:
                 i, e = rng.choice(outs)
                 seq.append(i)
                 node = e.dst
-            got = simulate(v, start, seq, nat_domain(v))
+            got = simulate(v, start, seq, frozenset(v.counters))
             # reference: step one edge at a time
             val = dict(start.valuation)
             want = None
@@ -165,30 +163,36 @@ class TestSimulate:
                 assert got == want
 
 
+def one_graph(iv: InitVass) -> Mgts:
+    """The one-graph MGTS of a one-node VASS, with an all-ω assignment."""
+    return Mgts([PrecoveringGraph(iv, {q: {c: OMEGA for c in iv.vass.counters}
+                                       for q in iv.vass.nodes})])
+
+
 class TestAccepts:
     def test_exact(self):
         d = dyck_vas(1)
         run = Run(GenConfig("q", {"y1": 0}), ())
-        assert accepts(d, run, [ExactOrOmega()], nat_domain(d.vass))
+        assert intermediate_accepts(one_graph(d), run, {"y1": 0}, frozenset({"y1"}))
 
     def test_omega_dominates(self):
         v = one_counter_loop(1)
         iv = InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": OMEGA}))
-        run = simulate(v, GenConfig("q", {"c": 0}), [0] * 5, nat_domain(v))
-        assert accepts(iv, run, [ExactOrOmega()], nat_domain(v))
+        run = simulate(v, GenConfig("q", {"c": 0}), [0] * 5, frozenset(v.counters))
+        assert intermediate_accepts(one_graph(iv), run, {"c": 0}, frozenset(v.counters))
 
     def test_modulo_family(self):
         v = one_counter_loop(1)
         iv = InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": 2}))
-        run = simulate(v, GenConfig("q", {"c": 0}), [0] * 5, nat_domain(v))
-        assert accepts(iv, run, [ModOmega(3)], nat_domain(v))
-        assert not accepts(iv, run, [ExactOrOmega()], nat_domain(v))
+        run = simulate(v, GenConfig("q", {"c": 0}), [0] * 5, frozenset(v.counters))
+        assert intermediate_accepts(one_graph(iv), run, {"c": 3}, frozenset(v.counters))
+        assert not intermediate_accepts(one_graph(iv), run, {"c": 0}, frozenset(v.counters))
 
     def test_foreign_counter_restriction_is_structural(self):
         d = dyck_vas(1)
         run = Run(GenConfig("q", {"y1": 0}), ())
         with pytest.raises(StructuralError):
-            accepts(d, run, [ExactOrOmega(restrict={"zz"})], nat_domain(d.vass))
+            intermediate_accepts(one_graph(d), run, {"zz": 0}, frozenset({"y1"}))
 
 
 class TestReverse:

@@ -149,12 +149,10 @@ class TestLambertPump:
         dm = two_graph_dmgts()
         sol = ilp_feasible(build_char(dm, "full").system)
         run = lambert_pump(dm, sol, k_cap=64)
-        iv, _ = dm.mgts.combined()
-        from vasslab.mgts import intermediate_accepts
-        from vasslab.model import nat_domain
-        from vasslab.values import ExactOrOmega
+        from vasslab.mgts import intermediate_accepts, side_gates
 
-        assert intermediate_accepts(dm.mgts, run, [ExactOrOmega()], nat_domain(iv.vass))
+        gates = side_gates(dm, "full")
+        assert intermediate_accepts(dm.mgts, run, gates, frozenset(gates))
 
 
 class TestDiffRem:

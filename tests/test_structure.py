@@ -12,7 +12,6 @@ from vasslab.model import (
     dyck_alphabet,
     inc_letter,
     simulate,
-    nat_domain,
 )
 from vasslab.structure import (
     covering_sequences,
@@ -127,7 +126,7 @@ class TestCovering:
             seed = 40
             start = {c: (seed if p.in_marking[c] is OMEGA else p.in_marking[c])
                      for c in p.vass.counters}
-            out = simulate(p.vass, GenConfig(p.root, start), sigma, nat_domain(p.vass))
+            out = simulate(p.vass, GenConfig(p.root, start), sigma, frozenset(p.vass.counters))
             assert isinstance(out, Run)
             final = out.final_config(p.vass)
             assert final.node == p.root
@@ -236,7 +235,7 @@ def test_nested_pumping_found():
     assert sigma is not None and sigma != ()
     seed = 100
     start = {"c1": 0, "c2": 0}
-    out = simulate(g.vass, GenConfig(g.root, start), sigma, nat_domain(g.vass))
+    out = simulate(g.vass, GenConfig(g.root, start), sigma, frozenset(g.vass.counters))
     assert isinstance(out, Run)
     final = out.final_config(g.vass).valuation
     assert final["c1"] >= 1 and final["c2"] >= 1

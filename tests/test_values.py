@@ -3,12 +3,10 @@ from hypothesis import strategies as st
 
 from vasslab.values import (
     OMEGA,
-    ExactOrOmega,
-    ModOmega,
     Omega,
+    gate_ok,
     is_omega,
     omega_set,
-    valuation_le,
     value_from_json,
     value_to_json,
     vec_add,
@@ -51,29 +49,31 @@ def test_vec_add_keeps_omega():
 
 
 def test_specialization_preorder():
-    o = ExactOrOmega()
-    assert o.le(3, 3) and o.le(3, OMEGA) and not o.le(3, 4)
-    assert not o.le(OMEGA, 3) and o.le(OMEGA, OMEGA)
+    # modulus 0: k passes k and omega, nothing else
+    assert gate_ok(3, 3, 0) and gate_ok(3, OMEGA, 0) and not gate_ok(3, 4, 0)
+    assert not gate_ok(OMEGA, 3, 0) and gate_ok(OMEGA, OMEGA, 0)
 
 
 def test_mod_omega_preorder():
-    m = ModOmega(3)
-    assert m.le(5, 2) and m.le(2, 5) and not m.le(1, 3)
-    assert m.le(7, OMEGA) and not m.le(OMEGA, 1)
+    assert gate_ok(5, 2, 3) and gate_ok(2, 5, 3) and not gate_ok(1, 3, 3)
+    assert gate_ok(7, OMEGA, 3) and not gate_ok(OMEGA, 1, 3)
 
 
 def test_mod_implied_by_exact():
-    # ≡_mu^ω acceptance is implied by ≤_ω acceptance
+    # the modulo gate is implied by the exact one
     for mu in range(1, 7):
-        m = ModOmega(mu)
-        e = ExactOrOmega()
         for a in range(0, 21):
             for b in list(range(0, 21)) + [OMEGA]:
-                if e.le(a, b):
-                    assert m.le(a, b)
+                if gate_ok(a, b, 0):
+                    assert gate_ok(a, b, mu)
 
 
 def test_restricted_comparison():
-    bound = {"a": 1, "b": 2}
-    assert valuation_le({"a": 1, "b": 99}, bound, [ExactOrOmega(restrict={"a"})])
-    assert not valuation_le({"a": 2, "b": 2}, bound, [ExactOrOmega(restrict={"a"})])
+    # a counter absent from the gate map is not compared
+    bound, gates = {"a": 1, "b": 2}, {"a": 0}
+
+    def passes(val):
+        return all(gate_ok(val[c], bound[c], m) for c, m in gates.items())
+
+    assert passes({"a": 1, "b": 99})
+    assert not passes({"a": 2, "b": 2})

@@ -73,7 +73,6 @@ def test_modulo_strategy_clean():
     g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": OMEGA})
     # X side sees out ≡ ... build the decided-style member from refine i-y:
     from vasslab.decomposition import refine_case_i
-    from vasslab.mgts import perfectness_diagnosis
 
     v2 = Vass(["p", "q"], dyck_alphabet(1), ["y1"],
               [Edge("p", A1, {"y1": 1}, "q"), Edge("q", AB1, {"y1": -1}, "p")])
