@@ -17,7 +17,11 @@ def strip_letter(a):
 
 class Nfa:
     """Immutable NFA; states are arbitrary hashable ids (tuples self-describe
-    product states in DOT output)."""
+    product states in DOT output).
+
+    `eps_closure` and `step` are memoized on the instance, keyed by the
+    frozenset of states (and the letter), so a subset reached again is never
+    recomputed; the memo lives and dies with the automaton."""
 
     def __init__(self, states, transitions, initial, final, alphabet=None):
         self.states = frozenset(states)
@@ -42,23 +46,33 @@ class Nfa:
                 self._eps.setdefault(p, set()).add(q)
             else:
                 self._step.setdefault((p, a), set()).add(q)
+        self._closure_memo = {}  # frozenset(states) -> its ε-closure
+        self._step_memo = {}  # (frozenset(states), letter) -> ε-closed successors
 
-    def eps_closure(self, states):
-        out = set(states)
-        stack = list(states)
-        while stack:
-            p = stack.pop()
-            for q in self._eps.get(p, ()):
-                if q not in out:
-                    out.add(q)
-                    stack.append(q)
-        return frozenset(out)
+    def eps_closure(self, states) -> frozenset:
+        states = frozenset(states)
+        closed = self._closure_memo.get(states)
+        if closed is None:
+            out = set(states)
+            stack = list(states)
+            while stack:
+                p = stack.pop()
+                for q in self._eps.get(p, ()):
+                    if q not in out:
+                        out.add(q)
+                        stack.append(q)
+            closed = self._closure_memo[states] = frozenset(out)
+        return closed
 
-    def step(self, states, letter):
-        nxt = set()
-        for p in states:
-            nxt |= self._step.get((p, letter), set())
-        return self.eps_closure(nxt)
+    def step(self, states, letter) -> frozenset:
+        states = frozenset(states)
+        closed = self._step_memo.get((states, letter))
+        if closed is None:
+            nxt = set()
+            for p in states:
+                nxt.update(self._step.get((p, letter), ()))
+            closed = self._step_memo[states, letter] = self.eps_closure(nxt)
+        return closed
 
     def is_deterministic(self) -> bool:
         if self._eps:

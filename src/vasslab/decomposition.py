@@ -85,10 +85,6 @@ class Observer:
     step: callable
 
 
-def identity_observer() -> Observer:
-    return Observer(initial=("*",), step=lambda s, ei: (s,))
-
-
 @dataclass
 class ProductGraph:
     """The reachable part of P × O."""

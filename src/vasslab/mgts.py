@@ -187,10 +187,6 @@ class Mgts:
         self._combined = (iv, tuple(origin))
         return self._combined
 
-    def combined_index(self, origin) -> int:
-        _, origins = self.combined()
-        return origins.index(origin)
-
     def reverse(self) -> "Mgts":
         return Mgts(
             tuple(g.reverse() for g in reversed(self.graphs)),
@@ -348,19 +344,6 @@ def intermediate_accepts(mgts: Mgts, run: Run, gates: dict, nonneg: frozenset):
         return None
     visits.append((entry, tuple(seq), val))
     return visits
-
-
-def dmgts_word(run: Run, mgts: Mgts) -> tuple:
-    """λ_#: edge labels, with bridge letters hash-annotated."""
-    _, origins = mgts.combined()
-    iv, _ = mgts.combined()
-    word = []
-    for i in run.edge_seq:
-        e = iv.vass.edges[i]
-        if e.label == EPSILON:
-            continue
-        word.append((e.label, origins[i][0] == "b"))
-    return tuple(word)
 
 
 @dataclass(frozen=True)
@@ -757,10 +740,6 @@ def perfectness_diagnosis(dmgts: Dmgts):
     if not dmgts.faithful:
         return PerfectnessDiagnosis("faithful-flag")
     return None
-
-
-def is_perfect(dmgts: Dmgts) -> bool:
-    return perfectness_diagnosis(dmgts) is None
 
 
 def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):

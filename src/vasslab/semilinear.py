@@ -288,9 +288,10 @@ def basic_member(desc: BasicSeparatorDesc, word) -> bool:
     autos = [approx_automaton(lin, desc.k) for lin in desc.chain]
     reach = {0}
     for auto in autos:
+        start = auto.eps_closure(auto.initial)
         nxt = set()
         for p in reach:
-            cur = auto.eps_closure(auto.initial)
+            cur = start
             if cur & auto.final:
                 nxt.add(p)
             for q in range(p, len(word)):

@@ -48,12 +48,59 @@ def nfas(draw):
                draw(st.sets(state, min_size=1)), ("a", "b"))
 
 
+def accepts_by_search(nfa, word) -> bool:
+    """Acceptance read from `nfa.transitions` alone, sharing no code with the
+    memoized subset stepping: a search over (state, position) pairs, where an
+    ε move keeps the position and a letter move reads word[position]."""
+    seen = {(p, 0) for p in nfa.initial}
+    stack = list(seen)
+    while stack:
+        p, i = stack.pop()
+        if i == len(word) and p in nfa.final:
+            return True
+        for src, a, q in nfa.transitions:
+            if src != p:
+                continue
+            if a is None:
+                nxt = (q, i)
+            elif i < len(word) and a == word[i]:
+                nxt = (q, i + 1)
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 @settings(max_examples=300)
 @given(nfas(), st.integers(0, 5))
 def test_enumerate_words_equals_brute_force(nfa, max_len):
-    want = {w for k in range(max_len + 1) for w in words_over(("a", "b"), repeat=k)
-            if run_word(nfa, w)}
+    words = [w for k in range(max_len + 1) for w in words_over(("a", "b"), repeat=k)]
+    want = {w for w in words if accepts_by_search(nfa, w)}
+    assert {w for w in words if run_word(nfa, w)} == want
     assert enumerate_words(nfa, max_len) == want
+
+
+def test_memoized_stepping_reads_any_collection():
+    n = Nfa({0, 1, 2}, {(0, "a", 1), (1, None, 2), (2, "a", 0)}, {0}, {2}, ("a",))
+    args = ({0, 1}, [1, 0, 1], frozenset({0, 1}))
+    assert {n.eps_closure(s) for s in args} == {frozenset({0, 1, 2})}
+    assert {n.step(s, "a") for s in args} == {frozenset({1, 2})}
+    assert all(type(n.eps_closure(s)) is frozenset and type(n.step(s, "a")) is frozenset
+               for s in args)
+
+
+def test_memoized_stepping_ignores_later_mutation():
+    n = Nfa({0, 1, 2}, {(0, "a", 1), (1, None, 2), (2, "a", 0)}, {0}, {2}, ("a",))
+    states = {0}
+    assert n.eps_closure(states) == {0}
+    assert n.step(states, "a") == {1, 2}
+    states.add(2)
+    assert n.eps_closure(states) == {0, 2}
+    assert n.step(states, "a") == {0, 1, 2}
+    assert n.eps_closure({0}) == {0}
+    assert n.step({0}, "a") == {1, 2}
 
 
 def test_empty_nfa_language():

@@ -11,7 +11,6 @@ from vasslab.decomposition import (
     ct,
     dec_along,
     decompose,
-    identity_observer,
     mod_residue_expansion,
     observer_product,
     refine_case_i,
@@ -56,6 +55,10 @@ from test_acceptance import curated_suite
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
 CAPS = LanguageCaps(max_run_len=10, value_cap=24)
+
+
+def identity_observer() -> Observer:
+    return Observer(initial=("*",), step=lambda s, ei: (s,))
 
 
 def bounded_lx(dm, max_len=6):

@@ -17,13 +17,11 @@ from vasslab.mgts import (
     consistent_specialization_falsify,
     dmgts_from_json,
     dmgts_to_json,
-    dmgts_word,
     faithfulness_falsify,
     fold_states,
     fold_to_mgts_list,
     initial_dmgts,
     intermediate_accepts,
-    is_perfect,
     is_zero_reaching,
     perfectness_diagnosis,
     side_gates,
@@ -59,6 +57,23 @@ A1, AB1 = inc_letter(1), dec_letter(1)
 CAPS = LanguageCaps(max_run_len=10, value_cap=24)
 
 
+def combined_index(mgts, origin) -> int:
+    """The index in `mgts.combined()` of the edge with this origin."""
+    _, origins = mgts.combined()
+    return origins.index(origin)
+
+
+def dmgts_word(run: Run, mgts: Mgts) -> tuple:
+    """λ_#: edge labels, with bridge letters hash-annotated."""
+    iv, origins = mgts.combined()
+    word = []
+    for i in run.edge_seq:
+        e = iv.vass.edges[i]
+        if e.label != EPSILON:
+            word.append((e.label, origins[i][0] == "b"))
+    return tuple(word)
+
+
 class TestValidate:
     def test_dyck_lift_ok(self):
         assert validate_precovering(dyck_copy_graph()) == []
@@ -86,10 +101,10 @@ class TestIntermediateAccepts:
         g1 = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 1}, root="r1")
         g2 = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 1}, {"y1": 1}, root="r2")
         mgts = Mgts([g1, g2], [Update(EPSILON, {"y1": 0})])
-        bridge = mgts.combined_index(("b", 0))
+        bridge = combined_index(mgts, ("b", 0))
         bad = Run(GenConfig("r1", {"y1": 0}), (bridge,))
         assert not intermediate_accepts(mgts, bad, {"y1": 0}, frozenset())
-        good = Run(GenConfig("r1", {"y1": 0}), (mgts.combined_index(("g", 0, 0)), bridge))
+        good = Run(GenConfig("r1", {"y1": 0}), (combined_index(mgts, ("g", 0, 0)), bridge))
         assert intermediate_accepts(mgts, good, {"y1": 0}, frozenset())
 
     def test_modulo_exit(self):
@@ -152,8 +167,8 @@ class TestDmgtsWord:
     def test_hash_on_bridges_only(self):
         dm = two_graph_dmgts(bridge_label=A1, bridge_update={"y1": 1})
         mgts = dm.mgts
-        seq = (mgts.combined_index(("g", 0, 0)), mgts.combined_index(("b", 0)),
-               mgts.combined_index(("g", 1, 1)), mgts.combined_index(("g", 1, 1)))
+        seq = (combined_index(mgts, ("g", 0, 0)), combined_index(mgts, ("b", 0)),
+               combined_index(mgts, ("g", 1, 1)), combined_index(mgts, ("g", 1, 1)))
         run = Run(GenConfig("r1", {"y1": 0}), seq)
         word = dmgts_word(run, mgts)
         assert word == ((A1, False), (A1, True), (AB1, False), (AB1, False))
@@ -183,7 +198,7 @@ class TestInitialDmgts:
 
 class TestPerfectness:
     def test_initial_dyck_copy_perfect(self):
-        assert is_perfect(initial_dmgts(dyck_vas(1)))
+        assert perfectness_diagnosis(initial_dmgts(dyck_vas(1))) is None
 
     def test_minus_loop_hits_case_ii_first(self):
         # the ā1-only graph has its edge forced to zero, so under the priority
