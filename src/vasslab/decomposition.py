@@ -16,9 +16,9 @@ from .mgts import (
     MgtsContext,
     PipelineCaps,
     PrecoveringGraph,
-    _sccs,
     canonical_key,
     perfectness_diagnosis,
+    sccs,
     substitute,
     unfold_paths,
     validate_precovering,
@@ -388,7 +388,7 @@ def _delete_edge_restrict(p: PrecoveringGraph, ei: int) -> PrecoveringGraph:
     succ = {}
     for k, e in enumerate(edges):
         succ.setdefault(e.src, []).append((k, e.dst))
-    comp = _sccs(succ, [p.root])[p.root]
+    comp = sccs(succ, [p.root])[p.root]
     edges = [e for e in edges if e.src in comp and e.dst in comp]
     vass = Vass(sorted(comp), p.vass.alphabet, p.vass.counters, edges)
     base = InitVass(vass, GenConfig(p.root, dict(p.in_marking)),

@@ -40,12 +40,14 @@ from .semilinear import (
     family_cov,
     family_drift,
     family_mod,
+    linear_set_to_json,
     move_word,
+    residue_nfa,
 )
 from .separator import lambert_pump, lift_separator, modulo_automaton
 from .solver import ilp_feasible
 from .values import is_omega
-from .zsep import _mod_effect_nfa, z_separability
+from .zsep import z_separability
 
 
 @dataclass
@@ -156,7 +158,7 @@ def _mod_certificate_nfa(member: Dmgts) -> Nfa:
     for idx, c in enumerate(member.y_counters, start=1):
         v = out[c]
         if not is_omega(v) and v % mu != 0:
-            return strip_hash(_mod_effect_nfa(idx, mu, v % mu, n))
+            return residue_nfa(mu, {idx: v}, n)
     raise InvariantViolation("modulo-decided member without a non-zero Y out-marking")
 
 
@@ -404,10 +406,7 @@ def _dispatch(args) -> int:
             desc = family_cov(args.k, args.i, args.n)
         else:
             desc = family_drift(v, args.k)
-        out = {"k": desc.k, "chain": [
-            {"base": list(l.base), "periods": [list(p) for p in l.periods]}
-            for l in desc.chain
-        ]}
+        out = {"k": desc.k, "chain": [linear_set_to_json(lin) for lin in desc.chain]}
         if args.member is not None:
             out["member"] = basic_member(desc, _parse_word(args.member))
         print(json.dumps(out, sort_keys=True))

@@ -94,7 +94,7 @@ class PrecoveringGraph:
 def is_strongly_connected(vass: Vass) -> bool:
     if not vass.nodes:
         return False
-    return _sccs(vass.successors(), vass.nodes[:1])[vass.nodes[0]] == set(vass.nodes)
+    return sccs(vass.successors(), vass.nodes[:1])[vass.nodes[0]] == set(vass.nodes)
 
 
 def validate_precovering(p: PrecoveringGraph) -> list:
@@ -509,7 +509,7 @@ def _entry_ranges(counters, in_marking, gates, value_cap, free_seed):
 
 # -- constructions -------------------------------------------------------------
 
-def _sccs(succ, starts) -> dict:
+def sccs(succ, starts) -> dict:
     """state -> frozenset of its strongly connected component, for every state
     reachable from `starts` (iterative Tarjan); succ: state -> [(k, next)]."""
     index, low, comp = {}, {}, {}
@@ -568,7 +568,7 @@ def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
     for k, (src, _, _, dst) in enumerate(edges):
         succ.setdefault(src, []).append((k, dst))
         back.setdefault(dst, []).append((k, src))
-    comp = _sccs(succ, starts)
+    comp = sccs(succ, starts)
     inner = {}  # component -> its edges, in list order
     for edge in edges:
         if edge[0] in comp and edge[3] in comp[edge[0]]:

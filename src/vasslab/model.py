@@ -44,6 +44,11 @@ def dyck_alphabet(n: int):
     return tuple(out)
 
 
+def annotated_alphabet(n: int) -> frozenset:
+    """The letters of Σ_n, each with a hash flag: (a, False) and (a, True)."""
+    return frozenset((a, h) for a in dyck_alphabet(n) for h in (False, True))
+
+
 def letter_index(letter: str, n: int = None):
     """(counter index i, +1|-1) of a Dyck letter a<i> or ā<i>, or None if
     foreign: i is written in ASCII decimal without leading zeros, and

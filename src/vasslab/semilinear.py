@@ -15,6 +15,7 @@ from .decomposition import decompose
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
 from .mgts import Dmgts, side_gates, unfold_paths
 from .model import (
+    annotated_alphabet,
     dec_letter,
     dyck_alphabet,
     edge_walks,
@@ -104,21 +105,22 @@ def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     states are the box members of the linear set. Dyck letters reach every
     point of the box, so R(lin, k) has (2k+1)^n states; more than
     APPROX_STATE_CAP raise ResourceExhausted before anything is built."""
+    if (k, annotated) not in lin._approx:
+        lin._approx[k, annotated] = Nfa(*_approx_parts(lin, k, annotated))
+    return lin._approx[k, annotated]
+
+
+def _approx_parts(lin: LinearSet, k: int, annotated: bool):
+    """The states, transitions, initial states, final states and alphabet of
+    R(lin, k), built afresh."""
     if k < 0:
         raise ArgumentError("k must be >= 0")
-    if (k, annotated) in lin._approx:
-        return lin._approx[k, annotated]
     n = lin.dim
     size = (2 * k + 1) ** n
     if size > APPROX_STATE_CAP:
         raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {size} states, above the "
                                 f"cap {APPROX_STATE_CAP}")
-    letters = dyck_alphabet(n)
-    shifts = []
-    for a in letters:
-        i, d = letter_index(a, n)
-        labels = [(a, False), (a, True)] if annotated else [a]
-        shifts.extend((lab, tuple(d if j == i - 1 else 0 for j in range(n))) for lab in labels)
+    shifts = _letter_shifts(n, range(1, n + 1), annotated)
     shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
 
     def moves(v):
@@ -130,11 +132,19 @@ def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     start = tuple(0 for _ in range(n))
     states, transitions = reachable([start], moves)
     final = {v for v in states if lin_member(lin, v)}
-    alphabet = frozenset((a, h) for a in letters for h in (False, True)) if annotated \
-        else frozenset(letters)
-    nfa = Nfa(states, transitions, {start}, final, alphabet)
-    lin._approx[k, annotated] = nfa
-    return nfa
+    alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
+    return states, transitions, {start}, final, alphabet
+
+
+def _letter_shifts(n: int, counters, annotated: bool) -> list:
+    """(label, effect on the given counter indices) of every letter of Σ_n,
+    each letter twice, with hash flag False and True, if `annotated`."""
+    shifts = []
+    for a in dyck_alphabet(n):
+        i, d = letter_index(a, n)
+        delta = tuple(d if j == i else 0 for j in counters)
+        shifts.extend((lab, delta) for lab in ([(a, False), (a, True)] if annotated else [a]))
+    return shifts
 
 
 def approx_member(lin: LinearSet, k: int, word) -> bool:
@@ -264,6 +274,8 @@ class BasicSeparatorDesc:
 
     k: int
     chain: tuple
+    # its automaton by `annotated`, kept by desc_automaton
+    _automata: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "chain", tuple(self.chain))
@@ -282,28 +294,34 @@ def make_basic_separator(chain, k: int):
     return BasicSeparatorDesc(k, tuple(chain))
 
 
+def desc_automaton(desc: BasicSeparatorDesc, annotated=False) -> Nfa:
+    """The concatenation R(Λ_1,k)...R(Λ_ℓ,k) as one NFA: R(Λ_1, k) itself
+    for one factor, else the factors' states tagged (i, state), with ε moves
+    from the final states of factor i to the initial states of factor i + 1.
+    Memoized on the descriptor; the factors of a longer chain are built afresh,
+    so no linear set keeps a second copy of them."""
+    if annotated not in desc._automata:
+        if len(desc.chain) == 1:
+            nfa = approx_automaton(desc.chain[0], desc.k, annotated)
+        else:
+            states, transitions, initial, exits = [], [], None, []
+            for i, lin in enumerate(desc.chain):
+                f_states, f_trans, f_init, f_final, alphabet = _approx_parts(lin, desc.k,
+                                                                             annotated)
+                entries = [(i, q) for q in f_init]
+                states.extend((i, q) for q in f_states)
+                transitions.extend(((i, p), a, (i, q)) for p, a, q in f_trans)
+                transitions.extend((p, None, q) for p in exits for q in entries)
+                initial = initial or entries
+                exits = [(i, q) for q in f_final]
+            nfa = Nfa(states, transitions, initial, exits, alphabet)
+        desc._automata[annotated] = nfa
+    return desc._automata[annotated]
+
+
 def basic_member(desc: BasicSeparatorDesc, word) -> bool:
-    """Concatenation membership by dynamic programming over split points."""
-    word = tuple(word)
-    autos = [approx_automaton(lin, desc.k) for lin in desc.chain]
-    reach = {0}
-    for auto in autos:
-        start = auto.eps_closure(auto.initial)
-        nxt = set()
-        for p in reach:
-            cur = start
-            if cur & auto.final:
-                nxt.add(p)
-            for q in range(p, len(word)):
-                cur = auto.step(cur, word[q])
-                if not cur:
-                    break
-                if cur & auto.final:
-                    nxt.add(q + 1)
-        reach = nxt
-        if not reach:
-            return False
-    return len(word) in reach
+    """Membership in R(Λ_1,k)...R(Λ_ℓ,k)."""
+    return run_word(desc_automaton(desc), tuple(word))
 
 
 def family_mod(mu: int, v, n: int = None) -> BasicSeparatorDesc:
@@ -536,18 +554,23 @@ def period_deduction_check(lin: LinearSet, k: int, w_mid, i: int,
 
 # -- basic separators for regular languages --------------------------------------------
 
-def _mod_language_nfa(mu: int, v, n: int) -> Nfa:
-    """Sequences with effect ≡ v mod mu, as a complete DFA over Σ_n."""
-    letters = dyck_alphabet(n)
-    index = [letter_index(a, n) for a in letters]
+def residue_nfa(mu: int, residues: dict, n: int, annotated=False) -> Nfa:
+    """The words over Σ_n (annotated Σ_n if `annotated`) whose effect on
+    counter i is ≡ residues[i] mod mu for every counter index i in
+    `residues`, as a complete DFA: its states are the tuples of those
+    counters' residues, in index order."""
+    tracked = sorted(residues)
+    shifts = _letter_shifts(n, tracked, annotated)
 
     def moves(r):
-        for a, (i, d) in zip(letters, index):
-            yield a, tuple((x + (d if j == i - 1 else 0)) % mu for j, x in enumerate(r))
+        for lab, delta in shifts:
+            yield lab, tuple((x + y) % mu for x, y in zip(r, delta))
 
-    start = tuple(0 for _ in range(n))
+    start = tuple(0 for _ in tracked)
     states, transitions = reachable([start], moves)
-    return Nfa(states, transitions, {start}, {tuple(x % mu for x in v)}, letters)
+    final = {tuple(residues[i] % mu for i in tracked)}
+    alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
+    return Nfa(states, transitions, {start}, final, alphabet)
 
 
 def fold_nfa_to_dmgts_list(nfa: Nfa, n: int):
@@ -609,14 +632,7 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
                     covers.append(family_mod(mu, v, n))
         for member in chain_members:
             covers.extend(_member_chains(member, n, residue_cap, chain_cap))
-    dedup = []
-    seen = set()
-    for d in covers:
-        key = (d.k, d.chain)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(d)
-    return dedup
+    return list(dict.fromkeys(covers))
 
 
 def _nonzero_residues(mu: int, n: int):
@@ -675,7 +691,7 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
         k = 1
         empty = False
         for gi in range(ell):
-            auto = product(control[gi], _mod_language_nfa(mu, vtuple[gi], n))
+            auto = product(control[gi], residue_nfa(mu, dict(enumerate(vtuple[gi], 1)), n))
             ki, lins = nfa_to_linear_cover(auto)
             if not lins:
                 empty = True

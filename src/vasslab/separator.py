@@ -31,7 +31,7 @@ from .model import (
     EPSILON,
     GenConfig,
     Run,
-    dyck_alphabet,
+    annotated_alphabet,
     effect,
     is_dyck_word,
     parikh_of,
@@ -39,10 +39,6 @@ from .model import (
 from .solver import ilp_feasible
 from .structure import covering_sequences, down_covering, realization
 from .values import gate_ok
-
-
-def annotated_alphabet(n: int) -> frozenset:
-    return frozenset((a, h) for a in dyck_alphabet(n) for h in (False, True))
 
 
 def modulo_automaton(dmgts: Dmgts) -> Nfa:
@@ -95,11 +91,9 @@ def modulo_automaton(dmgts: Dmgts) -> Nfa:
 def lift_separator(zsep: Nfa, dmgts: Dmgts) -> Nfa:
     """Make a Z-separator precise by product with the modulo automaton, then
     drop the hash annotations. The caller owes that zsep separates Sol_X from
-    Sol_Y (bounded-verified upstream)."""
-    asharp = modulo_automaton(dmgts)
-    if zsep.alphabet != asharp.alphabet:
-        zsep = Nfa(zsep.states, zsep.transitions, zsep.initial, zsep.final, asharp.alphabet)
-    return strip_hash(product(zsep, asharp))
+    Sol_Y (bounded-verified upstream); its alphabet must be the annotated Σ_n
+    of the DMGTS, or `product` raises StructuralError."""
+    return strip_hash(product(zsep, modulo_automaton(dmgts)))
 
 
 def preciseness_falsify(nfa_sharp: Nfa, dmgts: Dmgts, max_len: int,

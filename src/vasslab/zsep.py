@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from .automata import Nfa, empty_nfa, first_mistake, universal_nfa
 from .chareq import build_char, edge_var
 from .mgts import Dmgts, PipelineCaps, side_language_bounded
-from .model import EPSILON, letter_index
-from .semilinear import _halfspace_set, approx_automaton
-from .separator import annotated_alphabet, loop_labels, loop_pair_search
+from .model import EPSILON, annotated_alphabet, letter_index
+from .semilinear import desc_automaton, family_drift, residue_nfa
+from .separator import loop_labels, loop_pair_search
 from .solver import UNBOUNDED, LinSystem, ilp_feasible, lp_opt
 
 
@@ -63,20 +63,6 @@ def _with_effect_congruence(system: LinSystem, coeffs, const, residue, mu):
                      tuple(system.congruences) + (extra,))
 
 
-def _mod_effect_nfa(counter_idx: int, mu: int, residue: int, n: int) -> Nfa:
-    """Annotated NFA accepting the words whose effect on one Dyck counter is
-    ≡ residue mod mu."""
-    alpha = annotated_alphabet(n)
-    states = set(range(mu))
-    transitions = set()
-    for r in range(mu):
-        for (a, h) in alpha:
-            i, d = letter_index(a, n)
-            r2 = (r + (d if i == counter_idx else 0)) % mu
-            transitions.add((r, (a, h), r2))
-    return Nfa(states, transitions, {0}, {residue % mu}, alpha)
-
-
 def z_separability(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> SepVerdict:
     """The strategy ladder: Y-infeasible, X-infeasible, modulo counting, drift,
     equal-label inseparability pairs, then Unknown. Separable verdicts carry an
@@ -115,7 +101,7 @@ def z_separability(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> SepVerd
                 node_budget=caps.ilp_nodes,
             ) is not None:
                 continue
-            nfa = _mod_effect_nfa(idx, mu, v, n)
+            nfa = residue_nfa(mu, {idx: v}, n, annotated=True)
             if _bounded_certificate_ok(nfa, dmgts, caps):
                 return SepVerdict("separable", nfa=nfa, strategy=f"modulo({mu},{v},{c})")
 
@@ -135,7 +121,7 @@ def z_separability(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> SepVerd
         lo = lp_opt(cs_x.system, objective, maximize=False)
         if lo is None or lo is UNBOUNDED or lo + const < 1:
             continue
-        nfa = _drift_nfa(v, DRIFT_K)
+        nfa = desc_automaton(family_drift(v, DRIFT_K), annotated=True)
         if _bounded_certificate_ok(nfa, dmgts, caps):
             return SepVerdict("separable", nfa=nfa, strategy=f"drift({v})")
 
@@ -157,14 +143,6 @@ def _reads_nonneg_letters(dmgts: Dmgts, v) -> bool:
     labels += [u.label for u in dmgts.bridges]
     letters = (letter_index(a, len(v)) for a in labels if a != EPSILON)
     return all(v[i - 1] * d >= 0 for i, d in letters)
-
-
-def _drift_nfa(v, k: int) -> Nfa:
-    """R(H_v, k'), annotated: the k'-th approximation of {y : <y, v> > 0} with
-    k' = k |v|_1 + the largest period norm + 1."""
-    lin = _halfspace_set(v)
-    pnorm = max((sum(abs(x) for x in p) for p in lin.periods), default=0)
-    return approx_automaton(lin, k * sum(abs(x) for x in v) + pnorm + 1, annotated=True)
 
 
 def _small_vectors(n: int, norm: int):

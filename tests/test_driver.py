@@ -23,6 +23,7 @@ from vasslab.driver import (
 from vasslab.errors import ArgumentError
 from vasslab.mgts import dump_dmgts, initial_dmgts
 from vasslab.model import (
+    EPSILON,
     Edge,
     GenConfig,
     InitVass,
@@ -36,7 +37,7 @@ from vasslab.model import (
     language_bounded,
 )
 from vasslab import semilinear
-from vasslab.automata import run_word
+from vasslab.automata import first_mistake, run_word
 from vasslab.values import OMEGA
 
 from pump_search_oracle import oracle_pump_search
@@ -166,6 +167,29 @@ class TestSeparatePipeline:
             assert not run_word(rep.separator, w)
         assert any(s.get("strategy", "").startswith("modulo")
                    for s in rep.stages if s["stage"] == "zsep")
+
+    def test_modulo_decided_members_separate_odd_powers(self):
+        # p −ε, k+1→ p, p −a1→ q, q −a1→ p from (p, 0) to (q, 1): the odd
+        # powers of a1. The decomposition decides every member by a non-zero
+        # residue and keeps none perfect, so the separator is the union of the
+        # decided members' residue automata alone
+        v = Vass(["p", "q"], dyck_alphabet(1), ["k"],
+                 [Edge("p", EPSILON, {"k": 1}, "p"), Edge("p", A1, {"k": 0}, "q"),
+                  Edge("q", A1, {"k": 0}, "p")])
+        sub = InitVass(v, GenConfig("p", {"k": 0}), GenConfig("q", {"k": 1}))
+        from vasslab.decomposition import decompose
+
+        res = decompose(initial_dmgts(sub))
+        assert not res.perfect
+        assert [d.certificate for d in res.decided] == ["modulo-nonzero"] * 4
+        rep = cmd_separate(sub, PipelineCaps(max_word_len=10))
+        assert rep.verdict == "separable"
+        assert rep.stages[1:] == [
+            {"stage": "decompose", "perfect": 0, "decided": 4},
+            {"stage": "verify", "result": "ok", "len": 10}]
+        words = language_bounded(sub, 12, max_run_len=30, value_cap=40)
+        assert sorted(words) == [(A1,) * m for m in (1, 3, 5, 7, 9, 11)]
+        assert first_mistake(rep.separator, sorted(words), dyck_words(1, 12)) is None
 
     def test_non_dyck_alphabet_rejected(self):
         v = Vass(["q"], ("z",), [], [Edge("q", "z", {}, "q")])

@@ -1,4 +1,5 @@
-"""Every imported name is read: a walk over the syntax tree of each module in
+"""Every imported name is read, and no vasslab module imports another one's
+private (underscore) names: walks over the syntax tree of each module in
 src/vasslab, tests and scripts."""
 
 import ast
@@ -30,6 +31,18 @@ def unused_imports(source: str) -> list:
                   if name not in read | exported)
 
 
+def private_imports(source: str) -> list:
+    """The underscore names the module imports from another vasslab module,
+    by a relative import or by `from vasslab... import`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "vasslab"):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.startswith("_"))
+    return sorted(found)
+
+
 def test_checker_finds_an_unused_import():
     src = "from os import path, sep\nimport json\n__all__ = ['sep']\nprint(json)\n"
     assert unused_imports(src) == [(1, "path")]
@@ -39,4 +52,17 @@ def test_no_unused_imports():
     assert len(MODULES) > 30
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8"))
              for p in MODULES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_checker_finds_a_private_import():
+    src = ("from .mgts import Dmgts, _sccs\nfrom vasslab.zsep import _small_vectors\n"
+           "from os import _exit\nfrom . import chareq\n")
+    assert private_imports(src) == [(1, "_sccs"), (2, "_small_vectors")]
+
+
+def test_no_private_imports_across_package_modules():
+    package = [p for p in MODULES if p.parent.name == "vasslab"]
+    assert len(package) > 10
+    found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in package}
     assert {k: v for k, v in found.items() if v} == {}

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from vasslab.automata import Nfa, enumerate_words
+from vasslab.automata import Nfa, enumerate_words, run_word
 from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.model import (
     dec_letter,
@@ -22,6 +22,7 @@ from vasslab.semilinear import (
     basic_separators_for_regular,
     counterexample_member,
     counterexample_nfa,
+    desc_automaton,
     family_cov,
     family_drift,
     family_mod,
@@ -32,6 +33,7 @@ from vasslab.semilinear import (
     nfa_to_linear_cover,
     period_deduction_check,
     pos_sum_contains_zero,
+    residue_nfa,
     singleton_set,
 )
 
@@ -244,6 +246,85 @@ class TestFamilies:
                 assert basic_member(d, w), w
                 hits += 1
         assert hits > 0
+
+
+def _words(n: int, max_len: int):
+    words = [()]
+    for w in words:
+        if len(w) < max_len:
+            words.extend(w + (a,) for a in dyck_alphabet(n))
+    return words
+
+
+def _split_member(desc, word) -> bool:
+    """Reference: some split of the word into ℓ factors, the i-th in
+    R(Λ_i, k), each factor tested on its own."""
+    if len(desc.chain) == 1:
+        return approx_member(desc.chain[0], desc.k, word)
+    return any(approx_member(desc.chain[0], desc.k, word[:cut])
+               and _split_member(BasicSeparatorDesc(desc.k, desc.chain[1:]), word[cut:])
+               for cut in range(len(word) + 1))
+
+
+class TestDescAutomaton:
+    def test_chain_automaton_equals_split_points(self):
+        descs = [family_cov(1, 1, 1), family_cov(2, 1, 1), family_cov(1, 2, 2),
+                 make_basic_separator([singleton_set((1,)), singleton_set((-1,)),
+                                       singleton_set((1,))], 2),
+                 make_basic_separator([singleton_set((1, 0)), singleton_set((-1, 1))], 2)]
+        for desc in descs:
+            assert isinstance(desc, BasicSeparatorDesc)
+            n = desc.chain[0].dim
+            for w in _words(n, 6 if n == 1 else 4):
+                assert basic_member(desc, w) == _split_member(desc, w), (desc, w)
+
+    def test_one_factor_chain_is_its_approximation(self):
+        desc = family_drift((1,), 2)
+        assert desc_automaton(desc) is approx_automaton(desc.chain[0], desc.k)
+        assert desc_automaton(desc, annotated=True) is approx_automaton(
+            desc.chain[0], desc.k, annotated=True)
+
+    def test_automaton_memoized_on_its_descriptor(self):
+        desc = family_cov(1, 1, 2)
+        auto = desc_automaton(desc)
+        assert desc_automaton(desc) is auto
+        annotated = desc_automaton(desc, annotated=True)
+        assert annotated is not auto and len(annotated.states) == len(auto.states)
+        assert {a for a, _ in annotated.alphabet} == auto.alphabet
+        # the memo is no part of the descriptor's value, and no linear set
+        # of a longer chain keeps a copy of its factor
+        assert desc == family_cov(1, 1, 2) and hash(desc) == hash(family_cov(1, 1, 2))
+        assert "_automata" not in repr(desc)
+        assert all(not lin._approx for lin in desc.chain)
+        ref = weakref.ref(auto)
+        del desc, auto, annotated
+        gc.collect()
+        assert ref() is None
+
+
+class TestResidueNfa:
+    def test_accepts_the_effects_in_the_residue_classes(self):
+        for n, mu, residues, max_len in ((1, 3, {1: 2}, 6), (2, 2, {2: 1}, 4),
+                                         (2, 3, {1: 1, 2: -1}, 4)):
+            nfa = residue_nfa(mu, residues, n)
+            assert nfa.is_deterministic() and nfa.is_total()
+            assert len(nfa.states) == mu ** len(residues)
+            for w in _words(n, max_len):
+                eff = word_effect(w, n)
+                want = all((eff[i - 1] - r) % mu == 0 for i, r in residues.items())
+                assert run_word(nfa, w) == want, (residues, w)
+
+    def test_modulo_family_for_one_counter(self):
+        for mu in (2, 3, 4):
+            for r in range(1, mu):
+                nfa, desc = residue_nfa(mu, {1: r}, 1), family_mod(mu, (r,))
+                for w in _words(1, 6):
+                    assert run_word(nfa, w) == basic_member(desc, w), (mu, r, w)
+
+    def test_annotated(self):
+        nfa = residue_nfa(2, {1: 1}, 1, annotated=True)
+        assert nfa.alphabet == {(a, h) for a in dyck_alphabet(1) for h in (False, True)}
+        assert run_word(nfa, ((A1, True),)) and not run_word(nfa, ((A1, False), (AB1, True)))
 
 
 class TestCounterexample:

@@ -5,13 +5,14 @@ import pytest
 
 from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
 from vasslab.chareq import build_char
-from vasslab.errors import ArgumentError
+from vasslab.errors import ArgumentError, StructuralError
 from vasslab.mgts import Dmgts, LanguageCaps, Mgts, PrecoveringGraph, side_language_bounded
 from vasslab.model import (
     Edge,
     GenConfig,
     InitVass,
     Vass,
+    annotated_alphabet,
     dec_letter,
     dyck_alphabet,
     dyck_vas,
@@ -21,7 +22,6 @@ from vasslab.model import (
 )
 from vasslab.mgts import initial_dmgts
 from vasslab.separator import (
-    annotated_alphabet,
     build_diff_rem,
     find_z_pair,
     inseparability_witness,
@@ -119,6 +119,17 @@ class TestLift:
         lifted = lift_separator(universal, dm)
         for w in side_language_bounded(dm, "x", 4, "int", CAPS).words:
             assert run_word(lifted, tuple(a for a, _ in w))
+
+    def test_lift_refuses_a_foreign_alphabet(self):
+        # the Z-separator must read the annotated Σ_n of the DMGTS: a plain or
+        # wider alphabet is an error of the caller, not re-declared away
+        dm = dyck_copy_dmgts()
+        for alphabet in (dyck_alphabet(1), annotated_alphabet(2)):
+            universal = Nfa({"u"}, {("u", a, "u") for a in alphabet}, {"u"}, {"u"}, alphabet)
+            empty = Nfa({"e"}, set(), {"e"}, set(), alphabet)
+            for zsep in (universal, empty):
+                with pytest.raises(StructuralError):
+                    lift_separator(zsep, dm)
 
 
 class TestLambertPump:

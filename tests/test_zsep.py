@@ -13,7 +13,8 @@ from vasslab.model import (
 )
 from vasslab.values import OMEGA
 from vasslab import zsep
-from vasslab.zsep import SepVerdict, _drift_nfa, _small_vectors, z_separability
+from vasslab.semilinear import desc_automaton, family_drift
+from vasslab.zsep import SepVerdict, _small_vectors, z_separability
 
 from conftest import graph_loops
 
@@ -122,7 +123,7 @@ def test_drift_nfa_accepts_words_of_nonneg_letters():
     # and which weighs >= 1 in total is in R(H_v, k'), already at k = 0
     for n, max_len in ((1, 8), (2, 6)):
         for v in _small_vectors(n, 2):
-            nfa = _drift_nfa(v, 0)
+            nfa = desc_automaton(family_drift(v, 0), annotated=True)
             letters = []
             for a in dyck_alphabet(n):
                 i, d = letter_index(a, n)
