@@ -94,9 +94,10 @@ class ProductGraph:
     initial: list
 
 
-def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> ProductGraph:
+def observer_product(p: PrecoveringGraph, obs: Observer, state_cap: int) -> ProductGraph:
     """Simulate the observer along the edges of P, restricted to the part
-    reachable from {root} × initial."""
+    reachable from {root} × initial; more than state_cap states raise
+    ResourceExhausted."""
 
     def moves(state):
         q, s = state
@@ -114,7 +115,7 @@ def observer_product(p: PrecoveringGraph, obs: Observer, state_cap=100000) -> Pr
     return ProductGraph(sorted(states, key=repr), transitions, initial)
 
 
-def dec_along(p: PrecoveringGraph, obs: Observer, finals, state_cap=100000) -> list:
+def dec_along(p: PrecoveringGraph, obs: Observer, finals, state_cap: int) -> list:
     """Unfold P along the simple accepted paths of P × obs into MGTS: one
     precovering graph per visited product state (its SCC, rooted there, with
     the inherited assignment), joined by the path edges as bridges; the outer

@@ -83,7 +83,7 @@ class BfsResult:
     word: tuple = None
 
 
-def oracle_bfs(iv: InitVass, counter_cap=40, length_cap=12) -> BfsResult:
+def oracle_bfs(iv: InitVass, counter_cap: int, length_cap: int) -> BfsResult:
     """Explicit-state N-reachability with value and length caps. `unreachable`
     is certified only when no branch was pruned by the caps."""
     if any(is_omega(v) for v in iv.init.valuation.values()):
@@ -168,13 +168,9 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
     oracle with lifting; decided members are separable by construction. The
     emitted separator passes the bounded coverage and disjointness checks."""
     report = PipelineReport(verdict="unknown", caps=caps)
-    n = len(subject.vass.alphabet) // 2
-    if set(subject.vass.alphabet) != set(dyck_alphabet(n)):
-        raise ArgumentError("subject must be over a Dyck alphabet")
-
     nd = initial_dmgts(subject)
-    combined, _ = nd.mgts.combined()
-    inter = InitVass(combined.vass, combined.init, combined.final)
+    n = len(nd.y_counters)
+    inter, _ = nd.mgts.combined()
     bfs = _bfs_or_inconclusive(inter, caps)
     if bfs.status == "reachable":
         report.verdict = "inseparable"

@@ -31,6 +31,7 @@ from .model import (
     json_object,
     letter_index,
 )
+from .solver import ILP_NODES
 from .values import (
     OMEGA,
     clip,
@@ -372,7 +373,7 @@ class PipelineCaps:
     max_word_len: int = 10
     max_run_len: int = 12
     counter_cap: int = 40
-    ilp_nodes: int = 100_000
+    ilp_nodes: int = ILP_NODES
     observer_states: int = 100_000
     variants: int = 10_000
     pump_k: int = 64
@@ -548,10 +549,11 @@ def sccs(succ, starts) -> dict:
 
 
 PATH_CAP = 2000  # simple accepted paths of one unfolding
+PATH_STEP_CAP = 2_000_000  # search steps of one unfolding
 
 
 def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
-                 alphabet, counters, path_cap=PATH_CAP, step_cap=2_000_000) -> list:
+                 alphabet, counters, path_cap=PATH_CAP) -> list:
     """Unfold a graph into MGTS, one per simple path from a start to a final
     state: the i-th state of the path becomes a precovering graph of its
     strongly connected component, rooted there, and the path's edges become
@@ -563,7 +565,7 @@ def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
     the graph at path position `pos`. `marking(state)` is the assignment of
     the state's node and the marking between path positions; `first_in` and
     `last_out` are the outer markings. Raises ResourceExhausted past
-    `path_cap` paths or `step_cap` search steps."""
+    `path_cap` paths or PATH_STEP_CAP search steps."""
     succ, back = {}, {}
     for k, (src, _, _, dst) in enumerate(edges):
         succ.setdefault(src, []).append((k, dst))
@@ -582,8 +584,8 @@ def unfold_paths(edges, starts, is_final, name, marking, first_in, last_out,
             continue
         for end, ks in edge_walks(succ, start, within=can_reach):
             steps += 2  # the search enters and leaves each path
-            if steps > step_cap:
-                raise ResourceExhausted(f"simple path step cap {step_cap} exceeded")
+            if steps > PATH_STEP_CAP:
+                raise ResourceExhausted(f"simple path step cap {PATH_STEP_CAP} exceeded")
             if is_final(end):
                 paths.append(([start, *(edges[k][3] for k in ks)], ks))
                 if len(paths) > path_cap:
@@ -808,7 +810,7 @@ def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
     return None
 
 
-def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8):
+def faithfulness_falsify(dmgts: Dmgts, run_len_cap: int):
     """Search bounded Z-runs for a counterexample to the faithfulness inclusion;
     None means none found (a semidecision, not a proof)."""
     if not is_zero_reaching(dmgts):
@@ -818,7 +820,7 @@ def faithfulness_falsify(dmgts: Dmgts, run_len_cap=8):
     return _modulo_not_exact_run(dmgts, mgts.in_marking, mgts.out_marking, run_len_cap, 0)
 
 
-def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap=6, value_cap=6):
+def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap: int, value_cap: int):
     """Bounded search for a violation of the consistent-specialization
     conditions of n1 w.r.t. n2 (a single-graph DMGTS); None if none found."""
     if n1.mu != n2.mu:
@@ -900,6 +902,10 @@ def dmgts_from_json(doc: dict) -> Dmgts:
     for c in doc["x_counters"] + doc["y_counters"]:
         json_name(c, "a counter")
     graphs = [precovering_from_json(g) for g in doc["graphs"]]
+    for gi, g in enumerate(graphs):
+        bad = validate_precovering(g)
+        if bad:
+            raise ArgumentError(f"DMGTS graph {gi} is not a precovering graph: {'; '.join(bad)}")
     bridges = []
     for b in doc["bridges"]:
         json_object(b, ("label", "update"), "a bridge")

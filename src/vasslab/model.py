@@ -361,8 +361,8 @@ def edge_walks(out: dict, node, max_len: int = None, within=None):
                     free.add(end)
 
 
-def language_bounded(init_vass: InitVass, max_word_len: int, max_run_len: int = None,
-                     value_cap: int = 64) -> set:
+def language_bounded(init_vass: InitVass, max_word_len: int, max_run_len: int = None, *,
+                     value_cap: int) -> set:
     """All words of N-runs from init to final with word length <= max_word_len,
     found within the run-length cap and with every counter in [0, value_cap]
     after each edge. Exact when the caps dominate the reachable value range; an

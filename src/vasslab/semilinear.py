@@ -5,7 +5,6 @@ counterexample family that needs unbounded concatenation length."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import factorial, gcd
 
@@ -60,26 +59,7 @@ def linear_set_to_json(lin: LinearSet) -> dict:
     return {"base": list(lin.base), "periods": [list(p) for p in lin.periods]}
 
 
-def linear_set_from_json(doc: dict) -> LinearSet:
-    return LinearSet(tuple(doc["base"]), tuple(tuple(p) for p in doc["periods"]))
-
-
-def descriptor_to_json(desc) -> dict:
-    """Serialized descriptor with a hash of its disjointness certificate."""
-    # imported here: hashlib loads OpenSSL, 3.5 MiB of resident memory in
-    # every process that imports vasslab, and only this function needs it
-    import hashlib
-
-    chain = [linear_set_to_json(lin) for lin in desc.chain]
-    payload = json.dumps({"k": desc.k, "chain": chain}, sort_keys=True)
-    return {
-        "k": desc.k,
-        "chain": chain,
-        "certificate": hashlib.sha256(payload.encode()).hexdigest(),
-    }
-
-
-def lin_member(lin: LinearSet, vec, node_budget=50000) -> bool:
+def lin_member(lin: LinearSet, vec) -> bool:
     """vec = base + Σ λ_p p with integer λ >= 0, decided exactly."""
     vec = tuple(vec)
     if len(vec) != lin.dim:
@@ -93,7 +73,7 @@ def lin_member(lin: LinearSet, vec, node_budget=50000) -> bool:
                   if lin.periods[i][d]}
         eqs.append((coeffs, vec[d] - lin.base[d]))
     sys = LinSystem(vars, eqs, nonneg=vars)
-    return ilp_feasible(sys, node_budget=node_budget) is not None
+    return ilp_feasible(sys) is not None
 
 
 APPROX_STATE_CAP = 20_000  # states of the largest R(Λ, k) built, (2k+1)^n
@@ -151,11 +131,14 @@ def approx_member(lin: LinearSet, k: int, word) -> bool:
     return run_word(approx_automaton(lin, k), tuple(word))
 
 
-def nfa_to_linear_cover(nfa: Nfa, run_cap=200000):
+COVER_STEP_CAP = 200_000  # steps of each enumeration of one linear cover
+
+
+def nfa_to_linear_cover(nfa: Nfa):
     """(k, linear sets) with L(nfa) ⊆ ∪ R(Λ_ρ, k) and identical effect sets:
     one Λ per accepted run of length <= |Q|² + |Q| (its effect plus the effects
     of simple cycles touching its visited states); k = (|Q| + 1)². The run
-    enumeration and the cycle enumeration may each take run_cap steps."""
+    enumeration and the cycle enumeration may each take COVER_STEP_CAP steps."""
     if any(a is None for _, a, _ in nfa.transitions):
         raise ArgumentError("nfa_to_linear_cover needs an ε-free NFA")
     letters = sorted(nfa.alphabet, key=repr)
@@ -176,14 +159,14 @@ def nfa_to_linear_cover(nfa: Nfa, run_cap=200000):
             eff[i - 1] += d
         return tuple(eff)
 
-    cycles = _simple_cycles(sorted(nfa.states, key=repr), succ, effect, run_cap)
+    cycles = _simple_cycles(sorted(nfa.states, key=repr), succ, effect)
     runs = []
     steps = 0
     for init in sorted(nfa.initial, key=repr):
         for end, moves in edge_walks(succ, init, max_len):
             steps += 1
-            if steps > run_cap:
-                raise ResourceExhausted(f"run enumeration cap {run_cap} exceeded")
+            if steps > COVER_STEP_CAP:
+                raise ResourceExhausted(f"run enumeration cap {COVER_STEP_CAP} exceeded")
             if end in nfa.final:
                 runs.append((effect(moves), frozenset([init, *(r for _, r in moves)])))
 
@@ -210,12 +193,12 @@ def _dyck_dim(letters, default: int) -> int:
     return dim
 
 
-def _simple_cycles(states, succ, effect, step_cap):
+def _simple_cycles(states, succ, effect):
     """(state set, effect) of every simple cycle, where `succ` maps a state to
     its ((letter, target), target) moves: from each root, the simple paths
     through the states after it in `states`, one cycle per move from a path's
-    end back to the root. More than step_cap paths besides the roots raise
-    ResourceExhausted."""
+    end back to the root. More than COVER_STEP_CAP paths besides the roots
+    raise ResourceExhausted."""
     into = {}  # state -> the moves into it, by their source
     for p, moves in succ.items():
         for move, r in moves:
@@ -227,8 +210,8 @@ def _simple_cycles(states, succ, effect, step_cap):
         for end, moves in edge_walks(succ, root, within=states[i + 1:]):
             if moves:
                 steps += 1
-                if steps > step_cap:
-                    raise ResourceExhausted(f"cycle enumeration cap {step_cap} exceeded")
+                if steps > COVER_STEP_CAP:
+                    raise ResourceExhausted(f"cycle enumeration cap {COVER_STEP_CAP} exceeded")
             for move in closing.get(end, ()):
                 path = frozenset([root, *(r for _, r in moves)])
                 cycles.add((path, effect(moves + (move,))))
@@ -237,7 +220,7 @@ def _simple_cycles(states, succ, effect, step_cap):
 
 # -- positivity-restricted sums and basic separators ---------------------------------
 
-def pos_sum_contains_zero(chain, node_budget=100000) -> "Solution | None":
+def pos_sum_contains_zero(chain) -> "Solution | None":
     """The witness for 0 ∈ Λ_1 ⊕ ... ⊕ Λ_ℓ (left fold, all prefix sums
     non-negative, total zero), or None. One exact ILP."""
     chain = list(chain)
@@ -265,7 +248,7 @@ def pos_sum_contains_zero(chain, node_budget=100000) -> "Solution | None":
                 coeffs[("s", i, d)] = -1  # prefix sum = slack >= 0
             eqs.append((coeffs, rhs))
     sys = LinSystem(vars, eqs, nonneg=vars)
-    return ilp_feasible(sys, node_budget=node_budget)
+    return ilp_feasible(sys)
 
 
 @dataclass(frozen=True)
@@ -424,17 +407,17 @@ def _bezout(a, b):
     return old_s, old_t
 
 
-def family_drift(v, k: int, k_prime: int = None) -> BasicSeparatorDesc:
+def family_drift(v, k: int) -> BasicSeparatorDesc:
     """Covers the words drifting in direction v (effect inner product positive,
-    bounded dips)."""
+    bounded dips), as R(H_v, k') with k' = k·|v|₁ + max_p |p|₁ + 1 over the
+    periods p of H_v."""
     if k < 0:
         raise ArgumentError(f"family_drift needs k >= 0, got k = {k}")
     v = tuple(v)
     h = _halfspace_set(v)
-    if k_prime is None:
-        norm = sum(abs(x) for x in v)
-        pnorm = max((sum(abs(x) for x in p) for p in h.periods), default=0)
-        k_prime = k * norm + pnorm + 1
+    norm = sum(abs(x) for x in v)
+    pnorm = max((sum(abs(x) for x in p) for p in h.periods), default=0)
+    k_prime = k * norm + pnorm + 1
     desc = make_basic_separator([h], k_prime)
     if isinstance(desc, RejectedChain):
         raise InvariantViolation("drift family failed its own certificate")
@@ -600,15 +583,20 @@ def fold_nfa_to_dmgts_list(nfa: Nfa, n: int):
     return [Dmgts(m, 1, (), counters, faithful=True) for m in mgts_list]
 
 
-def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
-                                 residue_cap=4096, chain_cap=4096):
+DISJOINT_CHECK_LEN = 10  # word length of the input's Dyck-disjointness check
+RESIDUE_CAP = 4096  # per-graph residue tuples of one member
+CHAIN_CAP = 4096    # chains of one member and residue tuple
+
+
+def basic_separators_for_regular(nfa: Nfa, n: int = None):
     """A finite basic-separator cover of a regular language disjoint from the
     Dyck language: fold into DMGTS, decompose, and emit modulo-family members
     for the modulo-decided parts and certified approximation chains for the
-    faithful Y-infeasible parts."""
+    faithful Y-infeasible parts. The input is checked against the Dyck words
+    up to DISJOINT_CHECK_LEN first."""
     if n is None:
         n = _dyck_dim(nfa.alphabet, 1)
-    for w in sorted(enumerate_words(nfa, disjoint_check_len), key=repr):
+    for w in sorted(enumerate_words(nfa, DISJOINT_CHECK_LEN), key=repr):
         if is_dyck_word(w, n):
             raise ArgumentError(f"input intersects the Dyck language: witness {w}")
 
@@ -631,7 +619,7 @@ def basic_separators_for_regular(nfa: Nfa, n: int = None, disjoint_check_len=10,
                 for v in _nonzero_residues(mu, n):
                     covers.append(family_mod(mu, v, n))
         for member in chain_members:
-            covers.extend(_member_chains(member, n, residue_cap, chain_cap))
+            covers.extend(_member_chains(member, n))
     return list(dict.fromkeys(covers))
 
 
@@ -639,8 +627,10 @@ def _nonzero_residues(mu: int, n: int):
     return [r for r in _all_residues(mu, n) if any(r)]
 
 
-def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
-    """The L_{v,u} chains of a faithful DMGTS with infeasible Dyck-side system."""
+def _member_chains(dm, n: int):
+    """The L_{v,u} chains of a faithful DMGTS with infeasible Dyck-side system;
+    more than RESIDUE_CAP residue tuples or CHAIN_CAP chains raise
+    ResourceExhausted."""
     mu = dm.mu
     graphs = dm.graphs
     bridges = dm.bridges
@@ -667,8 +657,8 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
         residue_tuples = [
             r + (v,) for r in residue_tuples for v in _all_residues(mu, n)
         ]
-        if len(residue_tuples) > residue_cap:
-            raise ResourceExhausted(f"residue cap {residue_cap} exceeded")
+        if len(residue_tuples) > RESIDUE_CAP:
+            raise ResourceExhausted(f"residue cap {RESIDUE_CAP} exceeded")
 
     def gates_ok(vtuple):
         entry = tuple(0 for _ in range(n))
@@ -706,8 +696,8 @@ def _member_chains(dm, n: int, residue_cap: int, chain_cap: int):
             if gi < ell - 1:
                 be = bridge_effect(bridges[gi])
                 chains = [c + [singleton_set(be)] for c in chains]
-            if len(chains) > chain_cap:
-                raise ResourceExhausted(f"chain cap {chain_cap} exceeded")
+            if len(chains) > CHAIN_CAP:
+                raise ResourceExhausted(f"chain cap {CHAIN_CAP} exceeded")
         for chain in chains:
             desc = make_basic_separator(chain, k)
             if isinstance(desc, RejectedChain):

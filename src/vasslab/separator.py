@@ -40,6 +40,12 @@ from .solver import ilp_feasible
 from .structure import covering_sequences, down_covering, realization
 from .values import gate_ok
 
+SCALE_CAP = 100_000  # largest multiple of a full-support solution tried
+WITNESS_REPEATS = 64  # largest factor c and repetition count k of an inseparability witness
+SHORT_WITNESS_LEN = 6  # word length of the side languages a short witness is read from
+LOOP_LEN = 4    # longest rooted loop of a loop-pair search
+LOOP_PAIRS = 50_000  # loop-pair combinations one search tries
+
 
 def modulo_automaton(dmgts: Dmgts) -> Nfa:
     """The NFA that follows the DMGTS, maintains the Y counters modulo mu, and
@@ -140,13 +146,13 @@ def _stitch(mgts, sol, blocks) -> Run:
     return Run(GenConfig(iv.init.node, start), tuple(seq))
 
 
-def scaled_support(cs, covers, m_cap=100000):
+def scaled_support(cs, covers):
     """m * full-support-solution satisfying the Parikh and Enable inequalities
-    for the given covering sequences."""
+    for the given covering sequences, for the least m up to SCALE_CAP."""
     mgts = cs.mgts
     sup = support(cs)
     base = full_support_solution(cs, sup)
-    for m in range(1, m_cap + 1):
+    for m in range(1, SCALE_CAP + 1):
         ok = True
         for gi, g in enumerate(mgts.graphs):
             u, d = covers[gi]
@@ -171,19 +177,10 @@ def scaled_support(cs, covers, m_cap=100000):
                 break
         if ok:
             return {v: m * base[v] for v in base.assignment}
-    raise ResourceExhausted(f"no support scale within {m_cap}")
+    raise ResourceExhausted(f"no support scale within {SCALE_CAP}")
 
 
-def _rooted_cycle(g, counts: dict):
-    """Realize local edge counts as a rooted cycle, folding in nothing."""
-    return realization(g, counts, g.root)
-
-
-def _local_counts(sol, gi, g):
-    return {ei: sol[edge_var(gi, ei)] for ei in range(len(g.vass.edges))}
-
-
-def lambert_pump(obj, s_f, k_cap=64):
+def lambert_pump(obj, s_f, k_cap: int):
     """An N-run that is intermediate accepting, built from a solution of the
     characteristic system by embedding it into pumped covering sequences:
     c . u_0^k π_0 w_0^k d_0^k . bridge . u_1^k ... Soundness is by simulation:
@@ -200,16 +197,16 @@ def lambert_pump(obj, s_f, k_cap=64):
             ei: sup_scaled[edge_var(gi, ei)] - psi_u.get(ei, 0) - psi_d.get(ei, 0)
             for ei in range(len(g.vass.edges))
         }
-        fillers.append(_rooted_cycle(g, filler_counts))
-        main_counts = _local_counts(sol, gi, g)
+        fillers.append(realization(g, filler_counts, g.root))
+        main_counts = {ei: sol[edge_var(gi, ei)] for ei in range(len(g.vass.edges))}
         try:
-            mains.append(_rooted_cycle(g, main_counts))
+            mains.append(realization(g, main_counts, g.root))
         except ArgumentError:
             folded = {
                 ei: main_counts[ei] + sup_scaled[edge_var(gi, ei)]
                 for ei in main_counts
             }
-            mains.append(_rooted_cycle(g, folded))
+            mains.append(realization(g, folded, g.root))
     gates = side_gates(obj, "full")
     k0 = _enable_k0(mgts, sol, covers, mains, fillers)
     for k in range(max(1, k0), k_cap + 1):
@@ -328,11 +325,11 @@ def loop_pair_search(dmgts: Dmgts, loop_len: int, key, combo_cap: int):
     return None
 
 
-def find_z_pair(dmgts: Dmgts, dfa: Nfa, loop_len=4, combo_cap=20000):
+def find_z_pair(dmgts: Dmgts, dfa: Nfa):
     """Loop pairs with ~A-equal labels (equal DFA profiles) whose Parikh sums
-    solve Char_X resp. Char_Y; None if none within the caps."""
-    return loop_pair_search(dmgts, loop_len,
-                            lambda g, loop: dfa_profile(dfa, loop_labels(g, loop)), combo_cap)
+    solve Char_X resp. Char_Y; None if none within LOOP_LEN and LOOP_PAIRS."""
+    return loop_pair_search(dmgts, LOOP_LEN,
+                            lambda g, loop: dfa_profile(dfa, loop_labels(g, loop)), LOOP_PAIRS)
 
 
 def _loop_solution(dmgts: Dmgts, loops, side):
@@ -347,11 +344,11 @@ def _loop_solution(dmgts: Dmgts, loops, side):
 
 
 def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
-                           k_cap=64, c_cap=64,
                            caps: LanguageCaps = LanguageCaps()) -> WitnessPair:
     """Words o_x ∈ L_X and o_y ∈ L_Y with o_x ~A o_y; such a pair refutes the
     candidate DFA as a separator of L_X from the Dyck language. Membership is
-    verified by simulation, never trusted from the construction."""
+    verified by simulation, never trusted from the construction; the factor c
+    and the repetition count k each range up to WITNESS_REPEATS."""
     if not is_zero_reaching(dmgts):
         raise ArgumentError("inseparability witnesses need a zero-reaching DMGTS")
     short = _short_witness(dmgts, dfa, caps)
@@ -380,7 +377,7 @@ def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
     sol_y = _loop_solution(dmgts, [b for _, b in z_pair], "y")
     if sol_x is None or sol_y is None:
         raise ArgumentError("the loop pair does not solve the side system")
-    for c in range(1, c_cap + 1):
+    for c in range(1, WITNESS_REPEATS + 1):
         ok = True
         parts = []
         for gi, g in enumerate(mgts.graphs):
@@ -397,18 +394,19 @@ def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
                 break
         if not ok:
             continue
-        hit = _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap)
+        hit = _common_k(dmgts, z_pair, parts, sol_x, sol_y)
         if hit is not None:
             o_x, o_y, k = hit
             px, py = dfa_profile(dfa, o_x), dfa_profile(dfa, o_y)
             if px != py:
                 raise StructuralError("witness words have unequal profiles")
             return WitnessPair(o_x, o_y, {"k": k, "c": c, "n_states": n_states})
-    raise ResourceExhausted(f"no verifying (c, k) within ({c_cap}, {k_cap})")
+    raise ResourceExhausted(
+        f"no verifying (c, k) within ({WITNESS_REPEATS}, {WITNESS_REPEATS})")
 
 
 def _short_witness(dmgts, dfa, caps):
-    lx = side_language_bounded(dmgts, "x", 6, "nat", caps).words
+    lx = side_language_bounded(dmgts, "x", SHORT_WITNESS_LEN, "nat", caps).words
     if not lx:
         return None
     rejected = sorted(
@@ -417,7 +415,7 @@ def _short_witness(dmgts, dfa, caps):
     )
     if not rejected:
         return None
-    ly = side_language_bounded(dmgts, "y", 6, "nat", caps).words
+    ly = side_language_bounded(dmgts, "y", SHORT_WITNESS_LEN, "nat", caps).words
     for ox in rejected:
         p = dfa_profile(dfa, ox)
         for wy in sorted(ly, key=lambda w: (len(w), w)):
@@ -427,11 +425,11 @@ def _short_witness(dmgts, dfa, caps):
     return None
 
 
-def _common_k(dmgts, z_pair, parts, sol_x, sol_y, k_cap):
+def _common_k(dmgts, z_pair, parts, sol_x, sol_y):
     mgts = dmgts.mgts
     iv, _ = mgts.combined()
     gates_x, gates_y = side_gates(dmgts, "x"), side_gates(dmgts, "y")
-    for k in range(1, k_cap + 1):
+    for k in range(1, WITNESS_REPEATS + 1):
         run_x = _stitch(mgts, sol_x, [dr.u * k + tuple(sig_x) + dr.w_x * k + dr.d * k
                                       for dr, (sig_x, _) in zip(parts, z_pair)])
         if not intermediate_accepts(mgts, run_x, gates_x, frozenset(gates_x)):

@@ -21,6 +21,9 @@ from .errors import ArgumentError, ResourceExhausted
 
 UNBOUNDED = "unbounded"
 
+ILP_NODES = 100_000     # branch-and-bound nodes of one integer feasibility check
+VALUE_RANGE_CAP = 512   # candidate values `enumerate_var_values` tests one ILP each
+
 # the LP and ILP call counts of the decomposition step open in this context
 STATS = ContextVar("STATS", default=None)
 
@@ -424,7 +427,7 @@ def _gcd_reject(eqs) -> bool:
     return False
 
 
-def ilp_feasible(system: LinSystem, node_budget: int = 100_000):
+def ilp_feasible(system: LinSystem, node_budget: int = ILP_NODES):
     """An integer Solution of the full system (congruences included), or None.
 
     Branch-and-bound over the exact LP relaxation. Deterministic: branches on
@@ -470,12 +473,12 @@ def ilp_feasible(system: LinSystem, node_budget: int = 100_000):
     return None
 
 
-def enumerate_var_values(system: LinSystem, var, hard_cap: int = 512,
-                         node_budget: int = 100_000):
+def enumerate_var_values(system: LinSystem, var, node_budget: int = ILP_NODES):
     """The set of values `var` takes over integer solutions, or UNBOUNDED.
 
     Only meaningful when the LP bound is finite; candidates in [lb, ceil(max)]
-    are tested one ilp_feasible each.
+    are tested one ilp_feasible each, and more than VALUE_RANGE_CAP of them
+    raise ResourceExhausted.
     """
     if var not in system.vars:
         raise ArgumentError(f"undeclared variable {var!r}")
@@ -488,8 +491,8 @@ def enumerate_var_values(system: LinSystem, var, hard_cap: int = 512,
     if lo is UNBOUNDED:
         return UNBOUNDED
     lo, hi = ceil(lo), floor(hi)
-    if hi - lo + 1 > hard_cap:
-        raise ResourceExhausted(f"value range {hi - lo + 1} exceeds cap {hard_cap}")
+    if hi - lo + 1 > VALUE_RANGE_CAP:
+        raise ResourceExhausted(f"value range {hi - lo + 1} exceeds cap {VALUE_RANGE_CAP}")
     out = set()
     for a in range(lo, hi + 1):
         if _residue_incompatible(system, var, a):

@@ -325,21 +325,19 @@ def largest_update(p: PrecoveringGraph) -> int:
     return max((abs(x) for e in p.vass.edges for x in e.update.values()), default=0) or 1
 
 
-def rackoff_bound(p: PrecoveringGraph, jprime, C=None) -> int:
-    """B = (|nodes| * l * C) ** (|J'| + 1)! with l the largest absolute
+def rackoff_bound(p: PrecoveringGraph, jprime, C) -> int:
+    """B = (|nodes| * l * max(C, 2)) ** (|J'| + 1)! with l the largest absolute
     transition effect."""
-    if C is None:
-        finite = [v for v in p.in_marking.values() if not is_omega(v)]
-        C = max(finite, default=0) + 1
     C = max(2, C)
     base = len(p.vass.nodes) * largest_update(p) * C
     return base ** factorial(len(set(jprime)) + 1)
 
 
-def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):
+def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C):
     """A J'-run from the run's start to its final node with every J' counter
-    >= C, found by exact BFS (desk-scale; the inductive cut-and-splice bound is
-    not materialized). Verified by simulation before returning."""
+    >= C, found by exact BFS over at most WITNESS_CAP states (desk-scale; the
+    inductive cut-and-splice bound is not materialized). Verified by
+    simulation before returning."""
     vass = p.vass
     js = sorted(set(jprime))
     start_vals = [run.start.valuation[c] for c in js]
@@ -348,7 +346,7 @@ def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C, state_cap=200000):
     target_node = run.final_config(vass).node
     path, _ = search_run(vass, run.start.node, start_vals, js,
                          lambda node, vals: node == target_node and all(v >= C for v in vals),
-                         state_cap=state_cap)
+                         state_cap=WITNESS_CAP)
     if path is None:
         raise ResourceExhausted("no covering J'-run found within the explored space")
     if isinstance(simulate(vass, run.start, path, frozenset(js)), Violation):

@@ -12,7 +12,7 @@ from .chareq import build_char, edge_var
 from .mgts import Dmgts, PipelineCaps, side_language_bounded
 from .model import EPSILON, annotated_alphabet, letter_index
 from .semilinear import desc_automaton, family_drift, residue_nfa
-from .separator import loop_labels, loop_pair_search
+from .separator import LOOP_LEN, LOOP_PAIRS, loop_labels, loop_pair_search
 from .solver import UNBOUNDED, LinSystem, ilp_feasible, lp_opt
 
 
@@ -20,8 +20,6 @@ VERIFY_LEN = 6  # word length of the bounded certificate check
 MODULO_MAX = 6  # largest modulus of the modulo rung
 DRIFT_NORM = 2  # largest |v|_1 of a drift direction
 DRIFT_K = 8     # approximation index of a drift separator
-LOOP_LEN = 4    # longest rooted loop of the shared-loops rung
-LOOP_PAIRS = 50_000  # loop-pair combinations the shared-loops rung tries
 
 
 @dataclass
@@ -31,12 +29,6 @@ class SepVerdict:
     z_pair: list = None       # per-graph loop pairs for "inseparable"
     strategy: str = None
     reason: str = None
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "certificate": self.strategy, "reason": self.reason}
-        if self.z_pair is not None:
-            doc["z_pair"] = [[list(a), list(b)] for a, b in self.z_pair]
-        return doc
 
 
 def _bounded_certificate_ok(nfa: Nfa, dmgts: Dmgts, caps: PipelineCaps) -> bool:

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -s -v` to see the per-criterion lines.
 import time
 from contextlib import contextmanager
 
+from vasslab import solver
 from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
 from vasslab.chareq import build_char, full_support_solution, support
 from vasslab.decomposition import decompose, mod_residue_expansion
@@ -246,7 +247,8 @@ def _z_run_exists(iv, max_len, window):
     return target in frontier
 
 
-def test_criterion_4_support_correctness():
+def test_criterion_4_support_correctness(monkeypatch):
+    monkeypatch.setattr(solver, "VALUE_RANGE_CAP", 400)
     with criterion(4, "support membership ⇔ unbounded integer value range", 30.0):
         rng = make_rng(1004)
         checked = 0
@@ -259,7 +261,7 @@ def test_criterion_4_support_correctness():
                 continue
             sup = support(cs)
             for v in cs.system.vars:
-                vals = enumerate_var_values(cs.system, v, hard_cap=400)
+                vals = enumerate_var_values(cs.system, v)
                 assert (vals is UNBOUNDED) == (v in sup)
                 checked += 1
             witness = full_support_solution(cs, sup)  # verifies itself exactly

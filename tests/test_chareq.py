@@ -12,6 +12,7 @@ from vasslab.chareq import (
 )
 from vasslab.mgts import Dmgts, Mgts, Update, intermediate_accepts, side_gates
 from vasslab.model import GenConfig, Run, dec_letter, edge_walks, inc_letter
+from vasslab import solver
 from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
 from vasslab.values import OMEGA
 
@@ -36,11 +37,12 @@ class TestBuildChar:
         cs = build_char(Mgts([plus_loop_graph(0, 0)]))
         assert enumerate_var_values(cs.system, edge_var(0, 0)) == {0}
 
-    def test_y_side_modulo(self):
+    def test_y_side_modulo(self, monkeypatch):
         g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 1})
         dm = Dmgts(Mgts([g]), 2, (), ("y1",), faithful=False)
         cs = build_char(dm, "x")  # X side tracks Y modulo mu
-        vals = enumerate_var_values(cs.system, edge_var(0, 0), hard_cap=64)
+        monkeypatch.setattr(solver, "VALUE_RANGE_CAP", 64)
+        vals = enumerate_var_values(cs.system, edge_var(0, 0))
         if vals is not UNBOUNDED:
             assert all(v % 2 == 1 for v in vals)
         else:
@@ -101,8 +103,9 @@ class TestSupport:
         sup = support(build_char(Mgts([g])))
         assert io_var(0, "out", "y1") in sup
 
-    def test_support_matches_unbounded_value_range(self):
+    def test_support_matches_unbounded_value_range(self, monkeypatch):
         # cross-check with enumerate_var_values on feasible systems
+        monkeypatch.setattr(solver, "VALUE_RANGE_CAP", 400)
         rng = make_rng(21)
         checked = 0
         for _ in range(12):
@@ -112,7 +115,7 @@ class TestSupport:
                 continue
             sup = support(cs)
             for v in cs.system.vars:
-                vals = enumerate_var_values(cs.system, v, hard_cap=400)
+                vals = enumerate_var_values(cs.system, v)
                 assert (vals is UNBOUNDED) == (v in sup), (v, vals, v in sup)
                 checked += 1
         assert checked > 0

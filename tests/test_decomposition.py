@@ -55,6 +55,7 @@ from test_acceptance import curated_suite
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
 CAPS = LanguageCaps(max_run_len=10, value_cap=24)
+STATES = PipelineCaps().observer_states  # the pipeline's observer-product cap
 
 
 def identity_observer() -> Observer:
@@ -99,7 +100,7 @@ class TestModuloExpansion:
 class TestObserverProduct:
     def test_identity_isomorphic(self):
         g = dyck_copy_graph()
-        prod = observer_product(g, identity_observer())
+        prod = observer_product(g, identity_observer(), STATES)
         assert len(prod.states) == len(g.vass.nodes)
         assert sum(len(v) for v in prod.transitions.values()) == len(g.vass.edges)
 
@@ -109,21 +110,21 @@ class TestObserverProduct:
         def step(s, ei):
             return (ct(1, s + 1),) if ei == 0 else (s,)
 
-        prod = observer_product(g, Observer(initial=(0,), step=step))
+        prod = observer_product(g, Observer(initial=(0,), step=step), STATES)
         # counting the a1 loop twice reaches the ω state
         assert ("r", OMEGA) in prod.states
 
     def test_unreachable_states_absent(self):
         g = dyck_copy_graph()
         obs = Observer(initial=(0,), step=lambda s, ei: (s,))
-        prod = observer_product(g, obs)
+        prod = observer_product(g, obs, STATES)
         assert ("r", 99) not in prod.states
 
 
 class TestDecAlong:
     def test_identity_single_output(self):
         g = dyck_copy_graph()
-        out = dec_along(g, identity_observer(), lambda s: True)
+        out = dec_along(g, identity_observer(), lambda s: True, STATES)
         assert len(out) == 1
         m = out[0]
         assert len(m.graphs) == 1 and len(m.graphs[0].vass.edges) == 2
@@ -137,13 +138,13 @@ class TestDecAlong:
 
         # F_u: count zero a1 edges; the splitting path uses e0 once toward ω
         outs = dec_along(g, Observer(initial=(0,), step=step),
-                         lambda s: s is OMEGA)
+                         lambda s: s is OMEGA, STATES)
         assert outs and all(len(m.graphs) == 2 for m in outs)
         assert all(m.bridges[0].label == A1 for m in outs)
 
     def test_unreachable_final_empty(self):
         g = dyck_copy_graph()
-        outs = dec_along(g, identity_observer(), lambda s: False)
+        outs = dec_along(g, identity_observer(), lambda s: False, STATES)
         assert outs == []
 
     def test_outputs_are_consistent_specializations(self):
@@ -152,7 +153,7 @@ class TestDecAlong:
         def step(s, ei):
             return (ct(1, s + 1),) if ei == 0 else (s,)
 
-        outs = dec_along(g, Observer(initial=(0,), step=step), lambda s: s is OMEGA)
+        outs = dec_along(g, Observer(initial=(0,), step=step), lambda s: s is OMEGA, STATES)
         target = Dmgts(Mgts([g]), 1, (), ("y1",), faithful=True)
         for m in outs:
             dm = Dmgts(m, 1, (), ("y1",), faithful=True)
@@ -167,7 +168,7 @@ class TestDecAlong:
             return (ct(1, s + 1),) if ei == 0 else (s,)
 
         obs = Observer(initial=(0,), step=step)
-        outs = dec_along(g, obs, lambda s: s is not OMEGA)
+        outs = dec_along(g, obs, lambda s: s is not OMEGA, STATES)
         parent = Dmgts(Mgts([g]), 1, (), ("y1",), faithful=True)
         kept = set()
         for m in outs:
@@ -548,14 +549,14 @@ def test_perfect_members_pass_faithfulness_falsify():
     assert perfect
     for m in perfect:
         assert is_zero_reaching(m)
-        assert faithfulness_falsify(m) is None
+        assert faithfulness_falsify(m, 8) is None
 
 
 def test_refine_members_are_consistent_specializations():
     _, pairs = audited_decompositions()
     assert pairs
     for m, parent in pairs:
-        assert consistent_specialization_falsify(m, parent) is None
+        assert consistent_specialization_falsify(m, parent, 6, 6) is None
 
 
 # -- the per-step solver meter ---------------------------------------------------------

@@ -66,14 +66,16 @@ def plus_loop_iv(target):
 
 
 class TestOracles:
+    CAPS = PipelineCaps()
+
     def test_bfs_reaches(self):
-        res = oracle_bfs(plus_loop_iv(3))
+        res = oracle_bfs(plus_loop_iv(3), self.CAPS.counter_cap, self.CAPS.max_run_len)
         assert res.status == "reachable" and res.word == ("x", "x", "x")
 
     def test_bfs_certified_unreachable(self):
         v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": -1}, "q")])
         iv = InitVass(v, GenConfig("q", {"c": 1}), GenConfig("q", {"c": 2}))
-        assert oracle_bfs(iv).status == "unreachable"
+        assert oracle_bfs(iv, self.CAPS.counter_cap, self.CAPS.max_run_len).status == "unreachable"
 
     def test_bfs_inconclusive_on_cap(self):
         res = oracle_bfs(plus_loop_iv(20), counter_cap=5, length_cap=5)
@@ -82,7 +84,7 @@ class TestOracles:
     def test_omega_final_matches_freely(self):
         v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": 1}, "q")])
         iv = InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": OMEGA}))
-        assert oracle_bfs(iv).status == "reachable"
+        assert oracle_bfs(iv, self.CAPS.counter_cap, self.CAPS.max_run_len).status == "reachable"
 
     def test_pump_search(self):
         found = oracle_pump_search(dyck_copy_graph())
@@ -347,17 +349,29 @@ class TestCli:
         (["basicsep", "--family", "cov", "--k", "1", "--i", "1", "--n", "0"], "1 <= i <= n"),
         (["basicsep", "--family", "cov", "--k", "1", "--i", "0", "--n", "1"], "1 <= i <= n"),
         (["basicsep", "--family", "mod", "--mu", "2", "--v", "1", "--n", "0"], "len(v)"),
+        (["separate", "--file", "{foreign_letter}"], "Dyck alphabet"),
+        (["decompose", "--file", "{incoherent}"], "DMGTS graph 0 is not a precovering graph"),
+        (["decompose", "--file", "{unassigned}"], "assignment is not total over nodes"),
     ])
     def test_malformed_input_exit_2(self, tmp_path, capsys, args, word):
         docs = {key: json.loads(dump_init_vass(subject_even_a1()))
                 for key in ("no_update", "text_update", "object_node", "array_counter",
-                            "object_label", "array_letter")}
+                            "object_label", "array_letter", "foreign_letter")}
         del docs["no_update"]["edges"][0]["update"]
         docs["text_update"]["edges"][0]["update"] = {"k": "x"}
         docs["object_node"]["nodes"].append({"q": 1})
         docs["array_counter"]["counters"].append(["k"])
         docs["object_label"]["edges"][0]["label"] = {"a1": 1}
         docs["array_letter"]["alphabet"].append(["a1"])
+        docs["foreign_letter"]["alphabet"].append("b")
+        # the Dyck VAS's one-node graph: its a1 loop against a zero assignment,
+        # and both loops with no assignment at all
+        docs["incoherent"] = json.loads(dump_dmgts(initial_dmgts(dyck_vas(1))))
+        graph = docs["incoherent"]["graphs"][0]
+        del graph["base"]["edges"][1:]
+        graph["assignment"] = {"r": {c: 0 for c in graph["base"]["counters"]}}
+        docs["unassigned"] = json.loads(dump_dmgts(initial_dmgts(dyck_vas(1))))
+        docs["unassigned"]["graphs"][0]["assignment"] = {}
         docs["array"] = []
         files = {}
         for key, doc in docs.items():

@@ -1,5 +1,6 @@
-"""Every imported name is read, and no vasslab module imports another one's
-private (underscore) names: walks over the syntax tree of each module in
+"""Every imported name is read, no vasslab module imports another one's
+private (underscore) names, and no vasslab function takes an integer literal
+as a parameter default: walks over the syntax tree of each module in
 src/vasslab, tests and scripts."""
 
 import ast
@@ -65,4 +66,42 @@ def test_no_private_imports_across_package_modules():
     package = [p for p in MODULES if p.parent.name == "vasslab"]
     assert len(package) > 10
     found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in package}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def literal_int_defaults(source: str) -> list:
+    """The (line, function, parameter) of every parameter, positional or
+    keyword-only, whose default is an integer literal; `True` and `False` are
+    not integers here. A cap's value belongs in a `PipelineCaps` field or a
+    module constant, where it has a name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found.extend((node.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                         for a, d in pairs if _is_int_literal(d))
+    return sorted(found)
+
+
+def _is_int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_checker_finds_a_literal_int_default():
+    src = ("CAP = 5\n"
+           "def f(a, b=3, c=CAP, *, d=-1, e=True, f=None, g=7):\n    pass\n"
+           "def h(x=2.0, y='1', z=0):\n    pass\n")
+    assert literal_int_defaults(src) == [(2, "f", "b"), (2, "f", "d"), (2, "f", "g"),
+                                         (4, "h", "z")]
+
+
+def test_no_literal_int_defaults_in_package():
+    package = [p for p in MODULES if p.parent.name == "vasslab"]
+    assert len(package) > 10
+    found = {p.name: literal_int_defaults(p.read_text(encoding="utf-8")) for p in package}
     assert {k: v for k, v in found.items() if v} == {}

@@ -289,7 +289,7 @@ class TestFaithfulness:
         g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 1})
         dm = Dmgts(Mgts([g]), 1, (), ("y1",))
         with pytest.raises(ArgumentError):
-            faithfulness_falsify(dm)
+            faithfulness_falsify(dm, 4)
 
 
 class TestConsistentSpecialization:
@@ -330,11 +330,11 @@ class TestConsistentSpecialization:
     def test_mismatched_counters_rejected(self):
         # the Dyck VAS's initial DMGTS has counters x.y1 and y.1, not y1
         with pytest.raises(ArgumentError):
-            consistent_specialization_falsify(dyck_copy_dmgts(), initial_dmgts(dyck_vas(1)))
+            consistent_specialization_falsify(dyck_copy_dmgts(), initial_dmgts(dyck_vas(1)), 3, 3)
         # the same counters, split into X and Y the other way
         as_x = Dmgts(dyck_copy_dmgts().mgts, 1, ("y1",), ())
         with pytest.raises(ArgumentError):
-            consistent_specialization_falsify(as_x, dyck_copy_dmgts())
+            consistent_specialization_falsify(as_x, dyck_copy_dmgts(), 3, 3)
 
 
 class TestSubstitute:
@@ -403,14 +403,16 @@ class TestUnfoldCaps:
         with pytest.raises(ResourceExhausted, match="^simple path cap 7 exceeded$"):
             self.unfold(edges, "n3", path_cap=7)
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
         # the complete graph on 5 nodes: 65 simple paths from n0, one of
         # them n0 itself, the only final state
         nodes = [f"n{i}" for i in range(5)]
         edges = [(u, v) for u in nodes for v in nodes if u != v]
-        assert len(self.unfold(edges, "n0", step_cap=130)) == 1
+        monkeypatch.setattr(mgts_module, "PATH_STEP_CAP", 130)
+        assert len(self.unfold(edges, "n0")) == 1
+        monkeypatch.setattr(mgts_module, "PATH_STEP_CAP", 129)
         with pytest.raises(ResourceExhausted, match="^simple path step cap 129 exceeded$"):
-            self.unfold(edges, "n0", step_cap=129)
+            self.unfold(edges, "n0")
 
 
 def test_json_roundtrip():

@@ -9,6 +9,7 @@ same result.
 """
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -117,8 +118,9 @@ def test_rackoff_cover_matches_oracle(iv, data):
                        if counters else st.just([]))
     C = data.draw(st.integers(0, 4))
     state_cap = data.draw(st.one_of(st.integers(0, 6), st.just(500)))
-    assert outcome(rackoff_cover, p, run, jprime, C, state_cap) == outcome(
-        search_oracle.rackoff_cover, p, run, jprime, C, state_cap)
+    with mock.patch.object(structure, "WITNESS_CAP", state_cap):
+        got = outcome(rackoff_cover, p, run, jprime, C)
+    assert got == outcome(search_oracle.rackoff_cover, p, run, jprime, C, state_cap)
 
 
 def curated_and_members():

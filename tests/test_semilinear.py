@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from vasslab import semilinear
 from vasslab.automata import Nfa, enumerate_words, run_word
 from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.model import (
@@ -139,16 +140,17 @@ class TestCover:
         assert k == 41 ** 2
         assert lins == [LinearSet((40 * j,), ((40,),)) for j in range(42)]
 
-    def test_cycle_enumeration_counts_against_run_cap(self):
+    def test_cycle_enumeration_counts_against_run_cap(self, monkeypatch):
         # one run from the isolated initial state, but the complete 9-state
         # component beside it has 125,673 simple cycles
         states = [f"c{i}" for i in range(9)]
         nfa = Nfa(states + ["i"], {(p, A1, q) for p in states for q in states},
                   {"i"}, {"i"}, dyck_alphabet(1))
+        monkeypatch.setattr(semilinear, "COVER_STEP_CAP", 1000)
         with pytest.raises(ResourceExhausted, match="cycle enumeration cap 1000"):
-            nfa_to_linear_cover(nfa, run_cap=1000)
-        k, lins = nfa_to_linear_cover(Nfa(["i"], (), {"i"}, {"i"}, dyck_alphabet(1)),
-                                      run_cap=1)
+            nfa_to_linear_cover(nfa)
+        monkeypatch.setattr(semilinear, "COVER_STEP_CAP", 1)
+        k, lins = nfa_to_linear_cover(Nfa(["i"], (), {"i"}, {"i"}, dyck_alphabet(1)))
         assert lins == [LinearSet((0,), ())]
 
 
@@ -408,14 +410,15 @@ class TestBasicSeparatorsForRegular:
 def test_linear_set_and_descriptor_json():
     import json
 
-    from vasslab.semilinear import descriptor_to_json, linear_set_from_json, linear_set_to_json
+    from vasslab.semilinear import linear_set_to_json
 
     lin = LinearSet((1, -2), ((2, 0), (0, 3)))
-    assert linear_set_from_json(linear_set_to_json(lin)) == lin
+    doc = json.loads(json.dumps(linear_set_to_json(lin)))
+    assert doc == {"base": [1, -2], "periods": [[0, 3], [2, 0]]}
+    assert LinearSet(doc["base"], doc["periods"]) == lin
+    # a descriptor's chain, as `basicsep` prints it
     desc = family_mod(2, (1,))
-    doc = descriptor_to_json(desc)
-    json.dumps(doc)
-    assert doc["certificate"] and doc["k"] == desc.k
+    assert [linear_set_to_json(f) for f in desc.chain] == [{"base": [1], "periods": [[-2], [2]]}]
 
 
 def test_fold_nfa_preserves_bounded_language():

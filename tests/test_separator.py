@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
+from vasslab import separator
 from vasslab.chareq import build_char
 from vasslab.errors import ArgumentError, StructuralError
 from vasslab.mgts import Dmgts, LanguageCaps, Mgts, PrecoveringGraph, side_language_bounded
@@ -136,7 +137,7 @@ class TestLambertPump:
     def test_dyck_copy(self):
         dm = dyck_copy_dmgts()
         sol = ilp_feasible(build_char(dm, "full").system)
-        run = lambert_pump(dm, sol)
+        run = lambert_pump(dm, sol, k_cap=64)
         iv, _ = dm.mgts.combined()
         final = run.final_config(iv.vass)
         assert final.valuation["y1"] == 0
@@ -153,7 +154,7 @@ class TestLambertPump:
         dm = dyck_copy_dmgts()
         cs = build_char(dm, "full")
         zero = {v: 0 for v in cs.system.vars}
-        run = lambert_pump(dm, zero)
+        run = lambert_pump(dm, zero, k_cap=64)
         assert len(run.edge_seq) > 0  # u^k w^k d^k still runs
 
     def test_two_graph_pump(self):
@@ -252,9 +253,10 @@ class TestWitness:
         w = inseparability_witness(dm, dfa)
         assert w.data.get("short")
 
-    def test_find_z_pair_trivial(self):
+    def test_find_z_pair_trivial(self, monkeypatch):
+        monkeypatch.setattr(separator, "LOOP_LEN", 2)
         dm = initial_dmgts(dyck_vas(1))
-        pair = find_z_pair(dm, self.accept_all_dfa(), loop_len=2)
+        pair = find_z_pair(dm, self.accept_all_dfa())
         assert pair is not None
 
 

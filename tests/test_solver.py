@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vasslab import solver
 from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.solver import (
     UNBOUNDED,
@@ -170,11 +171,12 @@ class TestEnumerate:
             for val in range(int(hi) + 1, int(hi) + 4):
                 assert ilp_feasible(s.with_fixed(target, val)) is None
 
-    def test_hard_cap(self):
+    def test_hard_cap(self, monkeypatch):
         s = LinSystem(["x"], eqs=[], nonneg=["x"], fixed={})
         s2 = LinSystem(["x", "y"], eqs=[({"x": 1, "y": 1}, 2000)], nonneg=["x", "y"])
+        monkeypatch.setattr(solver, "VALUE_RANGE_CAP", 100)
         with pytest.raises(ResourceExhausted):
-            enumerate_var_values(s2, "x", hard_cap=100)
+            enumerate_var_values(s2, "x")
 
 
 class TestLatticePresolve:

@@ -149,14 +149,6 @@ def test_modulo_strategy_via_counter_gap():
     verify_separable(verdict, dm, max_len=4)
 
 
-def test_verdict_json():
-    import json
-
-    dm = initial_dmgts(dyck_vas(1))
-    v = z_separability(dm)
-    json.dumps(v.to_json())
-
-
 def test_unknown_when_caps_too_small(monkeypatch):
     # the counter-gap subject needs modulus 3; with the modulo search capped at
     # 2 and the drift box too small for the deep-dipping words visible at
