@@ -21,7 +21,9 @@ class Nfa:
 
     `eps_closure` and `step` are memoized on the instance, keyed by the
     frozenset of states (and the letter), so a subset reached again is never
-    recomputed; the memo lives and dies with the automaton."""
+    recomputed; the memo lives and dies with the automaton. Every closure is
+    also stored under itself, so equal ε-closed subsets are one object and a
+    step from one finds its memo key by identity."""
 
     def __init__(self, states, transitions, initial, final, alphabet=None):
         self.states = frozenset(states)
@@ -61,7 +63,10 @@ class Nfa:
                     if q not in out:
                         out.add(q)
                         stack.append(q)
-            closed = self._closure_memo[states] = frozenset(out)
+            out = frozenset(out)
+            # the closure of a closed set is that set; keep the first object
+            closed = self._closure_memo.setdefault(out, out)
+            self._closure_memo[states] = closed
         return closed
 
     def step(self, states, letter) -> frozenset:
@@ -89,7 +94,7 @@ def run_word(nfa: Nfa, word) -> bool:
         cur = nfa.step(cur, a)
         if not cur:
             return False
-    return bool(cur & nfa.final)
+    return not cur.isdisjoint(nfa.final)
 
 
 def first_mistake(nfa: Nfa, inside, outside):

@@ -82,8 +82,9 @@ APPROX_STATE_CAP = 20_000  # states of the largest R(Λ, k) built, (2k+1)^n
 def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     """The k-th regular approximation R(lin, k): simulate letter effects inside
     [-k, k]^n and subtract period vectors without reading a symbol; final
-    states are the box members of the linear set. Dyck letters reach every
-    point of the box, so R(lin, k) has (2k+1)^n states; more than
+    states are the box members of the linear set, decided with one exact ILP
+    per ε-orbit rather than per point (see _box_members). Dyck letters reach
+    every point of the box, so R(lin, k) has (2k+1)^n states; more than
     APPROX_STATE_CAP raise ResourceExhausted before anything is built."""
     if (k, annotated) not in lin._approx:
         lin._approx[k, annotated] = Nfa(*_approx_parts(lin, k, annotated))
@@ -111,9 +112,29 @@ def _approx_parts(lin: LinearSet, k: int, annotated: bool):
 
     start = tuple(0 for _ in range(n))
     states, transitions = reachable([start], moves)
-    final = {v for v in states if lin_member(lin, v)}
     alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
-    return states, transitions, {start}, final, alphabet
+    return states, transitions, {start}, _box_members(lin, states, transitions), alphabet
+
+
+def _box_members(lin: LinearSet, states, transitions) -> set:
+    """The states of R(lin, k) that lie in lin, one ILP per point that no
+    decided point settles: an ε-move v → v − p keeps the box, so v ∈ lin puts
+    every point that reaches v by ε-moves in lin, and v ∉ lin puts every point
+    that v reaches by ε-moves out of it."""
+    down, up = {}, {}
+    for p, a, q in transitions:
+        if a is None:
+            down.setdefault(p, []).append(q)
+            up.setdefault(q, []).append(p)
+    member = {}
+    for v in states:
+        if v not in member:
+            verdict = lin_member(lin, v)
+            spread = up if verdict else down
+            orbit, _ = reachable([v], lambda u: ((None, w) for w in spread.get(u, ())
+                                                 if w not in member))
+            member.update(dict.fromkeys(orbit, verdict))
+    return {v for v in states if member[v]}
 
 
 def _letter_shifts(n: int, counters, annotated: bool) -> list:

@@ -1,4 +1,4 @@
-from itertools import product as words_over
+from itertools import combinations, product as words_over
 
 import pytest
 from hypothesis import given, settings
@@ -78,7 +78,8 @@ def accepts_by_search(nfa, word) -> bool:
 def test_enumerate_words_equals_brute_force(nfa, max_len):
     words = [w for k in range(max_len + 1) for w in words_over(("a", "b"), repeat=k)]
     want = {w for w in words if accepts_by_search(nfa, w)}
-    assert {w for w in words if run_word(nfa, w)} == want
+    # "c" is outside the alphabet: a word ending in it is rejected, not an error
+    assert {w for w in words + [w + ("c",) for w in words] if run_word(nfa, w)} == want
     assert enumerate_words(nfa, max_len) == want
 
 
@@ -89,6 +90,19 @@ def test_memoized_stepping_reads_any_collection():
     assert {n.step(s, "a") for s in args} == {frozenset({1, 2})}
     assert all(type(n.eps_closure(s)) is frozenset and type(n.step(s, "a")) is frozenset
                for s in args)
+
+
+@settings(max_examples=200)
+@given(nfas())
+def test_equal_closed_subsets_are_one_object(nfa):
+    # every subset's closure, then a step from each: equal results, one object
+    subsets = [set(c) for k in range(len(nfa.states) + 1)
+               for c in combinations(sorted(nfa.states), k)]
+    closures = [nfa.eps_closure(s) for s in subsets]
+    closures += [nfa.step(c, a) for c in closures for a in ("a", "b")]
+    first = {}
+    for c in closures:
+        assert first.setdefault(c, c) is c
 
 
 def test_memoized_stepping_ignores_later_mutation():

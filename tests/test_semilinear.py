@@ -2,6 +2,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vasslab import semilinear
 from vasslab.automata import Nfa, enumerate_words, run_word
@@ -72,6 +74,19 @@ class TestApprox:
             auto = approx_automaton(lin, 3)
             for w in enumerate_words(auto, 5):
                 assert lin_member(lin, word_effect(w, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_final_states_are_the_box_members(self, data):
+        n = data.draw(st.integers(1, 2))
+        vec = st.tuples(*[st.integers(-2, 2)] * n)
+        periods = data.draw(st.lists(vec, max_size=3))
+        if len(periods) >= 2 and data.draw(st.booleans()):
+            periods[-1] = tuple(-x for x in periods[0])  # a ± pair
+        lin = LinearSet(data.draw(vec), periods)
+        auto = approx_automaton(lin, data.draw(st.integers(0, 3)),
+                                annotated=data.draw(st.booleans()))
+        assert auto.final == {v for v in auto.states if lin_member(lin, v)}
 
     def test_automaton_memoized_on_its_linear_set(self):
         lin = LinearSet((0,), ((2,), (-2,)))
