@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ArgumentError, ResourceExhausted, StructuralError
+from .errors import ResourceExhausted, StructuralError
 
 
 def strip_letter(a):
@@ -109,15 +109,6 @@ def first_mistake(nfa: Nfa, inside, outside):
         if run_word(nfa, w):
             return w, "disjointness"
     return None
-
-
-def is_empty(nfa: Nfa) -> bool:
-    """No final state is reachable from an initial one."""
-    out = {}
-    for p, a, q in nfa.transitions:
-        out.setdefault(p, []).append((a, q))
-    states, _ = reachable(nfa.initial, lambda p: out.get(p, ()))
-    return nfa.final.isdisjoint(states)
 
 
 def reachable(initial, moves, state_cap=None, name="state"):
@@ -249,21 +240,6 @@ def strip_hash(nfa: Nfa) -> Nfa:
     return Nfa(nfa.states, transitions, nfa.initial, nfa.final, alphabet)
 
 
-def dfa_profile(dfa: Nfa, word) -> frozenset:
-    """The state-change relation {(p, δ*(p, w))} of a total DFA."""
-    if not dfa.is_deterministic() or not dfa.is_total():
-        raise ArgumentError("dfa_profile needs a total deterministic automaton")
-    pairs = set()
-    for p in dfa.states:
-        cur = p
-        for a in word:
-            if a not in dfa.alphabet:
-                raise ArgumentError(f"letter {a!r} outside the DFA alphabet")
-            (cur,) = dfa._step[(cur, a)]
-        pairs.add((p, cur))
-    return frozenset(pairs)
-
-
 def nfa_to_json(nfa: Nfa) -> dict:
     def key(s):
         return s if isinstance(s, str) else repr(s)
@@ -283,20 +259,6 @@ def nfa_to_json(nfa: Nfa) -> dict:
         "final": sorted(key(s) for s in nfa.final),
         "transitions": trans,
     }
-
-
-def nfa_from_json(doc: dict) -> Nfa:
-    transitions = set()
-    annotated = any(t["hash"] for t in doc["transitions"])
-    for t in doc["transitions"]:
-        if t["label"] == "":
-            a = None
-        elif annotated:
-            a = (t["label"], bool(t["hash"]))
-        else:
-            a = t["label"]
-        transitions.add((t["from"], a, t["to"]))
-    return Nfa(doc["states"], transitions, doc["initial"], doc["final"])
 
 
 def dump_nfa(nfa: Nfa) -> str:

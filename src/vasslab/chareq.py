@@ -1,6 +1,6 @@
 """Characteristic systems of MGTS/DMGTS: Kirchhoff and marking equations with
 the per-side acceptance constraints, their homogeneous variants, the support,
-and the perfectness side-conditions.
+and full-support solutions.
 
 Variables: ("edge", gi, ei) counts edge ei of graph gi; ("io", gi, "in"|"out",
 counter) holds the valuation on entering resp. exiting graph gi.
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ArgumentError
-from .mgts import Dmgts, Mgts, intermediate_accepts, side_gates
+from .mgts import Dmgts, Mgts, side_gates
 from .solver import (
     UNBOUNDED,
     LinSystem,
@@ -138,45 +138,3 @@ def full_support_solution(cs: CharSystem, sup=None) -> Solution:
     scale = denom * cs.mu
     assignment = {v: int(f * scale) for v, f in total.items()}
     return Solution(assignment, hom.system)
-
-
-def justifies_unboundedness(cs: CharSystem, gi: int, zprime, sup=None) -> bool:
-    """True iff the support contains the entry variables of ω-in counters in
-    zprime, the exit variables of ω-out counters in zprime, and every edge
-    variable of graph gi (the edge condition is never vacuous)."""
-    mgts = cs.mgts
-    if not 0 <= gi < len(mgts.graphs):
-        raise ArgumentError(f"no precovering graph {gi}")
-    if sup is None:
-        sup = support(cs)
-    g = mgts.graphs[gi]
-    for c in zprime:
-        if is_omega(g.in_marking[c]) and io_var(gi, "in", c) not in sup:
-            return False
-        if is_omega(g.out_marking[c]) and io_var(gi, "out", c) not in sup:
-            return False
-    return all(edge_var(gi, ei) in sup for ei in range(len(g.vass.edges)))
-
-
-def run_assignment(mgts: Mgts, run) -> dict:
-    """The variable assignment that a run through every graph of the MGTS
-    induces, read off its `intermediate_accepts` visits with no gate (for
-    soundness tests)."""
-    visits = intermediate_accepts(mgts, run, {}, frozenset())
-    if visits is None:
-        raise ArgumentError("the run does not pass through every graph at its root")
-    _, origins = mgts.combined()
-    assignment = {}
-    for gi, (entry, seq, exit_) in enumerate(visits):
-        counts = {}
-        for i in seq:
-            counts[i] = counts.get(i, 0) + 1
-        for ei in range(len(mgts.graphs[gi].vass.edges)):
-            assignment[edge_var(gi, ei)] = 0
-        for i, k in counts.items():
-            kind, g_of, ei = origins[i]
-            assignment[edge_var(g_of, ei)] = k
-        for c in mgts.counters:
-            assignment[io_var(gi, "in", c)] = entry[c]
-            assignment[io_var(gi, "out", c)] = exit_[c]
-    return assignment

@@ -1,5 +1,6 @@
-"""CLI, file I/O, the end-to-end separability pipeline, and the brute-force
-reference oracles used by the tests and derived examples.
+"""CLI, file I/O, the end-to-end separability pipeline, and the two explicit
+searches the pipeline runs: the capped N-reachability BFS of the intersection
+stage (which `reach` runs too) and the bounded Dyck words of the verify stage.
 
 Exit codes: 0 certified verdict, 2 input error, 3 unknown / resource exhausted.
 """
@@ -75,7 +76,7 @@ class PipelineReport:
         return doc
 
 
-# -- reference oracles -----------------------------------------------------------
+# -- explicit searches -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class BfsResult:

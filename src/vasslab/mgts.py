@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
-from operator import add
 
 from .automata import bounded_words, reachable
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted, StructuralError
@@ -692,13 +690,6 @@ def initial_dmgts(subject: InitVass) -> Dmgts:
     return Dmgts(Mgts([graph]), 1, xs, ys, faithful=True)
 
 
-def is_zero_reaching(dmgts: Dmgts) -> bool:
-    ys = dmgts.y_counters
-    return all(dmgts.mgts.in_marking[c] == 0 for c in ys) and all(
-        dmgts.mgts.out_marking[c] == 0 for c in ys
-    )
-
-
 @dataclass(frozen=True)
 class PerfectnessDiagnosis:
     """Names the first failing perfectness condition under the refine priority:
@@ -742,119 +733,6 @@ def perfectness_diagnosis(dmgts: Dmgts):
     if not dmgts.faithful:
         return PerfectnessDiagnosis("faithful-flag")
     return None
-
-
-def _modulo_not_exact_run(dmgts: Dmgts, y_in, y_out, run_len_cap, value_cap):
-    """The first bounded Z-run (entry valuations in `_entry_ranges` order, runs
-    in `edge_walks` order) that is intermediate accepting modulo mu on Y,
-    starts at y_in and ends at y_out on every Y counter where those are
-    finite, and is not intermediate accepting on Y exactly; None if none is
-    found. X is read only by the boundary non-negativity checks, which both
-    acceptances share, so one high X entry value loses no counterexample; a Y
-    counter with an ω y_in ranges over the entry gate's residues up to
-    value_cap.
-
-    A walk can reach the last graph's root only through every bridge, in
-    order, so each walk is its prefix plus one edge: it carries the prefix's
-    valuation, graph index and whether the gates passed so far hold modulo
-    mu and exactly, and extends them by that edge."""
-    mgts = dmgts.mgts
-    iv, origins = mgts.combined()
-    vass = iv.vass
-    counters = vass.counters
-    ys = dmgts.y_counters
-    exact, x_side = side_gates(dmgts, "y"), side_gates(dmgts, "x")
-    modulo = {c: x_side[c] for c in exact}  # Y as the X side compares it
-    per = _entry_ranges(counters, mgts.in_marking, modulo, value_cap,
-                        _free_seed(vass, run_len_cap))
-    for c in ys:
-        if not is_omega(y_in[c]):
-            per[c] = clip(per[c], y_in[c], y_in[c])
-    pinned_out = [(k, y_out[c]) for k, c in enumerate(counters)
-                  if c in ys and not is_omega(y_out[c])]
-    # per edge: its update, and whether it is a bridge
-    steps = [(tuple(e.update[c] for c in counters), o[0] == "b")
-             for e, o in zip(vass.edges, origins)]
-    graphs = mgts.graphs
-
-    def gate(vals, marking):  # (modulo, exact) acceptance of one boundary valuation
-        if any(v < 0 for v in vals):
-            return False, False
-        val = dict(zip(counters, vals))
-        return _gates_pass(val, marking, modulo), _gates_pass(val, marking, exact)
-
-    out = vass.successors()
-    for start in product(*(per[c] for c in counters)):
-        trail = [(start, 0, *gate(start, graphs[0].in_marking))]  # one state per prefix
-        for end, seq in edge_walks(out, iv.init.node, run_len_cap):
-            if seq:
-                vals, gi, mod_ok, exact_ok = trail[len(seq) - 1]
-                del trail[len(seq):]
-                update, bridge = steps[seq[-1]]
-                nvals = tuple(map(add, vals, update))
-                if bridge:  # leave graph gi and enter graph gi + 1, each at its root
-                    m_out, e_out = gate(vals, graphs[gi].out_marking)
-                    m_in, e_in = gate(nvals, graphs[gi + 1].in_marking)
-                    mod_ok = mod_ok and m_out and m_in
-                    exact_ok = exact_ok and e_out and e_in
-                    gi += 1
-                trail.append((nvals, gi, mod_ok, exact_ok))
-            vals, gi, mod_ok, exact_ok = trail[-1]
-            if end != iv.final.node or not mod_ok:  # no intermediate acceptance ends elsewhere
-                continue
-            if any(vals[k] != v for k, v in pinned_out):
-                continue
-            m_out, e_out = gate(vals, graphs[-1].out_marking)
-            if m_out and not (exact_ok and e_out):
-                return Run(GenConfig(iv.init.node, dict(zip(counters, start))), seq)
-    return None
-
-
-def faithfulness_falsify(dmgts: Dmgts, run_len_cap: int):
-    """Search bounded Z-runs for a counterexample to the faithfulness inclusion;
-    None means none found (a semidecision, not a proof)."""
-    if not is_zero_reaching(dmgts):
-        raise ArgumentError("faithfulness is defined for zero-reaching DMGTS")
-    # Acc_{Z,Y} pins Y at the zero extremal markings, so no entry value ranges
-    mgts = dmgts.mgts
-    return _modulo_not_exact_run(dmgts, mgts.in_marking, mgts.out_marking, run_len_cap, 0)
-
-
-def consistent_specialization_falsify(n1: Dmgts, n2: Dmgts, run_len_cap: int, value_cap: int):
-    """Bounded search for a violation of the consistent-specialization
-    conditions of n1 w.r.t. n2 (a single-graph DMGTS); None if none found."""
-    if n1.mu != n2.mu:
-        raise ArgumentError("consistent specialization requires equal mu")
-    if (n1.mgts.counters, n1.y_counters) != (n2.mgts.counters, n2.y_counters):
-        raise ArgumentError("consistent specialization requires equal counters and Y counters")
-    if len(n2.graphs) != 1:
-        raise ArgumentError("the specialized object must be a single precovering graph")
-    p = n2.graphs[0]
-    iv1, _ = n1.mgts.combined()
-    in1, out1 = n1.mgts.in_marking, n1.mgts.out_marking
-    full = side_gates(n2, "full")
-    if not (_gates_pass(in1, p.in_marking, full) and _gates_pass(out1, p.out_marking, full)):
-        return ("markings", None)
-
-    # (1): every bounded run of n1 has a label/value-equivalent walk in n2
-    def steps(vass):  # per edge: its label and its update on p's counters
-        return [(e.label, tuple(sorted((c, e.update.get(c, 0)) for c in p.vass.counters)))
-                for e in vass.edges]
-
-    steps2, out2 = steps(p.vass), p.vass.successors()
-    sigs2 = {tuple(steps2[i] for i in seq) for q in p.vass.nodes
-             for _, seq in edge_walks(out2, q, run_len_cap)}
-    vass1 = iv1.vass
-    steps1, out1 = steps(vass1), vass1.successors()
-    for q in vass1.nodes:
-        for _, seq in edge_walks(out1, q, run_len_cap):
-            if tuple(steps1[i] for i in seq) not in sigs2:
-                return ("no-matching-run", seq)
-
-    # (2): bounded modulo-accepting runs of n1 that agree with p's extremal
-    # Y-markings are intermediate accepting on Y
-    run = _modulo_not_exact_run(n1, p.in_marking, p.out_marking, run_len_cap, value_cap)
-    return None if run is None else ("condition-2", run)
 
 
 # -- serialization --------------------------------------------------------------
@@ -914,10 +792,6 @@ def dmgts_from_json(doc: dict) -> Dmgts:
                               {c: int_from_json(v) for c, v in update.items()}))
     return Dmgts(Mgts(graphs, bridges), int_from_json(doc["mu"]), doc["x_counters"],
                  doc["y_counters"], doc.get("faithful", False))
-
-
-def dump_dmgts(d: Dmgts) -> str:
-    return json.dumps(dmgts_to_json(d), sort_keys=True, indent=2)
 
 
 def canonical_key(d: Dmgts) -> str:

@@ -1,5 +1,5 @@
-"""Labeled counter machines with generalized acceptance, the Dyck VAS, and the
-reductions that fix one input language to the Dyck language.
+"""Labeled counter machines with generalized acceptance, their bounded runs and
+languages, the Dyck VAS, and the JSON subject format.
 
 Conventions: node and counter ids are strings; the empty edge label is "";
 words are tuples of letters; everything is immutable after construction.
@@ -74,19 +74,6 @@ def word_effect(word, n: int):
         i, d = hit
         eff[i - 1] += d
     return tuple(eff)
-
-
-def is_dyck_word(word, n: int) -> bool:
-    """All prefix effects >= 0 and total effect zero."""
-    cur = [0] * n
-    for a in word:
-        i, d = letter_index(a, n) or (None, None)
-        if i is None:
-            raise StructuralError(f"letter {a!r} is not in the {n}-Dyck alphabet")
-        cur[i - 1] += d
-        if cur[i - 1] < 0:
-            return False
-    return all(v == 0 for v in cur)
 
 
 @dataclass(frozen=True)
@@ -220,13 +207,6 @@ class Run:
         return GenConfig(node, val)
 
 
-@dataclass(frozen=True)
-class Violation:
-    position: int
-    counter: str
-    value: int
-
-
 def effect(item, *, vass: Vass = None, n: int = None):
     """Effect of a word (over a Dyck alphabet), a run / edge sequence, or a
     Parikh vector of edge counts.
@@ -265,27 +245,6 @@ def parikh_of(edge_seq) -> dict:
     for i in edge_seq:
         psi[i] = psi.get(i, 0) + 1
     return psi
-
-
-def simulate(vass: Vass, start: GenConfig, edges, nonneg: frozenset):
-    """Walk `edges` from `start`; returns the Run, or the first Violation of
-    non-negativity on the counters in `nonneg` (empty: Z-semantics).
-    Disconnected sequences are structural errors."""
-    for v in start.valuation.values():
-        if is_omega(v):
-            raise ArgumentError("simulate needs a finite start valuation")
-    node, val = start.node, dict(start.valuation)
-    for pos, i in enumerate(edges, start=1):
-        if not 0 <= i < len(vass.edges):
-            raise StructuralError(f"unknown edge reference {i}")
-        e = vass.edges[i]
-        if e.src != node:
-            raise StructuralError(f"edge {i} does not continue from {node!r}")
-        node, val = e.dst, vec_add(val, e.update)
-        for c in sorted(nonneg):
-            if val[c] < 0:
-                return Violation(pos, c, val[c])
-    return Run(start, tuple(edges))
 
 
 def search_run(vass: Vass, node, vals, counters, goal, max_len=None, value_cap=None,
@@ -436,164 +395,6 @@ def is_dyck_visible(vass: Vass, y_counters) -> bool:
     return True
 
 
-def _canonical_dyck_encoding(vec, y_counters):
-    """Letters spelling vec: all increments then all decrements, ascending index."""
-    letters = []
-    for i, c in enumerate(y_counters, start=1):
-        for _ in range(max(0, vec.get(c, 0))):
-            letters.append(inc_letter(i))
-    for i, c in enumerate(y_counters, start=1):
-        for _ in range(max(0, -vec.get(c, 0))):
-            letters.append(dec_letter(i))
-    return letters
-
-
-def fix_dyck_product(subject: InitVass, second: InitVass) -> InitVass:
-    """Reduce separability/intersection of L(subject) and L(second) to the same
-    question between a Dyck-visible product and the Dyck language.
-
-    Counters are X = subject's (prefixed x.) disjoint-union Y = one per counter
-    of `second`; each matched edge pair contributes a path spelling the
-    canonical Dyck encoding of the second's update, with the subject's update
-    applied on the first step. The second's initial valuation is loaded by a
-    visible prefix chain and its final valuation discharged by a suffix chain.
-    """
-    if set(subject.vass.alphabet) != set(second.vass.alphabet):
-        raise ArgumentError("fix_dyck_product needs a shared alphabet")
-    ys = list(second.vass.counters)
-    n = len(ys)
-    for cfg in (second.init, second.final):
-        if any(is_omega(v) for v in cfg.valuation.values()):
-            raise ArgumentError("second automaton needs finite extremal valuations")
-
-    x_of = {c: f"x.{c}" for c in subject.vass.counters}
-    y_of = {c: f"y{ys.index(c) + 1}" for c in ys}
-    counters = sorted(x_of.values()) + [y_of[c] for c in ys]
-    zero = {c: 0 for c in counters}
-
-    def lift(xupd=None, yletter_unit=None):
-        upd = dict(zero)
-        if xupd:
-            for c, v in xupd.items():
-                upd[x_of[c]] = v
-        if yletter_unit:
-            i, d = yletter_unit
-            upd[f"y{i}"] = d
-        return upd
-
-    nodes = set()
-    edges = []
-    fresh = [0]
-
-    def mid():
-        fresh[0] += 1
-        return f"m{fresh[0]}"
-
-    def emit_path(src, dst, letters, xupd):
-        """A chain src -> dst spelling `letters` (visible Y updates); the X
-        update rides on the first step. Empty encoding: one ε edge."""
-        nodes.add(src)
-        nodes.add(dst)
-        if not letters:
-            edges.append(Edge(src, EPSILON, lift(xupd), dst))
-            return
-        cur = src
-        for k, a in enumerate(letters):
-            nxt = dst if k == len(letters) - 1 else mid()
-            nodes.add(nxt)
-            i, d = letter_index(a, n)
-            edges.append(Edge(cur, a, lift(xupd if k == 0 else None, (i, d)), nxt))
-            cur = nxt
-
-    def pair(p, q):
-        return f"({p}|{q})"
-
-    for p in subject.vass.nodes:
-        for q in second.vass.nodes:
-            nodes.add(pair(p, q))
-    for e1 in subject.vass.edges:
-        if e1.label == EPSILON:
-            for q in second.vass.nodes:
-                emit_path(pair(e1.src, q), pair(e1.dst, q), [], e1.update)
-    for e2 in second.vass.edges:
-        if e2.label == EPSILON:
-            enc = _canonical_dyck_encoding(e2.update, ys)
-            for p in subject.vass.nodes:
-                emit_path(pair(p, e2.src), pair(p, e2.dst), enc, None)
-    for e1 in subject.vass.edges:
-        if e1.label == EPSILON:
-            continue
-        for e2 in second.vass.edges:
-            if e2.label != e1.label:
-                continue
-            enc = _canonical_dyck_encoding(e2.update, ys)
-            emit_path(pair(e1.src, e2.src), pair(e1.dst, e2.dst), enc, e1.update)
-
-    start, stop = "in", "out"
-    preload = {y_of[c]: second.init.valuation[c] for c in ys}
-    emit_path(start, pair(subject.init.node, second.init.node),
-              _canonical_dyck_encoding(preload, [y_of[c] for c in ys]), None)
-    discharge = {y_of[c]: -second.final.valuation[c] for c in ys}
-    emit_path(pair(subject.final.node, second.final.node), stop,
-              _canonical_dyck_encoding(discharge, [y_of[c] for c in ys]), None)
-
-    vass = Vass(nodes, dyck_alphabet(n), counters, edges)
-    init_val = dict(zero)
-    final_val = dict(zero)
-    for c in subject.vass.counters:
-        init_val[x_of[c]] = subject.init.valuation[c]
-        final_val[x_of[c]] = subject.final.valuation[c]
-    return InitVass(vass, GenConfig(start, init_val), GenConfig(stop, final_val))
-
-
-def hardness_gadget(a: InitVass, aprime: InitVass) -> InitVass:
-    """L(result) = L(aprime) if `a` reaches, else empty: an ε-relabeled copy of
-    `a`, a bridging update -c_out + c'_in, then `aprime`."""
-    if any(is_omega(v) for v in a.final.valuation.values()):
-        raise ArgumentError("hardness gadget needs a finite final valuation on A")
-    if any(is_omega(v) for v in aprime.init.valuation.values()):
-        raise ArgumentError("hardness gadget needs a finite initial valuation on A'")
-    ren_a_node = {q: f"A.{q}" for q in a.vass.nodes}
-    ren_b_node = {q: f"B.{q}" for q in aprime.vass.nodes}
-    ren_a_ctr = {c: f"A.{c}" for c in a.vass.counters}
-    ren_b_ctr = {c: f"B.{c}" for c in aprime.vass.counters}
-    counters = sorted(ren_a_ctr.values()) + sorted(ren_b_ctr.values())
-    zero = {c: 0 for c in counters}
-
-    def up(ren, u):
-        out = dict(zero)
-        for c, v in u.items():
-            out[ren[c]] = v
-        return out
-
-    edges = [Edge(ren_a_node[e.src], EPSILON, up(ren_a_ctr, e.update), ren_a_node[e.dst])
-             for e in a.vass.edges]
-    bridge = dict(zero)
-    for c in a.vass.counters:
-        bridge[ren_a_ctr[c]] = -a.final.valuation[c]
-    for c in aprime.vass.counters:
-        bridge[ren_b_ctr[c]] = aprime.init.valuation[c]
-    edges.append(Edge(ren_a_node[a.final.node], EPSILON, bridge, ren_b_node[aprime.init.node]))
-    edges.extend(
-        Edge(ren_b_node[e.src], e.label, up(ren_b_ctr, e.update), ren_b_node[e.dst])
-        for e in aprime.vass.edges
-    )
-    vass = Vass(
-        list(ren_a_node.values()) + list(ren_b_node.values()),
-        aprime.vass.alphabet,
-        counters,
-        edges,
-    )
-    init_val = dict(zero)
-    for c, v in a.init.valuation.items():
-        init_val[ren_a_ctr[c]] = v
-    final_val = dict(zero)
-    for c, v in aprime.final.valuation.items():
-        final_val[ren_b_ctr[c]] = v
-    return InitVass(vass, GenConfig(ren_a_node[a.init.node], init_val),
-                    GenConfig(ren_b_node[aprime.final.node], final_val))
-
-
 # JSON document format: see README; the empty label is encoded as "".
 
 def init_vass_to_json(iv: InitVass) -> dict:
@@ -661,8 +462,3 @@ def init_vass_from_json(doc: dict) -> InitVass:
         return GenConfig(json_name(d["node"], "a configuration node"), val)
 
     return InitVass(vass, cfg(doc["init"]), cfg(doc["final"]))
-
-
-def dump_init_vass(iv: InitVass) -> str:
-    return json.dumps(init_vass_to_json(iv), sort_keys=True, indent=2)
-

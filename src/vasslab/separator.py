@@ -1,39 +1,22 @@
 """Separator synthesis and transfer: the modulo automaton, Z-to-N separator
-lifting, preciseness testing, Lambert pumping, and inseparability witnesses
-built from the diff/rem construction."""
+lifting, Lambert pumping, and the rooted loop-pair search behind the
+equal-label rung of the Z-separability ladder."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import ceil, factorial
+from math import ceil
 
-from .automata import (
-    Nfa,
-    bounded_words,
-    dfa_profile,
-    enumerate_words,
-    product,
-    run_word,
-    strip_hash,
-)
+from .automata import Nfa, bounded_words, product, strip_hash
 from .chareq import build_char, edge_var, io_var, full_support_solution, support
-from .errors import ArgumentError, ResourceExhausted, StructuralError
-from .mgts import (
-    Dmgts,
-    LanguageCaps,
-    intermediate_accepts,
-    is_zero_reaching,
-    side_gates,
-    side_language_bounded,
-)
+from .errors import ArgumentError, ResourceExhausted
+from .mgts import Dmgts, intermediate_accepts, side_gates
 from .model import (
     EPSILON,
     GenConfig,
     Run,
     annotated_alphabet,
     effect,
-    is_dyck_word,
     parikh_of,
 )
 from .solver import ilp_feasible
@@ -41,8 +24,6 @@ from .structure import covering_sequences, down_covering, realization
 from .values import gate_ok
 
 SCALE_CAP = 100_000  # largest multiple of a full-support solution tried
-WITNESS_REPEATS = 64  # largest factor c and repetition count k of an inseparability witness
-SHORT_WITNESS_LEN = 6  # word length of the side languages a short witness is read from
 LOOP_LEN = 4    # longest rooted loop of a loop-pair search
 LOOP_PAIRS = 50_000  # loop-pair combinations one search tries
 
@@ -100,21 +81,6 @@ def lift_separator(zsep: Nfa, dmgts: Dmgts) -> Nfa:
     Sol_Y (bounded-verified upstream); its alphabet must be the annotated Σ_n
     of the DMGTS, or `product` raises StructuralError."""
     return strip_hash(product(zsep, modulo_automaton(dmgts)))
-
-
-def preciseness_falsify(nfa_sharp: Nfa, dmgts: Dmgts, max_len: int,
-                        caps: LanguageCaps = LanguageCaps()):
-    """A word w in L(nfa#) ∩ Dyck# with w outside the bounded Sol_Y, or None.
-    Dyck# offers a and (a,#) wherever the Dyck language has a."""
-    n = len(dmgts.y_counters)
-    soly = side_language_bounded(dmgts, "y", max_len, "int", caps).words
-    for w in sorted(enumerate_words(nfa_sharp, max_len), key=repr):
-        plain = tuple(a for a, _ in w)
-        if not is_dyck_word(plain, n):
-            continue
-        if w not in soly:
-            return w
-    return None
 
 
 # -- Lambert pumping -------------------------------------------------------------
@@ -239,55 +205,7 @@ def _enable_k0(mgts, sol, covers, mains, fillers):
     return k0
 
 
-# -- diff / rem and inseparability witnesses ---------------------------------------
-
-@dataclass
-class DiffRem:
-    diff: tuple
-    rem: tuple
-    u: tuple
-    d: tuple
-    w_x: tuple
-    w_y: tuple
-
-
-def build_diff_rem(g, s_x: dict, s_y: dict, u_prime, d_prime, n_states: int, c: int) -> DiffRem:
-    """The pigeonhole construction: diff realizes the excess of the Dyck-side
-    support solution, rem fills the subject-side block, and w_x = diff^N rem vs
-    w_y = diff^{N + c N!} rem drive every DFA with at most n_states states
-    through identical state changes."""
-    nedges = len(g.vass.edges)
-    for ei in range(nedges):
-        if s_y.get(ei, 0) - s_x.get(ei, 0) < 1:
-            raise ArgumentError("needs (s_y - s_x) >= 1 on every edge (rescale s_y)")
-    fact = factorial(n_states)
-    diff = realization(g, {ei: s_y.get(ei, 0) - s_x.get(ei, 0) for ei in range(nedges)}, g.root)
-    psi_u, psi_d, psi_diff = parikh_of(u_prime), parikh_of(d_prime), parikh_of(diff)
-    rem_counts = {}
-    for ei in range(nedges):
-        k = c * fact * (s_x.get(ei, 0) - psi_u.get(ei, 0) - psi_d.get(ei, 0)) - n_states * psi_diff.get(ei, 0)
-        if k < 0:
-            raise ArgumentError(f"factor c={c} too small to realize rem")
-        rem_counts[ei] = k
-    rem = realization(g, rem_counts, g.root)
-    u = tuple(u_prime) * (c * fact)
-    d = tuple(d_prime) * (c * fact)
-    w_x = diff * n_states + rem
-    w_y = diff * (n_states + c * fact) + rem
-    for (block, side_counts) in ((w_x, s_x), (w_y, s_y)):
-        got = parikh_of(u + d + block)
-        want = {ei: c * fact * side_counts.get(ei, 0) for ei in range(nedges)}
-        if {e: k for e, k in got.items() if k} != {e: k for e, k in want.items() if k}:
-            raise StructuralError("diff/rem Parikh identity failed")
-    return DiffRem(diff, rem, u, d, w_x, w_y)
-
-
-@dataclass
-class WitnessPair:
-    o_x: tuple
-    o_y: tuple
-    data: dict
-
+# -- rooted loop pairs -------------------------------------------------------------
 
 def rooted_loops(g, max_len: int):
     """All rooted cycles of local length <= max_len as edge-index tuples, the
@@ -325,13 +243,6 @@ def loop_pair_search(dmgts: Dmgts, loop_len: int, key, combo_cap: int):
     return None
 
 
-def find_z_pair(dmgts: Dmgts, dfa: Nfa):
-    """Loop pairs with ~A-equal labels (equal DFA profiles) whose Parikh sums
-    solve Char_X resp. Char_Y; None if none within LOOP_LEN and LOOP_PAIRS."""
-    return loop_pair_search(dmgts, LOOP_LEN,
-                            lambda g, loop: dfa_profile(dfa, loop_labels(g, loop)), LOOP_PAIRS)
-
-
 def _loop_solution(dmgts: Dmgts, loops, side):
     """A solution of the side's characteristic system whose edge counts are
     the Parikh vectors of the per-graph loops, or None."""
@@ -341,102 +252,3 @@ def _loop_solution(dmgts: Dmgts, loops, side):
         for ei in range(len(g.vass.edges)):
             system = system.with_fixed(edge_var(gi, ei), counts.get(ei, 0))
     return ilp_feasible(system)
-
-
-def inseparability_witness(dmgts: Dmgts, dfa: Nfa, z_pair=None,
-                           caps: LanguageCaps = LanguageCaps()) -> WitnessPair:
-    """Words o_x ∈ L_X and o_y ∈ L_Y with o_x ~A o_y; such a pair refutes the
-    candidate DFA as a separator of L_X from the Dyck language. Membership is
-    verified by simulation, never trusted from the construction; the factor c
-    and the repetition count k each range up to WITNESS_REPEATS."""
-    if not is_zero_reaching(dmgts):
-        raise ArgumentError("inseparability witnesses need a zero-reaching DMGTS")
-    short = _short_witness(dmgts, dfa, caps)
-    if short is not None:
-        return short
-    if z_pair is None:
-        z_pair = find_z_pair(dmgts, dfa)
-    if z_pair is None:
-        raise ResourceExhausted("no profile-matched loop pair within the caps")
-    mgts = dmgts.mgts
-    covers = _covers(mgts, "inseparability witnesses need a perfect DMGTS")
-    sx = scaled_support(build_char(dmgts, "x"), covers)
-    sy = scaled_support(build_char(dmgts, "y"), covers)
-    # rescale the Dyck side so (s_y - s_x) >= 1 on every edge
-    t = 1
-    for gi, g in enumerate(mgts.graphs):
-        for ei in range(len(g.vass.edges)):
-            have = sy[edge_var(gi, ei)]
-            need = sx[edge_var(gi, ei)] + 1
-            if have:
-                t = max(t, -(-need // have))
-    sy = {v: t * k for v, k in sy.items()}
-    n_states = len(dfa.states)
-    fact = factorial(n_states)
-    sol_x = _loop_solution(dmgts, [a for a, _ in z_pair], "x")
-    sol_y = _loop_solution(dmgts, [b for _, b in z_pair], "y")
-    if sol_x is None or sol_y is None:
-        raise ArgumentError("the loop pair does not solve the side system")
-    for c in range(1, WITNESS_REPEATS + 1):
-        ok = True
-        parts = []
-        for gi, g in enumerate(mgts.graphs):
-            u, d = covers[gi]
-            try:
-                parts.append(build_diff_rem(
-                    g,
-                    {ei: sx[edge_var(gi, ei)] for ei in range(len(g.vass.edges))},
-                    {ei: sy[edge_var(gi, ei)] for ei in range(len(g.vass.edges))},
-                    u, d, n_states, c,
-                ))
-            except ArgumentError:
-                ok = False
-                break
-        if not ok:
-            continue
-        hit = _common_k(dmgts, z_pair, parts, sol_x, sol_y)
-        if hit is not None:
-            o_x, o_y, k = hit
-            px, py = dfa_profile(dfa, o_x), dfa_profile(dfa, o_y)
-            if px != py:
-                raise StructuralError("witness words have unequal profiles")
-            return WitnessPair(o_x, o_y, {"k": k, "c": c, "n_states": n_states})
-    raise ResourceExhausted(
-        f"no verifying (c, k) within ({WITNESS_REPEATS}, {WITNESS_REPEATS})")
-
-
-def _short_witness(dmgts, dfa, caps):
-    lx = side_language_bounded(dmgts, "x", SHORT_WITNESS_LEN, "nat", caps).words
-    if not lx:
-        return None
-    rejected = sorted(
-        (tuple(a for a, _ in w) for w in lx if not run_word(dfa, tuple(a for a, _ in w))),
-        key=lambda w: (len(w), w),
-    )
-    if not rejected:
-        return None
-    ly = side_language_bounded(dmgts, "y", SHORT_WITNESS_LEN, "nat", caps).words
-    for ox in rejected:
-        p = dfa_profile(dfa, ox)
-        for wy in sorted(ly, key=lambda w: (len(w), w)):
-            oy = tuple(a for a, _ in wy)
-            if dfa_profile(dfa, oy) == p:
-                return WitnessPair(ox, oy, {"short": True})
-    return None
-
-
-def _common_k(dmgts, z_pair, parts, sol_x, sol_y):
-    mgts = dmgts.mgts
-    iv, _ = mgts.combined()
-    gates_x, gates_y = side_gates(dmgts, "x"), side_gates(dmgts, "y")
-    for k in range(1, WITNESS_REPEATS + 1):
-        run_x = _stitch(mgts, sol_x, [dr.u * k + tuple(sig_x) + dr.w_x * k + dr.d * k
-                                      for dr, (sig_x, _) in zip(parts, z_pair)])
-        if not intermediate_accepts(mgts, run_x, gates_x, frozenset(gates_x)):
-            continue
-        run_y = _stitch(mgts, sol_y, [dr.u * k + tuple(sig_y) + dr.w_y * k + dr.d * k
-                                      for dr, (_, sig_y) in zip(parts, z_pair)])
-        if not intermediate_accepts(mgts, run_y, gates_y, frozenset(gates_y)):
-            continue
-        return run_x.word(iv.vass), run_y.word(iv.vass), k
-    return None

@@ -1,6 +1,6 @@
 """Graph analyses over precovering graphs: cycle spaces and ranks, covering
 sequences via Karp-Miller trees, fixed counters, realization of Parikh vectors
-as rooted cycles, and the Rackoff-style bound and cover."""
+as rooted cycles, and the Rackoff-style bound."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from math import factorial, lcm
 from .automata import reachable
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
-from .model import Run, Violation, effect, search_run, simulate
+from .model import effect, search_run
 from .values import OMEGA, is_omega
 
 
@@ -319,7 +319,7 @@ def realization(vass_or_graph, parikh: dict, start) -> tuple:
     return tuple(circuit)
 
 
-# -- Rackoff-style bound and cover ---------------------------------------------------
+# -- Rackoff-style bound -------------------------------------------------------------
 
 def largest_update(p: PrecoveringGraph) -> int:
     return max((abs(x) for e in p.vass.edges for x in e.update.values()), default=0) or 1
@@ -331,24 +331,3 @@ def rackoff_bound(p: PrecoveringGraph, jprime, C) -> int:
     C = max(2, C)
     base = len(p.vass.nodes) * largest_update(p) * C
     return base ** factorial(len(set(jprime)) + 1)
-
-
-def rackoff_cover(p: PrecoveringGraph, run: Run, jprime, C):
-    """A J'-run from the run's start to its final node with every J' counter
-    >= C, found by exact BFS over at most WITNESS_CAP states (desk-scale; the
-    inductive cut-and-splice bound is not materialized). Verified by
-    simulation before returning."""
-    vass = p.vass
-    js = sorted(set(jprime))
-    start_vals = [run.start.valuation[c] for c in js]
-    if any(v < 0 for v in start_vals):
-        raise ArgumentError("premise violated: J' start values must be non-negative")
-    target_node = run.final_config(vass).node
-    path, _ = search_run(vass, run.start.node, start_vals, js,
-                         lambda node, vals: node == target_node and all(v >= C for v in vals),
-                         state_cap=WITNESS_CAP)
-    if path is None:
-        raise ResourceExhausted("no covering J'-run found within the explored space")
-    if isinstance(simulate(vass, run.start, path, frozenset(js)), Violation):
-        raise StructuralError("rackoff cover failed verification")
-    return path

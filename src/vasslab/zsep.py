@@ -1,6 +1,6 @@
-"""Pluggable decision of regular separability between the Z-approximations
-Sol_X and Sol_Y of a DMGTS. Ships layered sound strategies behind a stable
-interface; verdicts carry bounded-verified certificates, never guesses."""
+"""Regular separability between the Z-approximations Sol_X and Sol_Y of a
+DMGTS, decided by one ladder of sound strategies tried in a fixed order;
+verdicts carry bounded-verified certificates, never guesses."""
 
 from __future__ import annotations
 

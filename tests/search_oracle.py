@@ -1,8 +1,8 @@
 """The hand-rolled run searches that `model.search_run` and `model.edge_walks`
 replaced, kept verbatim as differential oracles: `oracle_bfs` (the driver's
-capped N-reachability BFS), `_pump_witness` and `rackoff_cover` (structure),
-and the two bounded falsifiers of mgts with the `_entry_candidates` they
-enumerated starts with. Only the package-relative imports became absolute,
+capped N-reachability BFS), `_pump_witness` (structure), and `rackoff_cover`
+and the two bounded falsifiers (now in `audits`) with the `_entry_candidates`
+they enumerated starts with. Only the package-relative imports became absolute,
 and the acceptance arguments became gate maps (counter -> modulus, see
 `side_gates`): `_valuation_le` and `_accepts` are private copies, rewritten
 to the maps, of the `valuation_le` and `model.accepts` the package no
@@ -19,17 +19,11 @@ from vasslab.mgts import (
     _entry_ranges,
     _free_seed,
     intermediate_accepts,
-    is_zero_reaching,
 )
-from vasslab.model import (
-    EPSILON,
-    GenConfig,
-    InitVass,
-    Run,
-    Violation,
-    simulate,
-)
+from vasslab.model import EPSILON, GenConfig, InitVass, Run
 from vasslab.values import gate_ok, is_omega
+
+from audits import Violation, is_zero_reaching, simulate
 
 
 def _valuation_le(val: dict, bound: dict, gates: dict) -> bool:

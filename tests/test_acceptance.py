@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 
 from vasslab import solver
-from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
+from vasslab.automata import Nfa, enumerate_words, run_word
 from vasslab.chareq import build_char, full_support_solution, support
 from vasslab.decomposition import decompose, mod_residue_expansion
 from vasslab.driver import (
@@ -34,7 +34,6 @@ from vasslab.model import (
     dyck_alphabet,
     dyck_vas,
     inc_letter,
-    is_dyck_word,
     language_bounded,
     word_effect,
 )
@@ -51,11 +50,12 @@ from vasslab.semilinear import (
     move_word,
     nfa_to_linear_cover,
 )
-from vasslab.separator import build_diff_rem, lambert_pump
+from vasslab.separator import lambert_pump
 from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
 from vasslab.structure import covering_sequences
 from vasslab.values import OMEGA
 
+from audits import build_diff_rem, dfa_profile, is_dyck_word
 from pump_search_oracle import oracle_pump_search
 from conftest import (
     dyck_copy_dmgts,
@@ -194,7 +194,8 @@ def test_criterion_2_coverability_agreement():
                 checked_neg += 1
             elif sigma != ():
                 # the returned witness is verified by simulation
-                from vasslab.model import Run, simulate
+                from audits import simulate
+                from vasslab.model import Run
 
                 seed = 10 * 2 + 30
                 start = {c: (seed if p.in_marking[c] is OMEGA else p.in_marking[c])
@@ -447,7 +448,7 @@ def test_criterion_13_end_to_end_inseparable():
 
 def test_criterion_14_hardness_gadget():
     with criterion(14, "gadget emptiness ⇔ BFS unreachability, 20 instances", 60.0):
-        from vasslab.model import hardness_gadget
+        from audits import hardness_gadget
 
         rng = make_rng(1014)
         aprime = InitVass(

@@ -1,24 +1,68 @@
 import pytest
 
 from vasslab.chareq import (
+    CharSystem,
     build_char,
     edge_var,
     full_support_solution,
     homogenize,
     io_var,
-    justifies_unboundedness,
-    run_assignment,
     support,
 )
+from vasslab.errors import ArgumentError
 from vasslab.mgts import Dmgts, Mgts, Update, intermediate_accepts, side_gates
 from vasslab.model import GenConfig, Run, dec_letter, edge_walks, inc_letter
 from vasslab import solver
 from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
-from vasslab.values import OMEGA
+from vasslab.values import OMEGA, is_omega
 
 from conftest import dyck_copy_graph, graph_loops, make_rng, random_finite_precovering
 
 A1, AB1 = inc_letter(1), dec_letter(1)
+
+
+# -- the perfectness side-condition and the run-induced assignment --------------
+
+def justifies_unboundedness(cs: CharSystem, gi: int, zprime, sup=None) -> bool:
+    """True iff the support contains the entry variables of ω-in counters in
+    zprime, the exit variables of ω-out counters in zprime, and every edge
+    variable of graph gi (the edge condition is never vacuous)."""
+    mgts = cs.mgts
+    if not 0 <= gi < len(mgts.graphs):
+        raise ArgumentError(f"no precovering graph {gi}")
+    if sup is None:
+        sup = support(cs)
+    g = mgts.graphs[gi]
+    for c in zprime:
+        if is_omega(g.in_marking[c]) and io_var(gi, "in", c) not in sup:
+            return False
+        if is_omega(g.out_marking[c]) and io_var(gi, "out", c) not in sup:
+            return False
+    return all(edge_var(gi, ei) in sup for ei in range(len(g.vass.edges)))
+
+
+def run_assignment(mgts: Mgts, run) -> dict:
+    """The variable assignment that a run through every graph of the MGTS
+    induces, read off its `intermediate_accepts` visits with no gate (for
+    soundness tests)."""
+    visits = intermediate_accepts(mgts, run, {}, frozenset())
+    if visits is None:
+        raise ArgumentError("the run does not pass through every graph at its root")
+    _, origins = mgts.combined()
+    assignment = {}
+    for gi, (entry, seq, exit_) in enumerate(visits):
+        counts = {}
+        for i in seq:
+            counts[i] = counts.get(i, 0) + 1
+        for ei in range(len(mgts.graphs[gi].vass.edges)):
+            assignment[edge_var(gi, ei)] = 0
+        for i, k in counts.items():
+            kind, g_of, ei = origins[i]
+            assignment[edge_var(g_of, ei)] = k
+        for c in mgts.counters:
+            assignment[io_var(gi, "in", c)] = entry[c]
+            assignment[io_var(gi, "out", c)] = exit_[c]
+    return assignment
 
 
 def plus_loop_graph(in_v, out_v):

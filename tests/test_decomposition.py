@@ -27,9 +27,6 @@ from vasslab.mgts import (
     PrecoveringGraph,
     Update,
     canonical_key,
-    consistent_specialization_falsify,
-    faithfulness_falsify,
-    is_zero_reaching,
     perfectness_diagnosis,
     side_language_bounded,
     validate_precovering,
@@ -50,6 +47,7 @@ from vasslab.structure import rank, rank_less
 from vasslab.values import OMEGA
 
 import conftest
+from audits import consistent_specialization_falsify, faithfulness_falsify, is_zero_reaching
 from conftest import dyck_copy_graph, graph_loops, strip_words
 from test_acceptance import curated_suite
 

@@ -21,7 +21,7 @@ from vasslab.driver import (
     reach_decide,
 )
 from vasslab.errors import ArgumentError
-from vasslab.mgts import dump_dmgts, initial_dmgts
+from vasslab.mgts import Dmgts, dmgts_to_json, initial_dmgts
 from vasslab.model import (
     EPSILON,
     Edge,
@@ -29,17 +29,17 @@ from vasslab.model import (
     InitVass,
     Vass,
     dec_letter,
-    dump_init_vass,
     dyck_alphabet,
     dyck_vas,
     inc_letter,
-    is_dyck_word,
+    init_vass_to_json,
     language_bounded,
 )
 from vasslab import semilinear
 from vasslab.automata import first_mistake, run_word
 from vasslab.values import OMEGA
 
+from audits import is_dyck_word
 from pump_search_oracle import oracle_pump_search
 from conftest import (
     dyck_copy_graph,
@@ -50,6 +50,15 @@ from conftest import (
 )
 
 A1, AB1 = inc_letter(1), dec_letter(1)
+
+
+def dump_init_vass(iv: InitVass) -> str:
+    return json.dumps(init_vass_to_json(iv), sort_keys=True, indent=2)
+
+
+def dump_dmgts(d: Dmgts) -> str:
+    return json.dumps(dmgts_to_json(d), sort_keys=True, indent=2)
+
 
 # the cap flags each verb takes: the PipelineCaps fields it reads
 _DECOMPOSE_CAP_FLAGS = ["--ilp-nodes", "--observer-states", "--variants"]
@@ -467,6 +476,20 @@ class TestCli:
         assert err.startswith("resource-exhausted:") and "10000200002" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "--ell", "1", "--i", "2000"],
+        ["counterexample", "--ell", "1700", "--i", "1"],
+        ["approx", "--base", ",".join(["0"] * 800), "--k", "1000000", "--member", A1],
+        ["counterexample", "--ell", "9" * 2200, "--member", A1],
+    ])
+    def test_cap_on_a_count_of_thousands_of_digits_exit_3(self, capsys, argv):
+        # 2000!, 1701!, 2000001^800 and ℓ² + 2ℓ + 2 for a 2,200-digit ℓ each have
+        # more decimal digits than str() converts
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource-exhausted:") and "cap" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_approx_state_cap_exit_3(self, capsys, monkeypatch):
         # R(Λ, 100) in dimension 3 has 201³ = 8,120,601 states: refused unbuilt
         def unreachable(*args, **kwargs):
@@ -496,7 +519,7 @@ class TestCli:
         assert json.loads(out.stdout)["member"] is True
 
     def test_trace_cli(self, tmp_path):
-        from vasslab.mgts import dump_dmgts, initial_dmgts
+        from vasslab.mgts import initial_dmgts
 
         path = tmp_path / "dm.json"
         path.write_text(dump_dmgts(initial_dmgts(dyck_vas(1))))

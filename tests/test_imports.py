@@ -1,7 +1,9 @@
 """Every imported name is read, no vasslab module imports another one's
-private (underscore) names, and no vasslab function takes an integer literal
-as a parameter default: walks over the syntax tree of each module in
-src/vasslab, tests and scripts."""
+private (underscore) names, no vasslab function takes an integer literal as a
+parameter default, and every top-level definition in src/vasslab is reached
+from the CLI's `driver.main` or from a name the benchmark in bench/ uses:
+walks over the syntax tree of each module in src/vasslab, tests, scripts and
+bench."""
 
 import ast
 from pathlib import Path
@@ -105,3 +107,79 @@ def test_no_literal_int_defaults_in_package():
     assert len(package) > 10
     found = {p.name: literal_int_defaults(p.read_text(encoding="utf-8")) for p in package}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _top_level_names(node):
+    """The names a module-level statement defines: a def, a class or the plain
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _identifiers(tree, strings=False) -> set:
+    """The names and attribute names read or bound in a syntax tree; with
+    `strings`, also imported names and string constants spelling an
+    identifier (how the benchmark's tracer names the functions it wraps)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            found.add(node.value)
+    return found
+
+
+def unreached_definitions(package: dict, bench: list) -> list:
+    """The "module.name" of every top-level definition of the package (module
+    name -> source) that neither `driver.main` nor a definition named in a
+    `bench` source reaches. A definition reaches every definition, in any
+    module, whose name its body reads as a name or an attribute: the walk
+    follows names, not imports, so it over-approximates what runs. Dunder
+    names are exempt."""
+    body = {}
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            for name in _top_level_names(node):
+                if not (name.startswith("__") and name.endswith("__")):
+                    body[module, name] = node
+    by_name = {}
+    for key in body:
+        by_name.setdefault(key[1], []).append(key)
+    named = set().union(*(_identifiers(ast.parse(s), strings=True) for s in bench))
+    todo = [("driver", "main")] + [k for k in body if k[1] in named]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in body and key not in reached:
+            reached.add(key)
+            todo.extend(k for name in _identifiers(body[key]) for k in by_name.get(name, ()))
+    return sorted(f"{m}.{n}" for m, n in body.keys() - reached)
+
+
+def test_checker_finds_an_unreached_definition():
+    package = {
+        "driver": "__all__ = ['main']\ndef main():\n    return helper()\ndef helper():\n    pass\n",
+        "solver": ("CAP = 3\ndef lp_feasible():\n    return CAP\n"
+                   "def orphan():\n    return lp_feasible()\n"),
+    }
+    bench = ["SPANS = {('solver', 'lp_feasible'): 'solver.lp'}\n"]
+    # `CAP` is reached only through the bench-named `lp_feasible`; `__all__` is exempt
+    assert unreached_definitions(package, bench) == ["solver.orphan"]
+    assert unreached_definitions(package, []) == ["solver.CAP", "solver.lp_feasible",
+                                                  "solver.orphan"]
+
+
+def test_every_package_definition_is_reachable():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "vasslab"}
+    bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert len(package) > 10 and len(bench) > 5
+    assert unreached_definitions(package, bench) == []

@@ -14,15 +14,12 @@ from vasslab.mgts import (
     PrecoveringGraph,
     Update,
     canonical_key,
-    consistent_specialization_falsify,
     dmgts_from_json,
     dmgts_to_json,
-    faithfulness_falsify,
     fold_states,
     fold_to_mgts_list,
     initial_dmgts,
     intermediate_accepts,
-    is_zero_reaching,
     perfectness_diagnosis,
     side_gates,
     side_language_bounded,
@@ -45,6 +42,7 @@ from vasslab.model import (
 )
 from vasslab.values import OMEGA
 
+from audits import consistent_specialization_falsify, faithfulness_falsify, is_zero_reaching
 from conftest import (
     dyck_copy_dmgts,
     dyck_copy_graph,
@@ -154,7 +152,7 @@ class TestSideLanguages:
         assert ly.words == frozenset({(), ((A1, False), (AB1, False))})
 
     def test_ly_subset_of_dyck_on_zero_reaching(self):
-        from vasslab.model import is_dyck_word
+        from audits import is_dyck_word
 
         for dm in (dyck_copy_dmgts(), two_graph_dmgts(), two_graph_dmgts(A1, {"y1": 1})):
             assert is_zero_reaching(dm)

@@ -10,28 +10,137 @@ from vasslab.model import (
     InitVass,
     Run,
     Vass,
-    Violation,
     dec_letter,
     dyck_alphabet,
     dyck_vas,
     edge_walks,
     effect,
-    fix_dyck_product,
-    hardness_gadget,
     inc_letter,
     init_vass_from_json,
     init_vass_to_json,
     is_dyck_visible,
-    is_dyck_word,
     language_bounded,
     letter_index,
-    simulate,
     word_effect,
 )
 from vasslab.mgts import Mgts, PrecoveringGraph, intermediate_accepts
-from vasslab.values import OMEGA
+from vasslab.values import OMEGA, is_omega
+
+from audits import Violation, hardness_gadget, is_dyck_word, simulate
 
 A1, AB1, A2 = inc_letter(1), dec_letter(1), inc_letter(2)
+
+
+# -- the Dyck product reduction (no vasslab verb runs it yet) --------------------
+
+def _canonical_dyck_encoding(vec, y_counters):
+    """Letters spelling vec: all increments then all decrements, ascending index."""
+    letters = []
+    for i, c in enumerate(y_counters, start=1):
+        for _ in range(max(0, vec.get(c, 0))):
+            letters.append(inc_letter(i))
+    for i, c in enumerate(y_counters, start=1):
+        for _ in range(max(0, -vec.get(c, 0))):
+            letters.append(dec_letter(i))
+    return letters
+
+
+def fix_dyck_product(subject: InitVass, second: InitVass) -> InitVass:
+    """Reduce separability/intersection of L(subject) and L(second) to the same
+    question between a Dyck-visible product and the Dyck language.
+
+    Counters are X = subject's (prefixed x.) disjoint-union Y = one per counter
+    of `second`; each matched edge pair contributes a path spelling the
+    canonical Dyck encoding of the second's update, with the subject's update
+    applied on the first step. The second's initial valuation is loaded by a
+    visible prefix chain and its final valuation discharged by a suffix chain.
+    """
+    if set(subject.vass.alphabet) != set(second.vass.alphabet):
+        raise ArgumentError("fix_dyck_product needs a shared alphabet")
+    ys = list(second.vass.counters)
+    n = len(ys)
+    for cfg in (second.init, second.final):
+        if any(is_omega(v) for v in cfg.valuation.values()):
+            raise ArgumentError("second automaton needs finite extremal valuations")
+
+    x_of = {c: f"x.{c}" for c in subject.vass.counters}
+    y_of = {c: f"y{ys.index(c) + 1}" for c in ys}
+    counters = sorted(x_of.values()) + [y_of[c] for c in ys]
+    zero = {c: 0 for c in counters}
+
+    def lift(xupd=None, yletter_unit=None):
+        upd = dict(zero)
+        if xupd:
+            for c, v in xupd.items():
+                upd[x_of[c]] = v
+        if yletter_unit:
+            i, d = yletter_unit
+            upd[f"y{i}"] = d
+        return upd
+
+    nodes = set()
+    edges = []
+    fresh = [0]
+
+    def mid():
+        fresh[0] += 1
+        return f"m{fresh[0]}"
+
+    def emit_path(src, dst, letters, xupd):
+        """A chain src -> dst spelling `letters` (visible Y updates); the X
+        update rides on the first step. Empty encoding: one ε edge."""
+        nodes.add(src)
+        nodes.add(dst)
+        if not letters:
+            edges.append(Edge(src, EPSILON, lift(xupd), dst))
+            return
+        cur = src
+        for k, a in enumerate(letters):
+            nxt = dst if k == len(letters) - 1 else mid()
+            nodes.add(nxt)
+            i, d = letter_index(a, n)
+            edges.append(Edge(cur, a, lift(xupd if k == 0 else None, (i, d)), nxt))
+            cur = nxt
+
+    def pair(p, q):
+        return f"({p}|{q})"
+
+    for p in subject.vass.nodes:
+        for q in second.vass.nodes:
+            nodes.add(pair(p, q))
+    for e1 in subject.vass.edges:
+        if e1.label == EPSILON:
+            for q in second.vass.nodes:
+                emit_path(pair(e1.src, q), pair(e1.dst, q), [], e1.update)
+    for e2 in second.vass.edges:
+        if e2.label == EPSILON:
+            enc = _canonical_dyck_encoding(e2.update, ys)
+            for p in subject.vass.nodes:
+                emit_path(pair(p, e2.src), pair(p, e2.dst), enc, None)
+    for e1 in subject.vass.edges:
+        if e1.label == EPSILON:
+            continue
+        for e2 in second.vass.edges:
+            if e2.label != e1.label:
+                continue
+            enc = _canonical_dyck_encoding(e2.update, ys)
+            emit_path(pair(e1.src, e2.src), pair(e1.dst, e2.dst), enc, e1.update)
+
+    start, stop = "in", "out"
+    preload = {y_of[c]: second.init.valuation[c] for c in ys}
+    emit_path(start, pair(subject.init.node, second.init.node),
+              _canonical_dyck_encoding(preload, [y_of[c] for c in ys]), None)
+    discharge = {y_of[c]: -second.final.valuation[c] for c in ys}
+    emit_path(pair(subject.final.node, second.final.node), stop,
+              _canonical_dyck_encoding(discharge, [y_of[c] for c in ys]), None)
+
+    vass = Vass(nodes, dyck_alphabet(n), counters, edges)
+    init_val = dict(zero)
+    final_val = dict(zero)
+    for c in subject.vass.counters:
+        init_val[x_of[c]] = subject.init.valuation[c]
+        final_val[x_of[c]] = subject.final.valuation[c]
+    return InitVass(vass, GenConfig(start, init_val), GenConfig(stop, final_val))
 
 
 def one_counter_loop(delta, label=A1):

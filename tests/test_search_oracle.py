@@ -5,7 +5,8 @@
 the three searches must give the same status, word or path, and raise the
 same error; the cap message of `rackoff_cover` is the one change. On the
 curated DMGTS and their decomposition members the falsifiers must give the
-same result.
+same result. The `rackoff_cover` and the falsifiers under test are those of
+`audits`; the `_pump_witness` under test is the package's.
 """
 
 import re
@@ -15,19 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import audits
 import search_oracle
+from audits import consistent_specialization_falsify, faithfulness_falsify, rackoff_cover
 from vasslab.driver import oracle_bfs
 from vasslab.decomposition import _set_markings
 from vasslab.errors import VassLabError
-from vasslab.mgts import (
-    Mgts,
-    PrecoveringGraph,
-    consistent_specialization_falsify,
-    faithfulness_falsify,
-)
+from vasslab.mgts import Mgts, PrecoveringGraph
 from vasslab.model import EPSILON, Edge, GenConfig, InitVass, Run, Vass
 from vasslab import structure
-from vasslab.structure import _pump_witness, rackoff_cover
+from vasslab.structure import _pump_witness
 from vasslab.values import OMEGA
 
 from test_acceptance import suite_results
@@ -118,7 +116,7 @@ def test_rackoff_cover_matches_oracle(iv, data):
                        if counters else st.just([]))
     C = data.draw(st.integers(0, 4))
     state_cap = data.draw(st.one_of(st.integers(0, 6), st.just(500)))
-    with mock.patch.object(structure, "WITNESS_CAP", state_cap):
+    with mock.patch.object(audits, "WITNESS_CAP", state_cap):
         got = outcome(rackoff_cover, p, run, jprime, C)
     assert got == outcome(search_oracle.rackoff_cover, p, run, jprime, C, state_cap)
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -6,43 +7,260 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vasslab import semilinear
-from vasslab.automata import Nfa, enumerate_words, run_word
-from vasslab.errors import ArgumentError, ResourceExhausted
+from vasslab.automata import Nfa, enumerate_words, product, run_word
+from vasslab.chareq import build_char
+from vasslab.decomposition import decompose
+from vasslab.errors import ArgumentError, InvariantViolation, ResourceExhausted
+from vasslab.mgts import Dmgts, side_gates, unfold_paths
 from vasslab.model import (
     dec_letter,
     dyck_alphabet,
     inc_letter,
-    is_dyck_word,
+    letter_index,
     word_effect,
 )
 from vasslab.semilinear import (
     BasicSeparatorDesc,
     LinearSet,
     RejectedChain,
+    _dyck_dim,
     approx_automaton,
     approx_member,
     basic_member,
-    basic_separators_for_regular,
     counterexample_member,
     counterexample_nfa,
     desc_automaton,
     family_cov,
     family_drift,
     family_mod,
-    fold_nfa_to_dmgts_list,
     lin_member,
     make_basic_separator,
     move_word,
     nfa_to_linear_cover,
-    period_deduction_check,
     pos_sum_contains_zero,
     residue_nfa,
-    singleton_set,
 )
+from vasslab.solver import ilp_feasible
+from vasslab.values import OMEGA, gate_ok
 
+from audits import is_dyck_word
 from conftest import make_rng
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
+
+
+# -- period deduction and the regular cover (no vasslab verb runs them yet) -----
+
+def singleton_set(vec) -> LinearSet:
+    return LinearSet(tuple(vec), ())
+
+
+def period_deduction_check(lin: LinearSet, k: int, w_mid, i: int,
+                           prefix=(), suffix=()):
+    """Extract a non-zero y with y·Δ(w_mid) ∈ P* from an accepting run over
+    prefix . w_mid^i . suffix, or None when no repetition closes a cycle.
+    The returned scalar is certified by an exact membership check."""
+    auto = approx_automaton(lin, k)
+    word = tuple(prefix) + tuple(w_mid) * i + tuple(suffix)
+    # forward subset states at every position, then one backward pass to pick
+    # an accepting run's boundary states between the w_mid blocks
+    fwd = [auto.eps_closure(auto.initial)]
+    for a in word:
+        fwd.append(auto.step(fwd[-1], a))
+        if not fwd[-1]:
+            return None
+    if not fwd[-1] & auto.final:
+        return None
+    choice = [None] * (len(word) + 1)
+    target = sorted(fwd[-1] & auto.final, key=repr)[0]
+    choice[len(word)] = target
+    for pos in range(len(word) - 1, -1, -1):
+        a = word[pos]
+        want = choice[pos + 1]
+        picked = None
+        for p in sorted(fwd[pos], key=repr):
+            if want in auto.step({p}, a):
+                picked = p
+                break
+        if picked is None:
+            return None
+        choice[pos] = picked
+    boundaries = []
+    for rep in range(i + 1):
+        boundaries.append(choice[len(prefix) + rep * len(w_mid)])
+    for x in range(len(boundaries)):
+        for y in range(x + 1, len(boundaries)):
+            if boundaries[x] == boundaries[y]:
+                scale = y - x
+                n = lin.dim
+                eff = word_effect(w_mid, n)
+                target_vec = tuple(scale * e for e in eff)
+                zero = tuple(0 for _ in range(n))
+                if lin_member(LinearSet(zero, lin.periods), target_vec):
+                    return scale
+                return None
+    return None
+
+
+def fold_nfa_to_dmgts_list(nfa: Nfa, n: int):
+    """Break the NFA's control flow into sequences of strongly connected
+    components: one DMGTS per simple path from an initial to a final state,
+    with X = ∅, μ = 1, all-ω intermediate markings and zero outer markings."""
+    if any(a is None for _, a, _ in nfa.transitions):
+        raise ArgumentError("folding needs an ε-free NFA")
+    counters = [f"y.{i}" for i in range(1, n + 1)]
+
+    def unit(a):
+        i, d = letter_index(a, n)
+        return {c: (d if c == f"y.{i}" else 0) for c in counters}
+
+    succ = {}
+    for p, a, q in nfa.transitions:
+        succ.setdefault(p, []).append((a, q))
+    edges = [(p, a, unit(a), q)
+             for p in sorted(succ, key=repr) for a, q in sorted(succ[p], key=repr)]
+    zero = {c: 0 for c in counters}
+    omega_all = {c: OMEGA for c in counters}
+    mgts_list = unfold_paths(
+        edges, sorted(nfa.initial, key=repr), nfa.final.__contains__,
+        lambda pos, q: f"f{pos}.{q}", lambda q: omega_all,
+        zero, zero, dyck_alphabet(n), counters,
+    )
+    return [Dmgts(m, 1, (), counters, faithful=True) for m in mgts_list]
+
+
+DISJOINT_CHECK_LEN = 10  # word length of the input's Dyck-disjointness check
+
+
+RESIDUE_CAP = 4096  # per-graph residue tuples of one member
+
+
+CHAIN_CAP = 4096    # chains of one member and residue tuple
+
+
+def basic_separators_for_regular(nfa: Nfa, n: int = None):
+    """A finite basic-separator cover of a regular language disjoint from the
+    Dyck language: fold into DMGTS, decompose, and emit modulo-family members
+    for the modulo-decided parts and certified approximation chains for the
+    faithful Y-infeasible parts. The input is checked against the Dyck words
+    up to DISJOINT_CHECK_LEN first."""
+    if n is None:
+        n = _dyck_dim(nfa.alphabet, 1)
+    for w in sorted(enumerate_words(nfa, DISJOINT_CHECK_LEN), key=repr):
+        if is_dyck_word(w, n):
+            raise ArgumentError(f"input intersects the Dyck language: witness {w}")
+
+    covers = []
+    for dm in fold_nfa_to_dmgts_list(nfa, n):
+        res = decompose(dm)
+        chain_members = [d.dmgts for d in res.decided if d.certificate == "y-infeasible"]
+        for member in res.perfect:
+            # for a Dyck-disjoint regular input every perfect member has an
+            # infeasible Dyck-side system; a feasible one witnesses overlap
+            if ilp_feasible(build_char(member, "y").system) is not None:
+                raise ArgumentError(
+                    "perfect member with feasible Dyck-side system: the input is "
+                    "not disjoint from the Dyck language"
+                )
+            chain_members.append(member)
+        for d in res.decided:
+            if d.certificate == "modulo-nonzero":
+                mu = d.dmgts.mu
+                for v in _nonzero_residues(mu, n):
+                    covers.append(family_mod(mu, v, n))
+        for member in chain_members:
+            covers.extend(_member_chains(member, n))
+    return list(dict.fromkeys(covers))
+
+
+def _nonzero_residues(mu: int, n: int):
+    return [r for r in _all_residues(mu, n) if any(r)]
+
+
+def _member_chains(dm, n: int):
+    """The L_{v,u} chains of a faithful DMGTS with infeasible Dyck-side system;
+    more than RESIDUE_CAP residue tuples or CHAIN_CAP chains raise
+    ResourceExhausted."""
+    mu = dm.mu
+    graphs = dm.graphs
+    bridges = dm.bridges
+    ell = len(graphs)
+    ys = list(dm.y_counters)
+    gates = side_gates(dm, "x")
+
+    def bridge_effect(u):
+        return tuple(u.update.get(c, 0) for c in ys)
+
+    def passes(vec, marking):
+        return all(gate_ok(v, marking[c], gates[c]) for v, c in zip(vec, ys))
+
+    control = []
+    for g in graphs:
+        transitions = {
+            (e.src, e.label, e.dst) for e in g.vass.edges
+        }
+        control.append(Nfa(set(g.vass.nodes), transitions, {g.root}, {g.root},
+                           dyck_alphabet(n)))
+
+    residue_tuples = [()]
+    for _ in range(ell):
+        residue_tuples = [
+            r + (v,) for r in residue_tuples for v in _all_residues(mu, n)
+        ]
+        if len(residue_tuples) > RESIDUE_CAP:
+            raise ResourceExhausted(f"residue cap {RESIDUE_CAP} exceeded")
+
+    def gates_ok(vtuple):
+        entry = tuple(0 for _ in range(n))
+        for gi in range(ell):
+            if not passes(entry, graphs[gi].in_marking):
+                return False
+            exit_ = tuple((entry[d] + vtuple[gi][d]) % mu for d in range(n))
+            if not passes(exit_, graphs[gi].out_marking):
+                return False
+            if gi < ell - 1:
+                be = bridge_effect(bridges[gi])
+                entry = tuple((exit_[d] + be[d]) % mu for d in range(n))
+        return True
+
+    out = []
+    for vtuple in residue_tuples:
+        if not gates_ok(vtuple):
+            continue
+        factor_covers = []
+        k = 1
+        empty = False
+        for gi in range(ell):
+            auto = product(control[gi], residue_nfa(mu, dict(enumerate(vtuple[gi], 1)), n))
+            ki, lins = nfa_to_linear_cover(auto)
+            if not lins:
+                empty = True
+                break
+            k = max(k, ki)
+            factor_covers.append(lins)
+        if empty:
+            continue
+        chains = [[]]
+        for gi in range(ell):
+            chains = [c + [lin] for c in chains for lin in factor_covers[gi]]
+            if gi < ell - 1:
+                be = bridge_effect(bridges[gi])
+                chains = [c + [singleton_set(be)] for c in chains]
+            if len(chains) > CHAIN_CAP:
+                raise ResourceExhausted(f"chain cap {CHAIN_CAP} exceeded")
+        for chain in chains:
+            desc = make_basic_separator(chain, k)
+            if isinstance(desc, RejectedChain):
+                raise InvariantViolation(
+                    "a solution-language chain failed its certificate; the member "
+                    "cannot be faithful with an infeasible Dyck-side system"
+                )
+            out.append(desc)
+    return out
+
+
+def _all_residues(mu: int, n: int):
+    return list(itertools.product(range(mu), repeat=n))
 
 
 def random_sparse_nfa(rng, n=1, max_states=3, max_trans=5):

@@ -3,8 +3,7 @@ from math import factorial
 
 import pytest
 
-from vasslab.automata import Nfa, dfa_profile, enumerate_words, run_word
-from vasslab import separator
+from vasslab.automata import Nfa, enumerate_words, run_word
 from vasslab.chareq import build_char
 from vasslab.errors import ArgumentError, StructuralError
 from vasslab.mgts import Dmgts, LanguageCaps, Mgts, PrecoveringGraph, side_language_bounded
@@ -18,27 +17,41 @@ from vasslab.model import (
     dyck_alphabet,
     dyck_vas,
     inc_letter,
-    is_dyck_word,
     parikh_of,
 )
 from vasslab.mgts import initial_dmgts
 from vasslab.separator import (
-    build_diff_rem,
-    find_z_pair,
-    inseparability_witness,
     lambert_pump,
     lift_separator,
     modulo_automaton,
-    preciseness_falsify,
     rooted_loops,
 )
 from vasslab.solver import ilp_feasible
 from vasslab.values import OMEGA
 
+import audits
+from audits import build_diff_rem, dfa_profile, find_z_pair, inseparability_witness, is_dyck_word
 from conftest import dyck_copy_dmgts, dyck_copy_graph, graph_loops, make_rng, two_graph_dmgts
 
 A1, AB1 = inc_letter(1), dec_letter(1)
 CAPS = LanguageCaps(max_run_len=10, value_cap=24)
+
+
+# -- the preciseness audit of a lifted separator ---------------------------------
+
+def preciseness_falsify(nfa_sharp: Nfa, dmgts: Dmgts, max_len: int,
+                        caps: LanguageCaps = LanguageCaps()):
+    """A word w in L(nfa#) ∩ Dyck# with w outside the bounded Sol_Y, or None.
+    Dyck# offers a and (a,#) wherever the Dyck language has a."""
+    n = len(dmgts.y_counters)
+    soly = side_language_bounded(dmgts, "y", max_len, "int", caps).words
+    for w in sorted(enumerate_words(nfa_sharp, max_len), key=repr):
+        plain = tuple(a for a, _ in w)
+        if not is_dyck_word(plain, n):
+            continue
+        if w not in soly:
+            return w
+    return None
 
 
 class TestModuloAutomaton:
@@ -254,7 +267,7 @@ class TestWitness:
         assert w.data.get("short")
 
     def test_find_z_pair_trivial(self, monkeypatch):
-        monkeypatch.setattr(separator, "LOOP_LEN", 2)
+        monkeypatch.setattr(audits, "LOOP_LEN", 2)
         dm = initial_dmgts(dyck_vas(1))
         pair = find_z_pair(dm, self.accept_all_dfa())
         assert pair is not None

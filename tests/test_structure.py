@@ -11,7 +11,6 @@ from vasslab.model import (
     dec_letter,
     dyck_alphabet,
     inc_letter,
-    simulate,
 )
 from vasslab.structure import (
     covering_sequences,
@@ -21,13 +20,13 @@ from vasslab.structure import (
     fixed_counters,
     karp_miller,
     rackoff_bound,
-    rackoff_cover,
     rank,
     rank_less,
     realization,
 )
 from vasslab.values import OMEGA
 
+from audits import rackoff_cover, simulate
 from conftest import dyck_copy_graph, graph_loops, random_precovering
 from vasslab.model import parikh_of
 

@@ -96,7 +96,7 @@ def test_inseparable_shared_loops():
     assert v.z_pair is not None
     # the pair feeds the witness construction
     from vasslab.automata import Nfa
-    from vasslab.separator import inseparability_witness
+    from audits import inseparability_witness
 
     dfa = Nfa({"s"}, {("s", a, "s") for a in dyck_alphabet(1)}, {"s"}, {"s"},
               dyck_alphabet(1))
