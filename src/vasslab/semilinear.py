@@ -68,6 +68,12 @@ def lin_member(lin: LinearSet, vec) -> bool:
 APPROX_STATE_CAP = 20_000  # states of the largest R(Λ, k) built, (2k+1)^n
 
 
+def _count(x: int):
+    """x for a cap message, or "at least 2^64" for a count that large, which
+    may have more decimal digits than str() converts."""
+    return x if x < 2 ** 64 else "at least 2^64"
+
+
 def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     """The k-th regular approximation R(lin, k): simulate letter effects inside
     [-k, k]^n and subtract period vectors without reading a symbol; final
@@ -88,12 +94,11 @@ def _approx_parts(lin: LinearSet, k: int, annotated: bool):
     n = lin.dim
     side = 2 * k + 1
     # side^n >= 2^(n * (bit length of side - 1)): a count of 64 bits or more is
-    # bounded, not built, and could not be printed in decimal
-    size = side ** n if n * (side.bit_length() - 1) < 64 else None
-    if size is None or size > APPROX_STATE_CAP:
-        count = "at least 2^64" if size is None else size
-        raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {count} states, above the "
-                                f"cap {APPROX_STATE_CAP}")
+    # bounded below by 2^64, not built
+    size = side ** n if n * (side.bit_length() - 1) < 64 else 2 ** 64
+    if size > APPROX_STATE_CAP:
+        raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {_count(size)} states, above "
+                                f"the cap {APPROX_STATE_CAP}")
     shifts = _letter_shifts(n, range(1, n + 1), annotated)
     shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
 
@@ -451,9 +456,8 @@ def counterexample_nfa(ell: int) -> Nfa:
         raise ArgumentError("ell must be >= 1")
     size = ell * ell + 2 * ell + 2
     if size > COUNTEREXAMPLE_STATE_CAP:
-        count = "at least 2^64" if size.bit_length() > 64 else size
-        raise ResourceExhausted(f"the counterexample NFA for ℓ = {ell} has {count} states, "
-                                f"above the cap {COUNTEREXAMPLE_STATE_CAP}")
+        raise ResourceExhausted(f"the counterexample NFA for ℓ = {ell} has {_count(size)} "
+                                f"states, above the cap {COUNTEREXAMPLE_STATE_CAP}")
     a1, abar1 = inc_letter(1), dec_letter(1)
     a2, abar2 = inc_letter(2), dec_letter(2)
     states = {"start", "plus"}
@@ -491,8 +495,11 @@ def move_word(i: int, ell: int) -> tuple:
     if i == 0:  # 0! = 1, and every factor is repeated 0 times
         return (inc_letter(1),)
     fact_i, L = _factorial_to(i, MOVE_WORD_CAP), _factorial_to(ell + 1, MOVE_WORD_CAP)
-    if fact_i + 2 * ell * i * i * L > MOVE_WORD_CAP:
-        raise ResourceExhausted(f"move word m_{i} has more letters than the cap {MOVE_WORD_CAP}")
+    length = fact_i + 2 * ell * i * i * L  # a lower bound if a factorial stopped early
+    if length > MOVE_WORD_CAP:
+        exact = max(fact_i, L) <= MOVE_WORD_CAP
+        count = f"{length} letters, above" if exact else "more letters than"
+        raise ResourceExhausted(f"move word m_{i} has {count} the cap {MOVE_WORD_CAP}")
     word = [inc_letter(1)] * fact_i
     for s in range(1, ell + 1):
         f = ([inc_letter(1)] + [inc_letter(2)] * s) * (L // (s + 1))

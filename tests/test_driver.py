@@ -469,6 +469,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cap" in err and "Traceback" not in err and len(err.splitlines()) == 1
 
+    def test_counterexample_exact_length_cap_exit_3(self, capsys):
+        # |m_2| = 2! + 2 * 8 * 2² * 9! = 23,224,322 letters for ℓ = 8: printed exactly
+        assert main(["counterexample", "--ell", "8", "--i", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource-exhausted:") and "23224322" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_counterexample_state_cap_exit_3(self, capsys):
         # ℓ = 100000 asks for ℓ² + 2ℓ + 2 = 10,000,200,002 states: refused unbuilt
         assert main(["counterexample", "--ell", "100000", "--member", A1]) == 3

@@ -42,6 +42,7 @@ from vasslab.model import (
 )
 from vasslab.values import OMEGA
 
+import audits
 from audits import consistent_specialization_falsify, faithfulness_falsify, is_zero_reaching
 from conftest import (
     dyck_copy_dmgts,
@@ -276,7 +277,7 @@ class TestFaithfulness:
         def fail(*args):
             raise AssertionError("intermediate_accepts called")
 
-        monkeypatch.setattr(mgts_module, "intermediate_accepts", fail)
+        monkeypatch.setattr(audits, "intermediate_accepts", fail)
         assert want is not None
         assert faithfulness_falsify(dm, 4) == want
 
