@@ -5,6 +5,7 @@ counterexample family that needs unbounded concatenation length."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 
 from .automata import Nfa, reachable, run_word
@@ -77,10 +78,10 @@ def _count(x: int):
 def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     """The k-th regular approximation R(lin, k): simulate letter effects inside
     [-k, k]^n and subtract period vectors without reading a symbol; final
-    states are the box members of the linear set, decided with one exact ILP
-    per ε-orbit rather than per point (see _box_members). Dyck letters reach
-    every point of the box, so R(lin, k) has (2k+1)^n states; more than
-    APPROX_STATE_CAP raise ResourceExhausted before anything is built."""
+    states are the box members of the linear set (see _box_members). Dyck
+    letters reach every point of the box from 0, so the states of R(lin, k)
+    are the (2k+1)^n points of the box; more than APPROX_STATE_CAP raise
+    ResourceExhausted before any point is enumerated."""
     if (k, annotated) not in lin._approx:
         lin._approx[k, annotated] = Nfa(*_approx_parts(lin, k, annotated))
     return lin._approx[k, annotated]
@@ -88,7 +89,10 @@ def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
 
 def _approx_parts(lin: LinearSet, k: int, annotated: bool):
     """The states, transitions, initial states, final states and alphabet of
-    R(lin, k), built afresh."""
+    R(lin, k), built afresh. The states are the box in lexicographic order;
+    the points v that a move δ keeps in the box form a sub-box, and v + δ sits
+    a fixed number of places after v in that order, so each move's transitions
+    come from index arithmetic, sharing one tuple per point."""
     if k < 0:
         raise ArgumentError("k must be >= 0")
     n = lin.dim
@@ -101,24 +105,42 @@ def _approx_parts(lin: LinearSet, k: int, annotated: bool):
                                 f"the cap {APPROX_STATE_CAP}")
     shifts = _letter_shifts(n, range(1, n + 1), annotated)
     shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
-
-    def moves(v):
-        for lab, delta in shifts:
-            w = tuple(x + y for x, y in zip(v, delta))
-            if all(-k <= x <= k for x in w):
-                yield lab, w
-
-    start = tuple(0 for _ in range(n))
-    states, transitions = reachable([start], moves)
+    states = list(product(range(-k, k + 1), repeat=n))
+    strides = [side ** (n - 1 - i) for i in range(n)]
+    transitions = []
+    for lab, delta in shifts:
+        # the indices of the points v with -k <= v_i, v_i + δ_i <= k
+        idx = [0]
+        for d, s in zip(delta, strides):
+            lo, hi = max(0, -d), min(side, side - d)
+            idx = [j + x for j in idx for x in range(lo * s, hi * s, s)]
+        off = sum(d * s for d, s in zip(delta, strides))
+        transitions.extend([(states[j], lab, states[j + off]) for j in idx])
+    start = (0,) * n
     alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
-    return states, transitions, {start}, _box_members(lin, states, transitions), alphabet
+    return (states, transitions, {start}, _box_members(lin, k, states, transitions),
+            alphabet)
 
 
-def _box_members(lin: LinearSet, states, transitions) -> set:
-    """The states of R(lin, k) that lie in lin, one ILP per point that no
-    decided point settles: an ε-move v → v − p keeps the box, so v ∈ lin puts
-    every point that reaches v by ε-moves in lin, and v ∉ lin puts every point
-    that v reaches by ε-moves out of it."""
+def _box_members(lin: LinearSet, k: int, states, transitions) -> set:
+    """The states of R(lin, k) that lie in lin. With linearly independent
+    periods the combination λ reaching a point is unique, and one integer
+    solve of the period matrix decides every point without an ILP (see
+    _period_solve). Otherwise one ILP per point that no decided point
+    settles: an ε-move v → v − p keeps the box, so v ∈ lin puts every point
+    that reaches v by ε-moves in lin, and v ∉ lin puts every point that v
+    reaches by ε-moves out of it."""
+    solve = _period_solve(lin.periods, lin.dim)
+    if solve is not None:
+        zero_rows, pivots = solve
+        keep = range(len(states))
+        for row in zero_rows:
+            at = _row_values(row, lin.base, k)
+            keep = [j for j in keep if at[j] == 0]
+        for dc, row in pivots:
+            at = _row_values(row, lin.base, k)
+            keep = [j for j in keep if at[j] >= 0 and at[j] % dc == 0]
+        return {states[j] for j in keep}
     down, up = {}, {}
     for p, a, q in transitions:
         if a is None:
@@ -133,6 +155,45 @@ def _box_members(lin: LinearSet, states, transitions) -> set:
                                                  if w not in member))
             member.update(dict.fromkeys(orbit, verdict))
     return {v for v in states if member[v]}
+
+
+def _period_solve(periods, n: int):
+    """(zero rows Z, [(D_c, T_c) for each period c]) with, for every w in Z^n,
+    w = Σ λ_c p_c for rational λ iff Z·w = 0, and then D_c·λ_c = T_c·w with
+    D_c > 0; None when the periods are linearly dependent, where λ is not
+    unique. A fraction-free Gauss–Jordan elimination on [P | I], P with the
+    periods as columns: each combined row is divided by its content, and the
+    identity part records the row operations."""
+    m = len(periods)
+    rows = [[p[i] for p in periods] + [int(i == j) for j in range(n)] for i in range(n)]
+    free = list(range(n))  # the rows that are no period's pivot row yet
+    pivot_rows = []
+    for c in range(m):
+        r = next((r for r in free if rows[r][c]), None)
+        if r is None:
+            return None  # period c is a rational combination of the earlier ones
+        free.remove(r)
+        pivot_rows.append(r)
+        piv = rows[r]
+        for j, row in enumerate(rows):
+            if j != r and row[c]:
+                combined = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+                g = gcd(*combined)
+                rows[j] = [x // g for x in combined]
+    pivots = []
+    for c, r in enumerate(pivot_rows):
+        sign = 1 if rows[r][c] > 0 else -1
+        pivots.append((sign * rows[r][c], [sign * x for x in rows[r][m:]]))
+    return [rows[r][m:] for r in free], pivots
+
+
+def _row_values(row, base, k: int) -> list:
+    """row · (v − base) for every point v of [-k, k]^n, in the order of the
+    states of R(Λ, k)."""
+    at = [0]
+    for r, b in zip(row, base):
+        at = [a + r * (x - b) for a in at for x in range(-k, k + 1)]
+    return at
 
 
 def _letter_shifts(n: int, counters, annotated: bool) -> list:

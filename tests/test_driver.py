@@ -303,9 +303,13 @@ class TestSeparatePipeline:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports vasslab from this checkout's src/, whether or not
+        # the parent found it through PYTHONPATH or the pytest configuration
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "vasslab", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert "RuntimeWarning" not in out.stderr
         return out
@@ -498,11 +502,12 @@ class TestCli:
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_approx_state_cap_exit_3(self, capsys, monkeypatch):
-        # R(Λ, 100) in dimension 3 has 201³ = 8,120,601 states: refused unbuilt
-        def unreachable(*args, **kwargs):
-            raise AssertionError("an approximation above the cap was explored")
+        # R(Λ, 100) in dimension 3 has 201³ = 8,120,601 states: refused before
+        # the box is enumerated
+        def enumerated(*args, **kwargs):
+            raise AssertionError("the box of an approximation above the cap was enumerated")
 
-        monkeypatch.setattr(semilinear, "reachable", unreachable)
+        monkeypatch.setattr(semilinear, "product", enumerated)
         assert main(["approx", "--base", "0,0,0", "--k", "100", "--member", ""]) == 3
         err = capsys.readouterr().err
         assert err.startswith("resource-exhausted:") and "8120601" in err

@@ -306,6 +306,62 @@ class TestApprox:
                                 annotated=data.draw(st.booleans()))
         assert auto.final == {v for v in auto.states if lin_member(lin, v)}
 
+    # (base, periods, k): independent periods, decided by one integer solve
+    INDEPENDENT = [
+        ((2,), [(3,)], 6),
+        ((-1,), [(-2,)], 6),
+        ((0, 0), [(2, 1), (1, 2)], 4),  # determinant 3: not unimodular
+        ((1, -1), [(2, 0), (-1, 3)], 4),  # a period of content 2, negative entries
+        ((1, 0), [(1, 2)], 4),  # one period in 2D: a consistency row
+        ((0, 1, -1), [(1, 0, 2), (0, 2, -1), (-1, 1, 1)], 2),
+        ((1, 2), [], 3),  # no periods: the base alone
+    ]
+    # dependent periods, decided by ILPs over ε-orbits
+    DEPENDENT = [
+        ((0, 0), [(1, 1), (2, 2)], 3),
+        ((1,), [(2,), (-2,)], 4),
+        ((1, 0), [(0, 0), (1, 2)], 3),
+        ((0, 0), [(1, 0), (0, 1), (1, 1)], 2),
+    ]
+
+    def _finals_and_ilp_points(self, lin, k, monkeypatch):
+        """R(lin, k)'s final states, and the points its build decided with
+        lin_member."""
+        asked = []
+
+        def spy(lin, vec):
+            asked.append(vec)
+            return lin_member(lin, vec)
+
+        monkeypatch.setattr(semilinear, "lin_member", spy)
+        auto = approx_automaton(lin, k)
+        monkeypatch.undo()
+        return auto, asked
+
+    @pytest.mark.parametrize("base, periods, k", INDEPENDENT + DEPENDENT)
+    def test_final_states_agree_with_lin_member(self, monkeypatch, base, periods, k):
+        lin = LinearSet(base, periods)
+        auto, asked = self._finals_and_ilp_points(lin, k, monkeypatch)
+        members = {v for v in auto.states if lin_member(lin, v)}
+        assert auto.final == members and members
+        # the integer solve asks no ILP; only dependent periods take the orbits
+        assert bool(asked) == ((base, periods, k) in self.DEPENDENT)
+
+    def test_integer_solve_agrees_with_lin_member_on_random_sets(self, monkeypatch):
+        rng = make_rng(43)
+        points = solved = 0
+        for _ in range(120):
+            n = rng.randint(1, 3)
+            lin = LinearSet(tuple(rng.randint(-3, 3) for _ in range(n)),
+                            [tuple(rng.randint(-3, 3) for _ in range(n))
+                             for _ in range(rng.randint(0, n))])
+            auto, asked = self._finals_and_ilp_points(lin, 2 if n == 3 else 4, monkeypatch)
+            assert auto.final == {v for v in auto.states if lin_member(lin, v)}
+            if not asked:
+                solved += 1
+                points += len(auto.states)
+        assert solved > 80 and points > 5000
+
     def test_automaton_memoized_on_its_linear_set(self):
         lin = LinearSet((0,), ((2,), (-2,)))
         auto = approx_automaton(lin, 2)
