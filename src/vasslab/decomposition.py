@@ -220,9 +220,7 @@ def refine_case_i(dmgts: Dmgts, gi: int, side: str, j, io: str,
     for a in assignments:
         mg = _set_markings(dmgts.mgts, a)
         member_out = mg.out_marking
-        if all(member_out[c] == 0 for c in dmgts.y_counters if not is_omega(member_out[c])) and all(
-            not is_omega(member_out[c]) for c in dmgts.y_counters
-        ):
+        if all(member_out[c] == 0 for c in dmgts.y_counters):
             x_set.append(dmgts.with_mgts(mg, mu=mu_new, faithful=True))
         else:
             y_set.append(dmgts.with_mgts(mg, mu=mu_new, faithful=False))

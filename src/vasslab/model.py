@@ -64,18 +64,6 @@ def letter_index(letter: str, n: int = None):
     return i, 1 if letter[0] == "a" else -1
 
 
-def word_effect(word, n: int):
-    """Componentwise effect of a word over the n-letter Dyck alphabet."""
-    eff = [0] * n
-    for a in word:
-        hit = letter_index(a, n)
-        if hit is None:
-            raise StructuralError(f"letter {a!r} is not in the {n}-Dyck alphabet")
-        i, d = hit
-        eff[i - 1] += d
-    return tuple(eff)
-
-
 @dataclass(frozen=True)
 class Edge:
     src: str
@@ -207,37 +195,15 @@ class Run:
         return GenConfig(node, val)
 
 
-def effect(item, *, vass: Vass = None, n: int = None):
-    """Effect of a word (over a Dyck alphabet), a run / edge sequence, or a
-    Parikh vector of edge counts.
-
-    Words need `n`; runs, edge sequences and Parikh vectors need `vass` and
-    yield a counter dict.
-    """
-    if isinstance(item, Run):
-        item = item.edge_seq
-    if isinstance(item, dict):
-        if vass is None:
-            raise ArgumentError("Parikh effect needs the owning vass")
-        eff = {c: 0 for c in vass.counters}
-        for i, count in item.items():
-            if not 0 <= i < len(vass.edges):
-                raise StructuralError(f"unknown edge reference {i}")
-            for c, x in vass.edges[i].update.items():
-                eff[c] += count * x
-        return eff
-    item = tuple(item)
-    if vass is not None and all(isinstance(x, int) for x in item):
-        eff = {c: 0 for c in vass.counters}
-        for i in item:
-            if not 0 <= i < len(vass.edges):
-                raise StructuralError(f"unknown edge reference {i}")
-            for c, x in vass.edges[i].update.items():
-                eff[c] += x
-        return eff
-    if n is None:
-        raise ArgumentError("word effect needs the Dyck dimension n")
-    return word_effect(item, n)
+def effect(edge_seq, vass: Vass) -> dict:
+    """The effect of a sequence of edge ids of `vass`, as a counter dict."""
+    eff = {c: 0 for c in vass.counters}
+    for i in edge_seq:
+        if not 0 <= i < len(vass.edges):
+            raise StructuralError(f"unknown edge reference {i}")
+        for c, x in vass.edges[i].update.items():
+            eff[c] += x
+    return eff
 
 
 def parikh_of(edge_seq) -> dict:

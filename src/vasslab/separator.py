@@ -130,8 +130,8 @@ def scaled_support(cs, covers):
                     break
             if not ok:
                 break
-            du = effect(u, vass=g.vass)
-            dd = effect(d, vass=g.vass)
+            du = effect(u, g.vass)
+            dd = effect(d, g.vass)
             for j in sorted(g.omega_counters):
                 if m * base[io_var(gi, "in", j)] + du[j] < 1:
                     ok = False
@@ -189,7 +189,7 @@ def _enable_k0(mgts, sol, covers, mains, fillers):
     k0 = 1
     for gi, g in enumerate(mgts.graphs):
         u, d = covers[gi]
-        du = effect(u, vass=g.vass)
+        du = effect(u, g.vass)
         dip = {c: 0 for c in g.omega_counters}
         val = {c: 0 for c in g.vass.counters}
         for ei in list(mains[gi]) + list(fillers[gi]) + list(d):

@@ -324,7 +324,7 @@ def _rewrite_congruences(system: LinSystem) -> LinSystem:
         vars.append(t)
         row = dict(coeffs)
         row[t] = -m
-        if list(coeffs.items()) and len(coeffs) == 1:
+        if len(coeffs) == 1:
             (x, c), = coeffs.items()
             if c == 1 and x in nonneg:
                 nonneg.add(t)

@@ -5,90 +5,62 @@ as rooted cycles, and the Rackoff-style bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
 
 from .automata import reachable
 from .errors import ArgumentError, ResourceExhausted, StructuralError
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
-from .model import effect, search_run
+from .model import search_run
 from .values import OMEGA, is_omega
 
 
-# -- linear algebra over Q -----------------------------------------------------
+# -- cycle space -----------------------------------------------------------------
 
-def _rref(rows):
-    """Reduced row echelon form in place; returns pivot column list."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _potentials(p: PrecoveringGraph):
+    """(φ, defects): φ maps each node to the summed updates along the path that
+    one depth-first walk from the root reaches it by (a spanning tree; φ(root)
+    is 0), as a vector over the counters; the defect of an edge is
+    φ(src) + update − φ(dst), one per edge in the order the walk meets them.
 
-
-def matrix_rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def kernel_basis(rows, ncols):
-    """A basis of {x : rows·x = 0} over Q with integer entries."""
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rref[ri][fc]
-        denom = lcm(*(x.denominator for x in vec))
-        basis.append([int(x * denom) for x in vec])
-    return basis
-
-
-def _kirchhoff_rows(vass):
-    rows = []
-    for q in vass.nodes:
-        row = [0] * len(vass.edges)
-        for i, e in enumerate(vass.edges):
-            if e.dst == q:
-                row[i] += 1
-            if e.src == q:
-                row[i] -= 1
-        rows.append(row)
-    return rows
-
-
-def cycle_flows(p: PrecoveringGraph):
-    """Integer basis of the Kirchhoff flow kernel of the graph."""
+    The fundamental cycles of a spanning tree span the cycle space, and each
+    one's effect is the defect of its one non-tree edge (Kirchhoff)."""
     if not is_strongly_connected(p.vass):
         raise StructuralError("cycle space needs a strongly connected graph")
-    return kernel_basis(_kirchhoff_rows(p.vass), len(p.vass.edges))
+    counters = p.vass.counters
+    _, moves = reachable([p.root], lambda q: ((e, e.dst) for _, e in p.vass.out_edges(q)))
+    phi = {p.root: (0,) * len(counters)}
+    defects = []
+    for q, e, r in moves:  # a move's source was reached by an earlier move
+        v = tuple(x + e.update[c] for x, c in zip(phi[q], counters))
+        defects.append(tuple(a - b for a, b in zip(v, phi.setdefault(r, v))))
+    return phi, defects
+
+
+def _rank(rows) -> int:
+    """The rank of integer vectors, by fraction-free elimination: each combined
+    row is divided by its content."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        c = next(i for i, x in enumerate(piv) if x)
+        rank += 1
+        reduced = []
+        for row in rows:
+            if row[c]:
+                row = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            reduced.append(row)
+        rows = reduced
+    return rank
 
 
 def cycle_space_dim(p: PrecoveringGraph) -> int:
     """Dimension of the span of cycle effects."""
-    effects = [effect(dict(enumerate(flow)), vass=p.vass) for flow in cycle_flows(p)]
-    return matrix_rank([[eff[c] for c in p.vass.counters] for eff in effects])
+    return _rank(_potentials(p)[1])
 
 
 # -- rank ------------------------------------------------------------------------
@@ -253,28 +225,21 @@ def down_covering(p: PrecoveringGraph):
 # -- fixed counters ---------------------------------------------------------------
 
 def fixed_counters(p: PrecoveringGraph) -> frozenset:
-    """Counters with zero effect on every cycle (every Kirchhoff kernel flow)."""
-    if not is_strongly_connected(p.vass):
-        raise StructuralError("fixed counters need a strongly connected graph")
-    effects = [effect(dict(enumerate(flow)), vass=p.vass) for flow in cycle_flows(p)]
-    return frozenset(c for c in p.vass.counters if all(eff[c] == 0 for eff in effects))
+    """Counters with zero effect on every cycle: every edge's defect is 0 on
+    them."""
+    _, defects = _potentials(p)
+    return frozenset(c for i, c in enumerate(p.vass.counters) if not any(d[i] for d in defects))
 
 
 def fixed_assignment(p: PrecoveringGraph, j) -> dict:
-    """The unique node potential of a fixed counter, propagated from in(j)."""
-    if j not in fixed_counters(p):
+    """The unique node potential of a fixed counter: in(j) + φ_j."""
+    phi, defects = _potentials(p)
+    i = p.vass.counters.index(j) if j in p.vass.counters else None
+    if i is None or any(d[i] for d in defects):
         raise ArgumentError(f"counter {j!r} is not fixed")
-    root_val = p.in_marking[j]
-    if is_omega(root_val):
+    if is_omega(p.in_marking[j]):
         raise ArgumentError(f"fixed assignment needs a finite in-marking on {j!r}")
-    _, moves = reachable([p.root],
-                         lambda q: ((e.update[j], e.dst) for _, e in p.vass.out_edges(q)))
-    phi = {p.root: root_val}
-    for q, d, r in moves:  # a move's source was reached by an earlier move
-        v = phi[q] + d
-        if phi.setdefault(r, v) != v:
-            raise StructuralError("fixed assignment inconsistent; counter not fixed")
-    return phi
+    return {q: p.in_marking[j] + v[i] for q, v in phi.items()}
 
 
 # -- realization -------------------------------------------------------------------

@@ -72,6 +72,18 @@ def is_dyck_word(word, n: int) -> bool:
     return all(v == 0 for v in cur)
 
 
+def word_effect(word, n: int):
+    """Componentwise effect of a word over the n-letter Dyck alphabet."""
+    eff = [0] * n
+    for a in word:
+        hit = letter_index(a, n)
+        if hit is None:
+            raise StructuralError(f"letter {a!r} is not in the {n}-Dyck alphabet")
+        i, d = hit
+        eff[i - 1] += d
+    return tuple(eff)
+
+
 @dataclass(frozen=True)
 class Violation:
     position: int

@@ -35,7 +35,6 @@ from vasslab.model import (
     dyck_vas,
     inc_letter,
     language_bounded,
-    word_effect,
 )
 from vasslab.semilinear import (
     LinearSet,
@@ -55,7 +54,7 @@ from vasslab.solver import UNBOUNDED, enumerate_var_values, ilp_feasible
 from vasslab.structure import covering_sequences
 from vasslab.values import OMEGA
 
-from audits import build_diff_rem, dfa_profile, is_dyck_word
+from audits import build_diff_rem, dfa_profile, is_dyck_word, word_effect
 from pump_search_oracle import oracle_pump_search
 from conftest import (
     dyck_copy_dmgts,

@@ -1,6 +1,7 @@
 """Every imported name is read, no vasslab module imports another one's
-private (underscore) names, no vasslab function takes an integer literal as a
-parameter default, and every top-level definition in src/vasslab is reached
+private (underscore) names, only the LP layer and the ω-aware values import
+`fractions`, no vasslab function takes an integer literal as a parameter
+default, and every top-level definition in src/vasslab is reached
 from the CLI's `driver.main` or from a name the benchmark in bench/ uses:
 walks over the syntax tree of each module in src/vasslab, tests, scripts and
 bench."""
@@ -69,6 +70,36 @@ def test_no_private_imports_across_package_modules():
     assert len(package) > 10
     found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in package}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# exact rationals belong to the LP layer and to ω comparisons
+FRACTION_MODULES = {"solver", "chareq", "values"}
+
+
+def fractions_imports(source: str) -> list:
+    """The lines that import the `fractions` module or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for alias in node.names
+                         if alias.name.split(".")[0] == "fractions")
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").split(".")[0] == "fractions"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_a_fractions_import():
+    src = ("from fractions import Fraction\nimport math, fractions\nimport fractions as fr\n"
+           "from .fractions import helper\nfrom decimal import Decimal\n")
+    assert fractions_imports(src) == [1, 2, 3]
+
+
+def test_only_the_lp_layer_and_values_import_fractions():
+    package = [p for p in MODULES if p.parent.name == "vasslab"]
+    assert len(package) > 10
+    found = {p.stem for p in package if fractions_imports(p.read_text(encoding="utf-8"))}
+    assert found - FRACTION_MODULES == set()
 
 
 def literal_int_defaults(source: str) -> list:

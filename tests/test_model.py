@@ -21,12 +21,11 @@ from vasslab.model import (
     is_dyck_visible,
     language_bounded,
     letter_index,
-    word_effect,
 )
 from vasslab.mgts import Mgts, PrecoveringGraph, intermediate_accepts
 from vasslab.values import OMEGA, is_omega
 
-from audits import Violation, hardness_gadget, is_dyck_word, simulate
+from audits import Violation, hardness_gadget, is_dyck_word, simulate, word_effect
 
 A1, AB1, A2 = inc_letter(1), dec_letter(1), inc_letter(2)
 
@@ -182,26 +181,27 @@ class TestEdgeWalks:
 
 class TestEffect:
     def test_dyck_word_effect(self):
-        assert effect([A1, A2, AB1], n=2) == (0, 1)
+        assert word_effect([A1, A2, AB1], 2) == (0, 1)
 
     def test_empty_word(self):
-        assert effect([], n=2) == (0, 0)
+        assert word_effect([], 2) == (0, 0)
 
     def test_parikh_effect(self):
+        # an edge sequence's effect is its Parikh vector {0: 3, 1: 1} times the updates
         v = Vass(
             ["q"], dyck_alphabet(1), ["c"],
             [Edge("q", A1, {"c": 1}, "q"), Edge("q", AB1, {"c": -1}, "q")],
         )
-        assert effect({0: 3, 1: 1}, vass=v) == {"c": 2}
+        assert effect((0, 1, 0, 0), v) == {"c": 2}
 
     def test_unknown_letter_is_structural(self):
         with pytest.raises(StructuralError):
-            effect(["zz"], n=1)
+            word_effect(["zz"], 1)
 
     def test_unknown_edge_is_structural(self):
         v = one_counter_loop(1)
         with pytest.raises(StructuralError):
-            effect({7: 1}, vass=v)
+            effect((7,), v)
 
     @given(st.lists(st.sampled_from(dyck_alphabet(2)), max_size=16),
            st.lists(st.sampled_from(dyck_alphabet(2)), max_size=16))

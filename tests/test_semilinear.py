@@ -1,5 +1,4 @@
 import gc
-import itertools
 import weakref
 
 import pytest
@@ -7,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vasslab import semilinear
-from vasslab.automata import Nfa, enumerate_words, product, run_word
-from vasslab.chareq import build_char
-from vasslab.decomposition import decompose
-from vasslab.errors import ArgumentError, InvariantViolation, ResourceExhausted
-from vasslab.mgts import Dmgts, side_gates, unfold_paths
+from vasslab.automata import Nfa, enumerate_words, run_word
+from vasslab.errors import ArgumentError, ResourceExhausted
+from vasslab.mgts import Dmgts, unfold_paths
 from vasslab.model import (
     dec_letter,
     dyck_alphabet,
     inc_letter,
     letter_index,
-    word_effect,
 )
 from vasslab.semilinear import (
     BasicSeparatorDesc,
     LinearSet,
     RejectedChain,
-    _dyck_dim,
     approx_automaton,
     approx_member,
     basic_member,
@@ -40,16 +35,15 @@ from vasslab.semilinear import (
     pos_sum_contains_zero,
     residue_nfa,
 )
-from vasslab.solver import ilp_feasible
-from vasslab.values import OMEGA, gate_ok
+from vasslab.values import OMEGA
 
-from audits import is_dyck_word
+from audits import is_dyck_word, word_effect
 from conftest import make_rng
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
 
 
-# -- period deduction and the regular cover (no vasslab verb runs them yet) -----
+# -- period deduction and the NFA fold (no vasslab verb runs them yet) ----------
 
 def singleton_set(vec) -> LinearSet:
     return LinearSet(tuple(vec), ())
@@ -127,140 +121,6 @@ def fold_nfa_to_dmgts_list(nfa: Nfa, n: int):
         zero, zero, dyck_alphabet(n), counters,
     )
     return [Dmgts(m, 1, (), counters, faithful=True) for m in mgts_list]
-
-
-DISJOINT_CHECK_LEN = 10  # word length of the input's Dyck-disjointness check
-
-
-RESIDUE_CAP = 4096  # per-graph residue tuples of one member
-
-
-CHAIN_CAP = 4096    # chains of one member and residue tuple
-
-
-def basic_separators_for_regular(nfa: Nfa, n: int = None):
-    """A finite basic-separator cover of a regular language disjoint from the
-    Dyck language: fold into DMGTS, decompose, and emit modulo-family members
-    for the modulo-decided parts and certified approximation chains for the
-    faithful Y-infeasible parts. The input is checked against the Dyck words
-    up to DISJOINT_CHECK_LEN first."""
-    if n is None:
-        n = _dyck_dim(nfa.alphabet, 1)
-    for w in sorted(enumerate_words(nfa, DISJOINT_CHECK_LEN), key=repr):
-        if is_dyck_word(w, n):
-            raise ArgumentError(f"input intersects the Dyck language: witness {w}")
-
-    covers = []
-    for dm in fold_nfa_to_dmgts_list(nfa, n):
-        res = decompose(dm)
-        chain_members = [d.dmgts for d in res.decided if d.certificate == "y-infeasible"]
-        for member in res.perfect:
-            # for a Dyck-disjoint regular input every perfect member has an
-            # infeasible Dyck-side system; a feasible one witnesses overlap
-            if ilp_feasible(build_char(member, "y").system) is not None:
-                raise ArgumentError(
-                    "perfect member with feasible Dyck-side system: the input is "
-                    "not disjoint from the Dyck language"
-                )
-            chain_members.append(member)
-        for d in res.decided:
-            if d.certificate == "modulo-nonzero":
-                mu = d.dmgts.mu
-                for v in _nonzero_residues(mu, n):
-                    covers.append(family_mod(mu, v, n))
-        for member in chain_members:
-            covers.extend(_member_chains(member, n))
-    return list(dict.fromkeys(covers))
-
-
-def _nonzero_residues(mu: int, n: int):
-    return [r for r in _all_residues(mu, n) if any(r)]
-
-
-def _member_chains(dm, n: int):
-    """The L_{v,u} chains of a faithful DMGTS with infeasible Dyck-side system;
-    more than RESIDUE_CAP residue tuples or CHAIN_CAP chains raise
-    ResourceExhausted."""
-    mu = dm.mu
-    graphs = dm.graphs
-    bridges = dm.bridges
-    ell = len(graphs)
-    ys = list(dm.y_counters)
-    gates = side_gates(dm, "x")
-
-    def bridge_effect(u):
-        return tuple(u.update.get(c, 0) for c in ys)
-
-    def passes(vec, marking):
-        return all(gate_ok(v, marking[c], gates[c]) for v, c in zip(vec, ys))
-
-    control = []
-    for g in graphs:
-        transitions = {
-            (e.src, e.label, e.dst) for e in g.vass.edges
-        }
-        control.append(Nfa(set(g.vass.nodes), transitions, {g.root}, {g.root},
-                           dyck_alphabet(n)))
-
-    residue_tuples = [()]
-    for _ in range(ell):
-        residue_tuples = [
-            r + (v,) for r in residue_tuples for v in _all_residues(mu, n)
-        ]
-        if len(residue_tuples) > RESIDUE_CAP:
-            raise ResourceExhausted(f"residue cap {RESIDUE_CAP} exceeded")
-
-    def gates_ok(vtuple):
-        entry = tuple(0 for _ in range(n))
-        for gi in range(ell):
-            if not passes(entry, graphs[gi].in_marking):
-                return False
-            exit_ = tuple((entry[d] + vtuple[gi][d]) % mu for d in range(n))
-            if not passes(exit_, graphs[gi].out_marking):
-                return False
-            if gi < ell - 1:
-                be = bridge_effect(bridges[gi])
-                entry = tuple((exit_[d] + be[d]) % mu for d in range(n))
-        return True
-
-    out = []
-    for vtuple in residue_tuples:
-        if not gates_ok(vtuple):
-            continue
-        factor_covers = []
-        k = 1
-        empty = False
-        for gi in range(ell):
-            auto = product(control[gi], residue_nfa(mu, dict(enumerate(vtuple[gi], 1)), n))
-            ki, lins = nfa_to_linear_cover(auto)
-            if not lins:
-                empty = True
-                break
-            k = max(k, ki)
-            factor_covers.append(lins)
-        if empty:
-            continue
-        chains = [[]]
-        for gi in range(ell):
-            chains = [c + [lin] for c in chains for lin in factor_covers[gi]]
-            if gi < ell - 1:
-                be = bridge_effect(bridges[gi])
-                chains = [c + [singleton_set(be)] for c in chains]
-            if len(chains) > CHAIN_CAP:
-                raise ResourceExhausted(f"chain cap {CHAIN_CAP} exceeded")
-        for chain in chains:
-            desc = make_basic_separator(chain, k)
-            if isinstance(desc, RejectedChain):
-                raise InvariantViolation(
-                    "a solution-language chain failed its certificate; the member "
-                    "cannot be faithful with an infeasible Dyck-side system"
-                )
-            out.append(desc)
-    return out
-
-
-def _all_residues(mu: int, n: int):
-    return list(itertools.product(range(mu), repeat=n))
 
 
 def random_sparse_nfa(rng, n=1, max_states=3, max_trans=5):
@@ -663,37 +523,6 @@ class TestPeriodDeduction:
         assert period_deduction_check(lin, 1, (A1,), 1) in (None, 1)
         # a word that is not accepted at all gives None
         assert period_deduction_check(lin, 1, (AB1,), 3) is None
-
-
-class TestBasicSeparatorsForRegular:
-    def test_positive_effect_language(self):
-        # a1 · (a1 ā1)*: every effect >= 1, disjoint from the Dyck language
-        nfa = Nfa({"0", "1", "2"},
-                  {("0", A1, "1"), ("1", A1, "2"), ("2", AB1, "1")},
-                  {"0"}, {"1"}, dyck_alphabet(1))
-        cover = basic_separators_for_regular(nfa, n=1)
-        assert cover
-        for w in enumerate_words(nfa, 8):
-            assert any(basic_member(d, w) for d in cover), w
-        from vasslab.driver import dyck_words
-
-        for d in cover:
-            for w in dyck_words(1, 10):
-                assert not basic_member(d, w)
-
-    def test_dyck_intersecting_refused(self):
-        nfa = Nfa({"0", "1"}, {("0", A1, "1"), ("1", AB1, "0")},
-                  {"0"}, {"0"}, dyck_alphabet(1))
-        with pytest.raises(ArgumentError):
-            basic_separators_for_regular(nfa, n=1)
-
-    def test_odd_effect_language_gets_mod_cover(self):
-        # a1 (a1 a1)*: effect ≡ 1 mod 2
-        nfa = Nfa({"0", "1"}, {("0", A1, "1"), ("1", A1, "0")},
-                  {"0"}, {"1"}, dyck_alphabet(1))
-        cover = basic_separators_for_regular(nfa, n=1)
-        for w in enumerate_words(nfa, 7):
-            assert any(basic_member(d, w) for d in cover), w
 
 
 def test_linear_set_and_descriptor_json():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from vasslab.errors import ArgumentError, StructuralError
-from vasslab.mgts import Mgts, PrecoveringGraph, Update
+from vasslab.mgts import Mgts, PrecoveringGraph, Update, is_strongly_connected
 from vasslab.model import (
     Edge,
     GenConfig,
@@ -255,3 +258,115 @@ def test_karp_miller_accelerates():
     g = graph_loops([(A1, {"y1": 1})], ["y1"], {"y1": 0}, {"y1": 0})
     nodes = karp_miller(g.vass, g.root, g.in_marking)
     assert any(n.valuation == (OMEGA,) for n in nodes)
+
+
+# -- the rational Kirchhoff-kernel reference --------------------------------------
+# structure.py's cycle space as it was before the spanning-tree potential: an
+# integer basis of the Kirchhoff flow kernel, from a reduced row echelon form
+# over Q. It stays here for one round as the differential oracle of
+# cycle_space_dim, fixed_counters and fixed_assignment (ROADMAP aim 3); delete
+# it in the next change to this module.
+
+def _rref(rows):
+    """Reduced row echelon form in place; returns pivot column list."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def kernel_basis(rows, ncols):
+    """A basis of {x : rows·x = 0} over Q with integer entries."""
+    if not rows:
+        rows = [[Fraction(0)] * ncols]
+    rref, pivots = _rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -rref[ri][fc]
+        denom = lcm(*(x.denominator for x in vec))
+        basis.append([int(x * denom) for x in vec])
+    return basis
+
+
+def _kirchhoff_rows(vass):
+    rows = []
+    for q in vass.nodes:
+        row = [0] * len(vass.edges)
+        for i, e in enumerate(vass.edges):
+            if e.dst == q:
+                row[i] += 1
+            if e.src == q:
+                row[i] -= 1
+        rows.append(row)
+    return rows
+
+
+def cycle_flows(p: PrecoveringGraph):
+    """Integer basis of the Kirchhoff flow kernel of the graph."""
+    if not is_strongly_connected(p.vass):
+        raise StructuralError("cycle space needs a strongly connected graph")
+    return kernel_basis(_kirchhoff_rows(p.vass), len(p.vass.edges))
+
+
+def reference_effects(p: PrecoveringGraph) -> list:
+    """The effect of every kernel basis flow, as a vector over the counters."""
+    return [[sum(k * e.update[c] for k, e in zip(flow, p.vass.edges)) for c in p.vass.counters]
+            for flow in cycle_flows(p)]
+
+
+def check_against_reference(p: PrecoveringGraph):
+    effects = reference_effects(p)
+    assert cycle_space_dim(p) == (len(_rref(effects)[1]) if effects else 0)
+    fixed = frozenset(c for i, c in enumerate(p.vass.counters)
+                      if all(eff[i] == 0 for eff in effects))
+    assert fixed_counters(p) == fixed
+    for j in p.vass.counters:
+        if j not in fixed or p.in_marking[j] is OMEGA:
+            with pytest.raises(ArgumentError):
+                fixed_assignment(p, j)
+            continue
+        # a fixed counter's potential is unique: in(j) at the root, and every
+        # edge moves it by its update
+        phi = fixed_assignment(p, j)
+        assert set(phi) == set(p.vass.nodes) and phi[p.root] == p.in_marking[j]
+        assert all(phi[e.dst] == phi[e.src] + e.update[j] for e in p.vass.edges)
+
+
+def test_cycle_space_matches_kirchhoff_reference_on_random_graphs(rng):
+    for _ in range(300):
+        p = random_precovering(rng, max_nodes=3, n_counters=rng.randint(1, 3))
+        check_against_reference(p)
+        check_against_reference(p.reverse())
+
+
+def test_cycle_space_matches_kirchhoff_reference_on_curated_suite_and_members():
+    from test_acceptance import suite_results
+
+    graphs = 0
+    for dm, res in suite_results().values():
+        for member in [dm, *res.perfect, *(d.dmgts for d in res.decided)]:
+            for p in member.graphs:
+                check_against_reference(p)
+                check_against_reference(p.reverse())
+                graphs += 1
+    assert graphs == 38
