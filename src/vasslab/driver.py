@@ -21,11 +21,15 @@ from .mgts import (
     PipelineCaps,
     dmgts_from_json,
     fold_to_mgts_list,
-    initial_dmgts,
+    initial_parts,
 )
 from .model import (
+    EPSILON,
+    Edge,
+    GenConfig,
     InitVass,
     Run,
+    Vass,
     dyck_alphabet,
     dyck_vas,
     init_vass_from_json,
@@ -120,9 +124,14 @@ def reach_decide(iv: InitVass, caps: PipelineCaps = PipelineCaps()):
     side; reachable iff some perfect member's system is feasible (the classical
     iff chain). Returns ("reachable", (member, solution)) or ("unreachable",
     None)."""
-    counters = iv.vass.counters
-    for mgts in fold_to_mgts_list(iv):
-        dm = Dmgts(mgts, 1, counters, (), faithful=True)
+    return _reach_mgts(fold_to_mgts_list(iv), caps)
+
+
+def _reach_mgts(mgts_list, caps):
+    """`reach_decide` over the MGTS that together make up the runs: each one
+    a DMGTS whose counters are all X."""
+    for mgts in mgts_list:
+        dm = Dmgts(mgts, 1, mgts.counters, (), faithful=True)
         res = decompose(dm, caps)
         for member in res.perfect:
             sol = ilp_feasible(build_char(member, "full").system,
@@ -163,57 +172,103 @@ def _mod_certificate_nfa(member: Dmgts) -> Nfa:
     raise InvariantViolation("modulo-decided member without a non-zero Y out-marking")
 
 
+def _word_runs(iv: InitVass, word, start: dict) -> InitVass:
+    """The runs of iv from (its init node, start) that read `word`: each node
+    paired with the number of letters read, which an ε-edge keeps and an edge
+    reading the next letter advances."""
+    edges = [Edge((e.src, i), e.label, e.update, (e.dst, i + (e.label != EPSILON)))
+             for i in range(len(word) + 1) for e in iv.vass.edges
+             if e.label == EPSILON or (i < len(word) and e.label == word[i])]
+    nodes = [(q, i) for q in iv.vass.nodes for i in range(len(word) + 1)]
+    return InitVass(Vass(nodes, iv.vass.alphabet, iv.vass.counters, edges),
+                    GenConfig((iv.init.node, 0), start),
+                    GenConfig((iv.final.node, len(word)), iv.final.valuation))
+
+
+def _recheck_witness(subject: InitVass, word, start: dict, max_len: int, value_cap: int):
+    """Raise InvariantViolation unless `word` is a Dyck word and a word of
+    L(subject), read by a run from (init node, start) within max_len edges and
+    values <= value_cap: one bounded run search on each language."""
+    dyck = dyck_vas(len(subject.vass.alphabet) // 2)
+    for what, iv, begin, steps, cap in (
+            ("the subject", subject, start, max_len, value_cap),
+            ("the Dyck language", dyck, dyck.init.valuation, len(word), len(word))):
+        seeded = all(is_omega(v) or v == begin[c] for c, v in iv.init.valuation.items())
+        if not seeded or oracle_bfs(_word_runs(iv, word, begin), cap, steps).status != "reachable":
+            raise InvariantViolation(f"intersection witness {list(word)} is not a word of {what}")
+
+
+def _run_peak(run: Run, vass: Vass) -> int:
+    """The largest counter value along the run."""
+    val, peak = dict(run.start.valuation), max(run.start.valuation.values(), default=0)
+    for i in run.edge_seq:
+        val = {c: v + vass.edges[i].update[c] for c, v in val.items()}
+        peak = max(peak, *val.values(), 0)
+    return peak
+
+
 def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> PipelineReport:
-    """Decide L(subject) | Dyck_n: emptiness of the intersection first, then
-    decompose the initial DMGTS, then per perfect member the Z-separability
-    oracle with lifting; decided members are separable by construction. The
-    emitted separator passes the bounded coverage and disjointness checks."""
+    """Decide L(subject) | Dyck_n. L(subject) is the union of the X-side
+    languages of `initial_parts(subject)`, and a finite union is separable
+    from Dyck_n iff each of its members is. So: emptiness of the intersection
+    over the parts first (every witness re-checked on the subject), then per
+    part the decomposition and, per perfect member, the Z-separability oracle
+    with lifting; decided members are separable by construction. The first
+    part that is not separable decides; otherwise the union of every part's
+    separators passes the bounded coverage and disjointness checks against
+    L(subject)."""
     report = PipelineReport(verdict="unknown", caps=caps)
-    nd = initial_dmgts(subject)
-    n = len(nd.y_counters)
-    inter, _ = nd.mgts.combined()
-    bfs = _bfs_or_inconclusive(inter, caps)
-    if bfs.status == "reachable":
-        report.verdict = "inseparable"
-        report.witness = bfs.word
-        report.stages.append({"stage": "intersection", "result": "nonempty-bfs"})
-        return report
-    verdict, hit = reach_decide(inter, caps)
+    parts = initial_parts(subject)
+    n = len(subject.vass.alphabet) // 2
+    for part in parts:
+        bfs = _bfs_or_inconclusive(part.mgts.combined()[0], caps)
+        if bfs.status == "reachable":
+            _recheck_witness(subject, bfs.word, subject.init.valuation,
+                             caps.max_run_len, caps.counter_cap)
+            report.verdict = "inseparable"
+            report.witness = bfs.word
+            report.stages.append({"stage": "intersection", "result": "nonempty-bfs"})
+            return report
+    verdict, hit = _reach_mgts([part.mgts for part in parts], caps)
     if verdict == "reachable":
         member, sol = hit
         run = lambert_pump(member, sol, k_cap=caps.pump_k)
         iv, _ = member.mgts.combined()
+        word = run.word(iv.vass)
+        start = {c: run.start.valuation[f"x.{c}"] for c in subject.vass.counters}
+        _recheck_witness(subject, word, start, len(run.edge_seq), _run_peak(run, iv.vass))
         report.verdict = "inseparable"
-        report.witness = run.word(iv.vass)
+        report.witness = word
         report.stages.append({"stage": "intersection", "result": "nonempty-decomposition"})
         return report
     report.stages.append({"stage": "intersection", "result": "empty-certified"})
 
-    res = decompose(nd, caps)
-    report.trace = res.trace
-    report.stages.append({
-        "stage": "decompose", "perfect": len(res.perfect), "decided": len(res.decided),
-    })
-
     separators = []
-    for member in res.perfect:
-        v = z_separability(member, caps)
-        if v.kind == "inseparable":
-            report.verdict = "inseparable"
-            report.z_pair = v.z_pair
-            report.stages.append({"stage": "zsep", "result": "inseparable",
+    for i, part in enumerate(parts):
+        res = decompose(part, caps)
+        report.trace += res.trace
+        report.stages.append({"stage": "decompose", "part": i, "perfect": len(res.perfect),
+                              "decided": len(res.decided)})
+        for member in res.perfect:
+            v = z_separability(member, caps)
+            if v.kind == "inseparable":
+                report.verdict = "inseparable"
+                report.z_pair = v.z_pair
+                report.stages.append({"stage": "zsep", "result": "inseparable",
+                                      "strategy": v.strategy})
+                return report
+            if v.kind == "unknown":
+                report.stages.append({"stage": "zsep", "result": "unknown",
+                                      "reason": v.reason})
+                return report
+            separators.append(lift_separator(v.nfa, member))
+            report.stages.append({"stage": "zsep", "result": "separable",
                                   "strategy": v.strategy})
-            return report
-        if v.kind == "unknown":
-            report.stages.append({"stage": "zsep", "result": "unknown", "reason": v.reason})
-            return report
-        separators.append(lift_separator(v.nfa, member))
-        report.stages.append({"stage": "zsep", "result": "separable", "strategy": v.strategy})
-    for member in res.decided:
-        if member.certificate == "y-infeasible":
-            separators.append(strip_hash(modulo_automaton(member.dmgts)))
-        else:
-            separators.append(_mod_certificate_nfa(member.dmgts))
+        for member in res.decided:
+            if member.certificate == "y-infeasible":
+                separators.append(strip_hash(modulo_automaton(member.dmgts)))
+            else:
+                separators.append(_mod_certificate_nfa(member.dmgts))
 
     alphabet = frozenset(dyck_alphabet(n))
     sep = union(separators, alphabet) if separators else empty_nfa(alphabet)

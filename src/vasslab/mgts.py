@@ -654,16 +654,14 @@ def _infer_dyck_dim(alphabet) -> int:
     return n
 
 
-def initial_dmgts(subject: InitVass) -> Dmgts:
-    """The starting DMGTS: a single all-ω root-loop graph whose X-side language
-    equals L(subject); multi-node subjects are folded into a VAS first."""
-    n = _infer_dyck_dim(subject.vass.alphabet)
-    if len(subject.vass.nodes) > 1:
-        subject = fold_states(subject)
+def _dyck_product(subject: InitVass, n: int, name):
+    """The subject with its counters renamed x.c and one counter y.i per
+    letter pair of Σ_n, which each edge moves by its letter's effect; Y is 0
+    at both ends and `name(q)` names the node of q. Returns the product and
+    its X and Y counters."""
     xs = [f"x.{c}" for c in subject.vass.counters]
     ys = [f"y.{i}" for i in range(1, n + 1)]
-    counters = sorted(xs) + ys
-    zero = {c: 0 for c in counters}
+    zero = dict.fromkeys(sorted(xs) + ys, 0)
     edges = []
     for e in subject.vass.edges:
         upd = dict(zero)
@@ -672,22 +670,50 @@ def initial_dmgts(subject: InitVass) -> Dmgts:
         if e.label != EPSILON:
             i, d = letter_index(e.label, n)
             upd[f"y.{i}"] = d
-        edges.append(Edge("r", e.label, upd, "r"))
-    vass = Vass(["r"], dyck_alphabet(n), counters, edges)
+        edges.append(Edge(name(e.src), e.label, upd, name(e.dst)))
+    vass = Vass([name(q) for q in subject.vass.nodes], dyck_alphabet(n), zero, edges)
 
     def cfg(old):
         val = dict(zero)
         for c, v in old.valuation.items():
             val[f"x.{c}"] = v
-        return GenConfig("r", val)
+        return GenConfig(name(old.node), val)
 
-    base = InitVass(vass, cfg(subject.init), cfg(subject.final))
-    assignment = {"r": {c: OMEGA for c in counters}}
-    graph = PrecoveringGraph(base, assignment)
+    return InitVass(vass, cfg(subject.init), cfg(subject.final)), xs, ys
+
+
+def initial_dmgts(subject: InitVass) -> Dmgts:
+    """The starting DMGTS of a subject with one node, or with several and no
+    self-loop: a single all-ω root-loop graph whose X-side language equals
+    L(subject). A multi-node subject is folded into a VAS first, with one
+    token counter per node. The fold would add words at a self-loop, whose
+    token update is 0 and so fires at every node: such a subject raises
+    StructuralError, and `initial_parts` unfolds it instead."""
+    n = _infer_dyck_dim(subject.vass.alphabet)
+    if len(subject.vass.nodes) > 1:
+        loop = next((e.src for e in subject.vass.edges if e.src == e.dst), None)
+        if loop is not None:
+            raise StructuralError(f"the VAS fold adds words at the self-loop of node {loop!r}")
+        subject = fold_states(subject)
+    base, xs, ys = _dyck_product(subject, n, lambda q: "r")
+    graph = PrecoveringGraph(base, {"r": dict.fromkeys(base.init.valuation, OMEGA)})
     bad = validate_precovering(graph)
     if bad:
         raise StructuralError(f"initial graph invalid: {bad}")
     return Dmgts(Mgts([graph]), 1, xs, ys, faithful=True)
+
+
+def initial_parts(subject: InitVass) -> list:
+    """The starting DMGTS of the separability pipeline, whose X-side languages
+    together make up L(subject): `[initial_dmgts(subject)]` for a one-node
+    subject; otherwise the subject's Dyck product cut by `fold_to_mgts_list`
+    into one DMGTS per simple init-to-final node path, each with μ = 1,
+    all-ω intermediate markings and the faithful flag set."""
+    if len(subject.vass.nodes) == 1:
+        return [initial_dmgts(subject)]
+    product, xs, ys = _dyck_product(subject, _infer_dyck_dim(subject.vass.alphabet),
+                                    lambda q: q)
+    return [Dmgts(m, 1, xs, ys, faithful=True) for m in fold_to_mgts_list(product)]
 
 
 @dataclass(frozen=True)

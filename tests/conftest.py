@@ -212,5 +212,22 @@ def subject_unbounded_dips():
     return InitVass(v, GenConfig("p", {"k": 1}), GenConfig("q", {"k": 0}))
 
 
+def subject_starts_with_abar1():
+    """L = ā1 (a1 | ā1)* a1: every word starts with ā1, which separates L from
+    Dyck_1. Its self-loops sit at a middle node."""
+    v = Vass(
+        ["p", "q", "r"],
+        dyck_alphabet(1),
+        [],
+        [
+            Edge("p", dec_letter(1), {}, "q"),
+            Edge("q", inc_letter(1), {}, "q"),
+            Edge("q", dec_letter(1), {}, "q"),
+            Edge("q", inc_letter(1), {}, "r"),
+        ],
+    )
+    return InitVass(v, GenConfig("p", {}), GenConfig("r", {}))
+
+
 def strip_words(words):
     return {tuple(a for a, _ in w) for w in words}

@@ -41,7 +41,7 @@ from vasslab.model import (
     dyck_vas,
     inc_letter,
 )
-from vasslab.mgts import initial_dmgts
+from vasslab.mgts import initial_dmgts, initial_parts
 from vasslab.solver import STATS, ilp_feasible
 from vasslab.structure import rank, rank_less
 from vasslab.values import OMEGA
@@ -510,10 +510,10 @@ _AUDIT = []
 
 
 def _audit_inputs():
-    """The curated suite and the initial DMGTS of every conftest subject."""
+    """The curated suite and the initial parts of every conftest subject."""
     subjects = [getattr(conftest, name)() for name in dir(conftest)
                 if name.startswith("subject_")]
-    return [dm for _, dm in curated_suite()] + [initial_dmgts(s) for s in subjects]
+    return [dm for _, dm in curated_suite()] + [dm for s in subjects for dm in initial_parts(s)]
 
 
 def audited_decompositions():

@@ -20,13 +20,14 @@ from vasslab.driver import (
     oracle_bfs,
     reach_decide,
 )
-from vasslab.errors import ArgumentError
-from vasslab.mgts import Dmgts, dmgts_to_json, initial_dmgts
+from vasslab.errors import ArgumentError, InvariantViolation
+from vasslab.mgts import PATH_CAP, Dmgts, dmgts_to_json, initial_dmgts, initial_parts
 from vasslab.model import (
     EPSILON,
     Edge,
     GenConfig,
     InitVass,
+    Run,
     Vass,
     dec_letter,
     dyck_alphabet,
@@ -46,6 +47,7 @@ from conftest import (
     subject_counter_gap,
     subject_dyck_a1,
     subject_even_a1,
+    subject_starts_with_abar1,
     subject_unbounded_dips,
 )
 
@@ -72,6 +74,33 @@ _CAP_FLAGS = {
 def plus_loop_iv(target):
     v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": 1}, "q")])
     return InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": target}))
+
+
+def alternating_chain(k):
+    """Nodes p0 … p(k−1); for each i < k−1 an edge p_i → p(i+1) and a
+    self-loop at p(i+1), both reading a1 (+1) for even i and ā1 (−1) for odd
+    i, from c = 0 to c = 1: every word has effect 1, so modulo 2 separates it
+    from the Dyck language."""
+    nodes = [f"p{i}" for i in range(k)]
+    edges = []
+    for i in range(k - 1):
+        label, d = (A1, 1) if i % 2 == 0 else (AB1, -1)
+        edges += [Edge(nodes[i], label, {"c": d}, nodes[i + 1]),
+                  Edge(nodes[i + 1], label, {"c": d}, nodes[i + 1])]
+    return InitVass(Vass(nodes, dyck_alphabet(1), ["c"], edges),
+                    GenConfig(nodes[0], {"c": 0}), GenConfig(nodes[-1], {"c": 1}))
+
+
+def diamonds(d):
+    """d diamonds in series over Σ_1: 2^d simple paths from n0 to n(d)."""
+    edges = []
+    for i in range(d):
+        for side in ("u", "v"):
+            edges += [Edge(f"n{i}", A1, {}, f"{side}{i}"),
+                      Edge(f"{side}{i}", AB1, {}, f"n{i + 1}")]
+    nodes = {e.src for e in edges} | {e.dst for e in edges}
+    return InitVass(Vass(nodes, dyck_alphabet(1), [], edges),
+                    GenConfig("n0", {}), GenConfig(f"n{d}", {}))
 
 
 class TestOracles:
@@ -181,13 +210,39 @@ class TestSeparatePipeline:
 
     def test_modulo_decided_members_separate_odd_powers(self):
         # p −ε, k+1→ p, p −a1→ q, q −a1→ p from (p, 0) to (q, 1): the odd
-        # powers of a1. The decomposition decides every member by a non-zero
-        # residue and keeps none perfect, so the separator is the union of the
-        # decided members' residue automata alone
+        # powers of a1. Its one SCC path p → q gives one part, which the
+        # decomposition decides at once (a1^odd leaves y.1 odd, never 0) and
+        # keeps none perfect, so the separator is its modulo automaton alone
         v = Vass(["p", "q"], dyck_alphabet(1), ["k"],
                  [Edge("p", EPSILON, {"k": 1}, "p"), Edge("p", A1, {"k": 0}, "q"),
                   Edge("q", A1, {"k": 0}, "p")])
         sub = InitVass(v, GenConfig("p", {"k": 0}), GenConfig("q", {"k": 1}))
+        from vasslab.decomposition import decompose
+
+        [part] = initial_parts(sub)
+        res = decompose(part)
+        assert not res.perfect
+        assert [d.certificate for d in res.decided] == ["y-infeasible"]
+        rep = cmd_separate(sub, PipelineCaps(max_word_len=10))
+        assert rep.verdict == "separable"
+        assert rep.stages[1:] == [
+            {"stage": "decompose", "part": 0, "perfect": 0, "decided": 1},
+            {"stage": "verify", "result": "ok", "len": 10}]
+        words = language_bounded(sub, 12, max_run_len=30, value_cap=40)
+        assert sorted(words) == [(A1,) * m for m in (1, 3, 5, 7, 9, 11)]
+        assert first_mistake(rep.separator, sorted(words), dyck_words(1, 12)) is None
+
+    def test_modulo_nonzero_members_separate_odd_powers(self):
+        # the same odd powers of a1 on one node, with a token counter per node
+        # of the two-node subject above; the decomposition decides every
+        # member by a non-zero residue modulo 2, so the separator is the union
+        # of the decided members' residue automata alone
+        v = Vass(["q"], dyck_alphabet(1), ["k", "p", "s"],
+                 [Edge("q", EPSILON, {"k": 1, "p": 0, "s": 0}, "q"),
+                  Edge("q", A1, {"k": 0, "p": -1, "s": 1}, "q"),
+                  Edge("q", A1, {"k": 0, "p": 1, "s": -1}, "q")])
+        sub = InitVass(v, GenConfig("q", {"k": 0, "p": 1, "s": 0}),
+                       GenConfig("q", {"k": 1, "p": 0, "s": 1}))
         from vasslab.decomposition import decompose
 
         res = decompose(initial_dmgts(sub))
@@ -196,7 +251,7 @@ class TestSeparatePipeline:
         rep = cmd_separate(sub, PipelineCaps(max_word_len=10))
         assert rep.verdict == "separable"
         assert rep.stages[1:] == [
-            {"stage": "decompose", "perfect": 0, "decided": 4},
+            {"stage": "decompose", "part": 0, "perfect": 0, "decided": 4},
             {"stage": "verify", "result": "ok", "len": 10}]
         words = language_bounded(sub, 12, max_run_len=30, value_cap=40)
         assert sorted(words) == [(A1,) * m for m in (1, 3, 5, 7, 9, 11)]
@@ -209,17 +264,63 @@ class TestSeparatePipeline:
 
     def test_dyck_shifted_subject_never_answers_wrongly(self):
         # L = Dyck · a1 is disjoint from the Dyck language but approximates it;
-        # the Z-separability ladder certifies it with modulo(2,1,y.1), and the
-        # separator must cover L and miss the Dyck language up to the bound
+        # the decomposition decides its one part, and the separator must cover
+        # L and miss the Dyck language up to the bound
         sub = subject_dyck_a1()
         rep = cmd_separate(sub, PipelineCaps(max_word_len=6))
         assert rep.verdict == "separable"
-        assert {"stage": "zsep", "result": "separable",
-                "strategy": "modulo(2,1,y.1)"} in rep.stages
         for w in language_bounded(sub, 6, max_run_len=16, value_cap=40):
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 6):
             assert not run_word(rep.separator, w)
+
+    def test_self_loops_at_a_middle_node_separable(self):
+        # the VAS fold fired the loops of q at every node and answered
+        # inseparable with a1 ā1 a1 ā1, a word the subject does not read
+        sub = subject_starts_with_abar1()
+        rep = cmd_separate(sub)
+        assert rep.verdict == "separable"
+        words = language_bounded(sub, 8, max_run_len=16, value_cap=8)
+        assert words
+        for w in words:
+            assert run_word(rep.separator, w)
+        for w in dyck_words(1, 8):
+            assert not run_word(rep.separator, w)
+
+    def test_alternating_chain_separable(self):
+        sub = alternating_chain(6)
+        rep = cmd_separate(sub, PipelineCaps(max_word_len=8))
+        assert rep.verdict == "separable"
+        assert [s["part"] for s in rep.stages if s["stage"] == "decompose"] == [0]
+        for w in language_bounded(sub, 8, max_run_len=16, value_cap=16):
+            assert run_word(rep.separator, w)
+        for w in dyck_words(1, 8):
+            assert not run_word(rep.separator, w)
+
+    def test_bfs_witness_outside_the_subject_raises(self, monkeypatch):
+        # a Dyck word that the subject does not read, planted as the BFS word
+        import vasslab.driver as driver
+
+        monkeypatch.setattr(driver, "_bfs_or_inconclusive",
+                            lambda iv, caps: driver.BfsResult("reachable", (A1, AB1, A1, AB1)))
+        with pytest.raises(InvariantViolation, match="not a word of the subject"):
+            cmd_separate(subject_starts_with_abar1())
+
+    def test_pumped_witness_outside_the_dyck_language_raises(self, monkeypatch):
+        # a1* from an ω-seeded counter to 0: the decomposition's witness is
+        # planted as one a1 loop from k = 1, a subject word that is not a
+        # Dyck word
+        import vasslab.driver as driver
+
+        v = Vass(["q"], dyck_alphabet(1), ["k"], [Edge("q", A1, {"k": -1}, "q")])
+        sub = InitVass(v, GenConfig("q", {"k": OMEGA}), GenConfig("q", {"k": 0}))
+        member = initial_dmgts(sub)
+        assert member.mgts.combined()[0].vass.edges[0].label == A1
+        monkeypatch.setattr(driver, "_reach_mgts", lambda parts, caps: ("reachable", (member, None)))
+        monkeypatch.setattr(driver, "lambert_pump", lambda member, sol, k_cap: Run(
+            GenConfig("r", {"x.k": 1, "y.1": 0}), (0,)))
+        with pytest.raises(InvariantViolation, match="not a word of the Dyck language"):
+            cmd_separate(sub)
 
     def test_unbounded_dips_never_separable(self):
         # the drift rung must not certify a1^n ā1^m (m > n) along (-1): its
@@ -325,6 +426,22 @@ class TestCli:
         assert doc["caps"] == {"max_word_len": 10, "max_run_len": 12, "counter_cap": 40,
                                "ilp_nodes": 100_000, "observer_states": 100_000,
                                "variants": 10_000, "pump_k": 64}
+
+    def test_separate_self_loop_subject(self, tmp_path):
+        path = tmp_path / "subject.json"
+        path.write_text(dump_init_vass(subject_starts_with_abar1()))
+        out = self.run_cli("separate", "--file", str(path))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["verdict"] == "separable"
+
+    def test_separate_path_cap_exit_3(self, tmp_path):
+        # 2^11 = 2048 simple paths, more than the unfolding keeps
+        path = tmp_path / "subject.json"
+        path.write_text(dump_init_vass(diamonds(11)))
+        out = self.run_cli("separate", "--file", str(path))
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == f"resource-exhausted: simple path cap {PATH_CAP} exceeded\n"
 
     def test_bad_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

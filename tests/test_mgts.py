@@ -3,6 +3,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import vasslab.mgts as mgts_module
 from vasslab.errors import ArgumentError, ResourceExhausted, StructuralError
@@ -19,6 +20,7 @@ from vasslab.mgts import (
     fold_states,
     fold_to_mgts_list,
     initial_dmgts,
+    initial_parts,
     intermediate_accepts,
     perfectness_diagnosis,
     side_gates,
@@ -49,6 +51,7 @@ from conftest import (
     dyck_copy_graph,
     graph_loops,
     strip_words,
+    subject_starts_with_abar1,
     two_graph_dmgts,
 )
 
@@ -193,6 +196,30 @@ class TestInitialDmgts:
         v = Vass(["q"], ("z",), [], [Edge("q", "z", {}, "q")])
         with pytest.raises(ArgumentError):
             initial_dmgts(InitVass(v, GenConfig("q", {}), GenConfig("q", {})))
+        with pytest.raises(ArgumentError):
+            initial_parts(InitVass(Vass(["p", "q"], ("z",), [], [Edge("p", "z", {}, "q")]),
+                                   GenConfig("p", {}), GenConfig("q", {})))
+
+    def test_multi_node_self_loop_refused(self):
+        # the fold fires a self-loop at every node: its token update is 0
+        with pytest.raises(StructuralError, match="self-loop of node 'q'"):
+            initial_dmgts(subject_starts_with_abar1())
+
+    def test_one_node_parts_are_the_initial_dmgts(self):
+        [part] = initial_parts(dyck_vas(1))
+        assert canonical_key(part) == canonical_key(initial_dmgts(dyck_vas(1)))
+
+    def test_multi_node_parts_unfold_the_dyck_product(self):
+        # one simple path p → q → r: the loops stay in the graph of q, and the
+        # path's two edges become the bridges
+        parts = initial_parts(subject_starts_with_abar1())
+        assert len(parts) == 1
+        [part] = parts
+        assert (part.mu, part.faithful, part.x_counters, part.y_counters) == (1, True, (), ("y.1",))
+        assert [len(g.vass.edges) for g in part.graphs] == [0, 2, 0]
+        assert [u.label for u in part.bridges] == [AB1, A1]
+        assert part.mgts.in_marking == part.mgts.out_marking == {"y.1": 0}
+        assert all(v is OMEGA for g in part.graphs[:-1] for v in g.out_marking.values())
 
 
 class TestPerfectness:
@@ -375,17 +402,56 @@ def test_fold_states_preserves_language():
     assert a == b
 
 
+def test_fold_states_adds_words_at_a_self_loop():
+    # a self-loop's token update is 0, so the folded loop fires at every node
+    sub = subject_starts_with_abar1()
+    folded = language_bounded(fold_states(sub), 4, max_run_len=8, value_cap=8)
+    words = language_bounded(sub, 4, max_run_len=8, value_cap=8)
+    assert words < folded and (A1, AB1, A1, AB1) in folded - words
+
+
 def test_fold_to_mgts_preserves_bounded_language():
     v = Vass(["p", "q", "s"], ("a", "b"), ["c"],
              [Edge("p", "a", {"c": 1}, "q"), Edge("q", "b", {"c": -1}, "p"),
               Edge("q", "a", {"c": 0}, "s"), Edge("s", "a", {"c": 1}, "s")])
-    iv = InitVass(v, GenConfig("p", {"c": 0}), GenConfig("s", {"c": 2}))
-    want = language_bounded(iv, 5, max_run_len=8, value_cap=12)
+    for iv in (InitVass(v, GenConfig("p", {"c": 0}), GenConfig("s", {"c": 2})),
+               subject_starts_with_abar1()):
+        want = language_bounded(iv, 5, max_run_len=8, value_cap=12)
+        got = set()
+        for mgts in fold_to_mgts_list(iv):
+            dm = Dmgts(mgts, 1, tuple(mgts.counters), (), faithful=True)
+            got |= strip_words(side_language_bounded(dm, "x", 5, "nat", CAPS).words)
+        assert want and got == want
+
+
+@st.composite
+def _looped_subjects(draw):
+    """A subject over Σ_1 with 2-3 nodes, one counter and 1-5 edges, at least
+    one of them a self-loop."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 3)))]
+    node = st.sampled_from(nodes)
+    label = st.sampled_from([A1, AB1, EPSILON])
+    delta = st.integers(-1, 1)
+    loop = draw(node)
+    edges = [Edge(loop, draw(label), {"c": draw(delta)}, loop)]
+    for _ in range(draw(st.integers(0, 4))):
+        edges.insert(draw(st.integers(0, len(edges))),
+                     Edge(draw(node), draw(label), {"c": draw(delta)}, draw(node)))
+    return InitVass(Vass(nodes, dyck_alphabet(1), ["c"], edges),
+                    GenConfig(draw(node), {"c": draw(st.integers(0, 1))}),
+                    GenConfig(draw(node), {"c": draw(st.integers(0, 2))}))
+
+
+@given(_looped_subjects())
+def test_initial_parts_cover_exactly_the_subject_language(sub):
+    # the parts' X-side languages together are L(subject): no word added at a
+    # self-loop, none lost at a path cut
+    caps = LanguageCaps(max_run_len=8, value_cap=8)
     got = set()
-    for mgts in fold_to_mgts_list(iv):
-        dm = Dmgts(mgts, 1, tuple(mgts.counters), (), faithful=True)
-        got |= strip_words(side_language_bounded(dm, "x", 5, "nat", CAPS).words)
-    assert got == want
+    for part in initial_parts(sub):
+        lang = side_language_bounded(part, "x", 4, "nat", caps)
+        got |= strip_words(lang.words)
+    assert got == language_bounded(sub, 4, max_run_len=8, value_cap=8)
 
 
 class TestUnfoldCaps:
