@@ -119,17 +119,13 @@ def dyck_words(n: int, max_len: int):
 
 # -- reachability ------------------------------------------------------------------
 
-def reach_decide(iv: InitVass, caps: PipelineCaps = PipelineCaps()):
-    """Decomposition-based reachability: wrap as a DMGTS with an empty Dyck
-    side; reachable iff some perfect member's system is feasible (the classical
-    iff chain). Returns ("reachable", (member, solution)) or ("unreachable",
-    None)."""
-    return _reach_mgts(fold_to_mgts_list(iv), caps)
-
-
-def _reach_mgts(mgts_list, caps):
-    """`reach_decide` over the MGTS that together make up the runs: each one
-    a DMGTS whose counters are all X."""
+def reach_decide(mgts_list, caps: PipelineCaps = PipelineCaps()):
+    """Decomposition-based reachability over MGTS that together make up the
+    runs (`fold_to_mgts_list` of an initialized VASS, or the parts of a
+    subject): each one wrapped as a DMGTS whose counters are all X, with an
+    empty Dyck side; reachable iff some perfect member's system is feasible
+    (the classical iff chain). Returns ("reachable", (member, solution)) or
+    ("unreachable", None)."""
     for mgts in mgts_list:
         dm = Dmgts(mgts, 1, mgts.counters, (), faithful=True)
         res = decompose(dm, caps)
@@ -150,9 +146,9 @@ def _bfs_or_inconclusive(iv, caps):
 
 def cmd_reach(iv: InitVass, caps: PipelineCaps = PipelineCaps()) -> dict:
     bfs = _bfs_or_inconclusive(iv, caps)
-    verdict, _ = reach_decide(iv, caps)
+    verdict, _ = reach_decide(fold_to_mgts_list(iv), caps)
     if bfs.status == "reachable" and verdict != "reachable":
-        raise StructuralError("reachability engines disagree (BFS found a run)")
+        raise InvariantViolation("reachability engines disagree (BFS found a run)")
     return {"verdict": verdict, "bfs": bfs.status,
             "bfs_word": list(bfs.word) if bfs.word is not None else None}
 
@@ -229,7 +225,7 @@ def cmd_separate(subject: InitVass, caps: PipelineCaps = PipelineCaps()) -> Pipe
             report.witness = bfs.word
             report.stages.append({"stage": "intersection", "result": "nonempty-bfs"})
             return report
-    verdict, hit = _reach_mgts([part.mgts for part in parts], caps)
+    verdict, hit = reach_decide([part.mgts for part in parts], caps)
     if verdict == "reachable":
         member, sol = hit
         run = lambert_pump(member, sol, k_cap=caps.pump_k)

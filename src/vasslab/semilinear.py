@@ -10,6 +10,7 @@ from math import gcd
 
 from .automata import Nfa, reachable, run_word
 from .errors import ArgumentError, InvariantViolation, ResourceExhausted
+from .lattice import bezout, hermite, solve
 from .model import (
     annotated_alphabet,
     dec_letter,
@@ -118,29 +119,31 @@ def _approx_parts(lin: LinearSet, k: int, annotated: bool):
         transitions.extend([(states[j], lab, states[j + off]) for j in idx])
     start = (0,) * n
     alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
-    return (states, transitions, {start}, _box_members(lin, k, states, transitions),
+    return (states, transitions, {start}, _box_members(lin, states, transitions),
             alphabet)
 
 
-def _box_members(lin: LinearSet, k: int, states, transitions) -> set:
-    """The states of R(lin, k) that lie in lin. With linearly independent
-    periods the combination λ reaching a point is unique, and one integer
-    solve of the period matrix decides every point without an ILP (see
-    _period_solve). Otherwise one ILP per point that no decided point
+def _box_members(lin: LinearSet, states, transitions) -> set:
+    """The states of R(lin, k) that lie in lin: v − base = P·λ for an integer
+    λ >= 0, P with the periods as columns. One `lattice.solve` of P·λ = v −
+    base over the whole box answers every point when the periods are closed
+    under negation, where the monoid they generate is a group and v is a
+    member iff some integer λ exists, and when they are linearly independent
+    (the rank of P's Hermite normal form), where λ is unique and v is a member
+    iff it is >= 0. Otherwise one ILP per point that no decided point
     settles: an ε-move v → v − p keeps the box, so v ∈ lin puts every point
     that reaches v by ε-moves in lin, and v ∉ lin puts every point that v
     reaches by ε-moves out of it."""
-    solve = _period_solve(lin.periods, lin.dim)
-    if solve is not None:
-        zero_rows, pivots = solve
-        keep = range(len(states))
-        for row in zero_rows:
-            at = _row_values(row, lin.base, k)
-            keep = [j for j in keep if at[j] == 0]
-        for dc, row in pivots:
-            at = _row_values(row, lin.base, k)
-            keep = [j for j in keep if at[j] >= 0 and at[j] % dc == 0]
-        return {states[j] for j in keep}
+    matrix, m = [[p[i] for p in lin.periods] for i in range(lin.dim)], len(lin.periods)
+    closed = set(lin.periods) == {tuple(-x for x in p) for p in lin.periods}
+    independent = not closed and len(hermite(matrix, m).pivots) == m
+    if independent or closed:
+        ys = [[v[i] - b for v in states] for i, b in enumerate(lin.base)]
+        inside, lams = solve(matrix, m, ys, len(states))
+        if independent:
+            for row in lams:
+                inside = [ok and a >= 0 for ok, a in zip(inside, row)]
+        return {v for v, ok in zip(states, inside) if ok}
     down, up = {}, {}
     for p, a, q in transitions:
         if a is None:
@@ -155,45 +158,6 @@ def _box_members(lin: LinearSet, k: int, states, transitions) -> set:
                                                  if w not in member))
             member.update(dict.fromkeys(orbit, verdict))
     return {v for v in states if member[v]}
-
-
-def _period_solve(periods, n: int):
-    """(zero rows Z, [(D_c, T_c) for each period c]) with, for every w in Z^n,
-    w = Σ λ_c p_c for rational λ iff Z·w = 0, and then D_c·λ_c = T_c·w with
-    D_c > 0; None when the periods are linearly dependent, where λ is not
-    unique. A fraction-free Gauss–Jordan elimination on [P | I], P with the
-    periods as columns: each combined row is divided by its content, and the
-    identity part records the row operations."""
-    m = len(periods)
-    rows = [[p[i] for p in periods] + [int(i == j) for j in range(n)] for i in range(n)]
-    free = list(range(n))  # the rows that are no period's pivot row yet
-    pivot_rows = []
-    for c in range(m):
-        r = next((r for r in free if rows[r][c]), None)
-        if r is None:
-            return None  # period c is a rational combination of the earlier ones
-        free.remove(r)
-        pivot_rows.append(r)
-        piv = rows[r]
-        for j, row in enumerate(rows):
-            if j != r and row[c]:
-                combined = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
-                g = gcd(*combined)
-                rows[j] = [x // g for x in combined]
-    pivots = []
-    for c, r in enumerate(pivot_rows):
-        sign = 1 if rows[r][c] > 0 else -1
-        pivots.append((sign * rows[r][c], [sign * x for x in rows[r][m:]]))
-    return [rows[r][m:] for r in free], pivots
-
-
-def _row_values(row, base, k: int) -> list:
-    """row · (v − base) for every point v of [-k, k]^n, in the order of the
-    states of R(Λ, k)."""
-    at = [0]
-    for r, b in zip(row, base):
-        at = [a + r * (x - b) for a in at for x in range(-k, k + 1)]
-    return at
 
 
 def _letter_shifts(n: int, counters, annotated: bool) -> list:
@@ -454,7 +418,7 @@ def _halfspace_set(v) -> LinearSet:
         else:
             gg = gcd(acc, abs(x))
             # find s,t with s*acc + t*|x| = gg
-            s, t = _bezout(acc, abs(x))
+            s, t = bezout(acc, abs(x))
             b0 = [s * y for y in b0]
             b0[i] = t * (1 if x > 0 else -1)
             acc = gg
@@ -473,18 +437,6 @@ def _halfspace_set(v) -> LinearSet:
             kernel.append(tuple(vec))
     periods = [tuple(b0)] + kernel + [tuple(-x for x in kvec) for kvec in kernel]
     return LinearSet(tuple(b0), periods)
-
-
-def _bezout(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_s, old_t
 
 
 def family_drift(v, k: int) -> BasicSeparatorDesc:

@@ -4,9 +4,10 @@ Systems hold equalities, selective non-negativity, fixed values, and
 congruences. The LP layer is an exact two-phase simplex with Bland's rule on
 an integer tableau: every row is a positive multiple of its rational row with
 coprime int entries, and the reduced-cost row is kept in the tableau and
-updated by each pivot like the others. Integer feasibility is branch-and-bound
-over the exact relaxation with a deterministic branch order (lowest-index
-fractional variable, floor first). No floating point anywhere.
+updated by each pivot like the others. Integer feasibility is a lattice
+pre-check (`lattice`), then branch-and-bound over the exact relaxation with a
+deterministic branch order (lowest-index fractional variable, floor first).
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import ArgumentError, ResourceExhausted
+from .lattice import solve
 
 UNBOUNDED = "unbounded"
 
@@ -333,50 +335,6 @@ def _rewrite_congruences(system: LinSystem) -> LinSystem:
     return LinSystem(vars, eqs, nonneg, system.fixed, ())
 
 
-def _lattice_feasible(eqs, var_order) -> bool:
-    """Exact integer solvability of the equalities over Z (signs ignored), by
-    unimodular column reduction. A False here certifies infeasibility."""
-    n = len(var_order)
-    idx = {v: j for j, v in enumerate(var_order)}
-    m = len(eqs)
-    A = []
-    resid = []
-    for coeffs, rhs in eqs:
-        row = [0] * n
-        for v, c in coeffs.items():
-            row[idx[v]] += c
-        A.append(row)
-        resid.append(rhs)
-    cur = 0
-    for r in range(m):
-        while True:
-            nz = [j for j in range(cur, n) if A[r][j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: (abs(A[r][j]), j))
-            j0, j1 = nz[0], nz[1]
-            q = A[r][j1] // A[r][j0]  # non-zero: |A[r][j1]| >= |A[r][j0]| > 0
-            for i in range(m):
-                A[i][j1] -= q * A[i][j0]
-        nz = [j for j in range(cur, n) if A[r][j] != 0]
-        if not nz:
-            if resid[r] != 0:
-                return False
-            continue
-        jp = nz[0]
-        g = A[r][jp]
-        if resid[r] % g != 0:
-            return False
-        y = resid[r] // g
-        for i in range(r + 1, m):
-            resid[i] -= A[i][jp] * y
-        if jp != cur:
-            for i in range(m):
-                A[i][jp], A[i][cur] = A[i][cur], A[i][jp]
-        cur += 1
-    return True
-
-
 def lp_feasible(system: LinSystem) -> bool:
     """Rational feasibility of the relaxation (congruences ignored)."""
     status, _, _ = _Relaxation(system).optimize({}, maximize=True)
@@ -414,33 +372,22 @@ def lp_min(system: LinSystem, var):
     return lp_opt(system, {var: 1}, maximize=False)
 
 
-def _gcd_reject(eqs) -> bool:
-    for coeffs, rhs in eqs:
-        g = 0
-        for c in coeffs.values():
-            g = gcd(g, abs(c))
-        if g == 0:
-            if rhs != 0:
-                return True
-        elif rhs % g != 0:
-            return True
-    return False
-
-
 def ilp_feasible(system: LinSystem, node_budget: int = ILP_NODES):
     """An integer Solution of the full system (congruences included), or None.
 
-    Branch-and-bound over the exact LP relaxation. Deterministic: branches on
+    A system without an integer point even with signs ignored is refuted by
+    the Hermite normal form of its equalities (`lattice.solve`); otherwise
+    branch-and-bound over the exact LP relaxation. Deterministic: branches on
     the lowest-index fractional variable, floor side first. Exceeding the node
     budget raises ResourceExhausted, never a wrong verdict.
     """
     if (stats := STATS.get()) is not None:
         stats["ilp_calls"] += 1
     base = _rewrite_congruences(system)
-    all_rows = list(base.eqs) + [({v: 1}, k) for v, k in base.fixed.items()]
-    if _gcd_reject(all_rows):
-        return None
-    if not _lattice_feasible(all_rows, base.vars):
+    rows = list(base.eqs) + [({v: 1}, k) for v, k in base.fixed.items()]
+    matrix = [[coeffs.get(v, 0) for v in base.vars] for coeffs, _ in rows]
+    solvable, _ = solve(matrix, len(base.vars), [[rhs] for _, rhs in rows], 1)
+    if not solvable[0]:
         return None
     order = {v: i for i, v in enumerate(base.vars)}
     stack = [({}, {})]  # (lower bounds, upper bounds)

@@ -5,10 +5,11 @@ as rooted cycles, and the Rackoff-style bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial
 
 from .automata import reachable
 from .errors import ArgumentError, ResourceExhausted, StructuralError
+from .lattice import hermite
 from .mgts import Dmgts, Mgts, PrecoveringGraph, is_strongly_connected
 from .model import search_run
 from .values import OMEGA, is_omega
@@ -36,31 +37,10 @@ def _potentials(p: PrecoveringGraph):
     return phi, defects
 
 
-def _rank(rows) -> int:
-    """The rank of integer vectors, by fraction-free elimination: each combined
-    row is divided by its content."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    while rows:
-        piv = rows.pop()
-        c = next(i for i, x in enumerate(piv) if x)
-        rank += 1
-        reduced = []
-        for row in rows:
-            if row[c]:
-                row = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
-                g = gcd(*row)
-                if not g:
-                    continue
-                row = [x // g for x in row]
-            reduced.append(row)
-        rows = reduced
-    return rank
-
-
 def cycle_space_dim(p: PrecoveringGraph) -> int:
-    """Dimension of the span of cycle effects."""
-    return _rank(_potentials(p)[1])
+    """Dimension of the span of cycle effects: the rank of the defects, the
+    number of pivots of their Hermite normal form."""
+    return len(hermite(_potentials(p)[1], len(p.vass.counters)).pivots)
 
 
 # -- rank ------------------------------------------------------------------------

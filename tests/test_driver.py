@@ -21,7 +21,14 @@ from vasslab.driver import (
     reach_decide,
 )
 from vasslab.errors import ArgumentError, InvariantViolation
-from vasslab.mgts import PATH_CAP, Dmgts, dmgts_to_json, initial_dmgts, initial_parts
+from vasslab.mgts import (
+    PATH_CAP,
+    Dmgts,
+    dmgts_to_json,
+    fold_to_mgts_list,
+    initial_dmgts,
+    initial_parts,
+)
 from vasslab.model import (
     EPSILON,
     Edge,
@@ -135,13 +142,13 @@ class TestOracles:
 
 class TestReach:
     def test_plus_loop(self):
-        verdict, hit = reach_decide(plus_loop_iv(3))
+        verdict, hit = reach_decide(fold_to_mgts_list(plus_loop_iv(3)))
         assert verdict == "reachable"
 
     def test_unreachable(self):
         v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": 2}, "q")])
         iv = InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": 3}))
-        verdict, _ = reach_decide(iv)
+        verdict, _ = reach_decide(fold_to_mgts_list(iv))
         assert verdict == "unreachable"
 
     def test_agreement_with_bfs(self, rng):
@@ -159,7 +166,7 @@ class TestReach:
                 GenConfig(rng.choice(nodes), {"c": rng.randint(0, 2)}),
             )
             bfs = oracle_bfs(iv, counter_cap=20, length_cap=10)
-            verdict, _ = reach_decide(iv)
+            verdict, _ = reach_decide(fold_to_mgts_list(iv))
             if bfs.status == "reachable":
                 assert verdict == "reachable"
                 agreements += 1
@@ -171,6 +178,19 @@ class TestReach:
     def test_cmd_reach_output(self):
         out = cmd_reach(plus_loop_iv(2))
         assert out["verdict"] == "reachable"
+
+    def test_engines_disagreeing_is_an_invariant_violation(self, monkeypatch):
+        # a BFS word planted on a VASS whose decomposition proves c = 3
+        # unreachable from 0 in steps of 2
+        import vasslab.driver as driver
+
+        v = Vass(["q"], ("x",), ["c"], [Edge("q", "x", {"c": 2}, "q")])
+        iv = InitVass(v, GenConfig("q", {"c": 0}), GenConfig("q", {"c": 3}))
+        assert reach_decide(fold_to_mgts_list(iv))[0] == "unreachable"
+        monkeypatch.setattr(driver, "_bfs_or_inconclusive",
+                            lambda iv, caps: driver.BfsResult("reachable", ("x",)))
+        with pytest.raises(InvariantViolation, match="engines disagree"):
+            cmd_reach(iv)
 
 
 class TestSeparatePipeline:
@@ -190,6 +210,23 @@ class TestSeparatePipeline:
             assert run_word(rep.separator, w)
         for w in dyck_words(1, 10):
             assert not run_word(rep.separator, w)
+
+    def test_intersection_stage_is_one_reach_decide_over_the_parts(self, monkeypatch):
+        import vasslab.driver as driver
+
+        calls = []
+        real = driver.reach_decide
+
+        def spy(mgts_list, caps):
+            calls.append(mgts_list)
+            return real(mgts_list, caps)
+
+        monkeypatch.setattr(driver, "reach_decide", spy)
+        sub = subject_even_a1()
+        assert cmd_separate(sub).verdict == "separable"
+        as_json = lambda mgts_list: [init_vass_to_json(m.combined()[0]) for m in mgts_list]
+        parts = as_json([p.mgts for p in initial_parts(sub)])
+        assert parts and [as_json(c) for c in calls] == [parts]
 
     def test_empty_language_separable(self):
         v = Vass(["p", "q"], dyck_alphabet(1), [], [Edge("p", A1, {}, "q")])
@@ -316,7 +353,8 @@ class TestSeparatePipeline:
         sub = InitVass(v, GenConfig("q", {"k": OMEGA}), GenConfig("q", {"k": 0}))
         member = initial_dmgts(sub)
         assert member.mgts.combined()[0].vass.edges[0].label == A1
-        monkeypatch.setattr(driver, "_reach_mgts", lambda parts, caps: ("reachable", (member, None)))
+        monkeypatch.setattr(driver, "reach_decide",
+                            lambda mgts_list, caps: ("reachable", (member, None)))
         monkeypatch.setattr(driver, "lambert_pump", lambda member, sol, k_cap: Run(
             GenConfig("r", {"x.k": 1, "y.1": 0}), (0,)))
         with pytest.raises(InvariantViolation, match="not a word of the Dyck language"):

@@ -1,5 +1,7 @@
 import gc
 import weakref
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -176,12 +178,21 @@ class TestApprox:
         ((0, 1, -1), [(1, 0, 2), (0, 2, -1), (-1, 1, 1)], 2),
         ((1, 2), [], 3),  # no periods: the base alone
     ]
-    # dependent periods, decided by ILPs over ε-orbits
+    # dependent periods, decided by ILPs over ε-orbits unless they are closed
+    # under negation
     DEPENDENT = [
         ((0, 0), [(1, 1), (2, 2)], 3),
-        ((1,), [(2,), (-2,)], 4),
+        ((1,), [(2,), (-2,)], 4),  # closed under negation
         ((1, 0), [(0, 0), (1, 2)], 3),
         ((0, 0), [(1, 0), (0, 1), (1, 1)], 2),
+        ((1,), [(2,), (-2,), (3,)], 4),  # closed under negation but for 3
+    ]
+    # periods closed under negation: a lattice, decided by one integer solve
+    NEGATION_CLOSED = [
+        ((1, 2), [(3, 0), (-3, 0), (0, 3), (0, -3)], 3),  # family_mod's ±μe_i
+        ((0, 0), [(1, 0), (-1, 0), (0, 1), (0, -1)], 2),  # family_cov's second factor
+        ((1, 0), [(2, 2), (-2, -2), (1, 3), (-1, -3)], 3),  # index 4 in Z²
+        ((1, -1), [(0, 0)], 2),  # the zero period alone
     ]
 
     def _finals_and_ilp_points(self, lin, k, monkeypatch):
@@ -198,29 +209,39 @@ class TestApprox:
         monkeypatch.undo()
         return auto, asked
 
-    @pytest.mark.parametrize("base, periods, k", INDEPENDENT + DEPENDENT)
+    @pytest.mark.parametrize("base, periods, k", INDEPENDENT + DEPENDENT + NEGATION_CLOSED)
     def test_final_states_agree_with_lin_member(self, monkeypatch, base, periods, k):
         lin = LinearSet(base, periods)
         auto, asked = self._finals_and_ilp_points(lin, k, monkeypatch)
         members = {v for v in auto.states if lin_member(lin, v)}
         assert auto.final == members and members
-        # the integer solve asks no ILP; only dependent periods take the orbits
-        assert bool(asked) == ((base, periods, k) in self.DEPENDENT)
+        # the integer solve asks no ILP; only other dependent periods take the orbits
+        closed = set(periods) == {tuple(-x for x in p) for p in periods}
+        assert bool(asked) == ((base, periods, k) in self.DEPENDENT and not closed)
+        if (base, periods, k) in self.INDEPENDENT:
+            assert auto.final == period_solve_members(lin, k)
 
     def test_integer_solve_agrees_with_lin_member_on_random_sets(self, monkeypatch):
         rng = make_rng(43)
-        points = solved = 0
-        for _ in range(120):
+        points = {"independent": 0, "closed": 0}
+        for t in range(240):
             n = rng.randint(1, 3)
-            lin = LinearSet(tuple(rng.randint(-3, 3) for _ in range(n)),
-                            [tuple(rng.randint(-3, 3) for _ in range(n))
-                             for _ in range(rng.randint(0, n))])
-            auto, asked = self._finals_and_ilp_points(lin, 2 if n == 3 else 4, monkeypatch)
+            periods = [tuple(rng.randint(-3, 3) for _ in range(n))
+                       for _ in range(rng.randint(0, n))]
+            closed = t % 2 == 1
+            if closed:
+                periods += [tuple(-x for x in p) for p in periods]
+            lin = LinearSet(tuple(rng.randint(-3, 3) for _ in range(n)), periods)
+            k = 2 if n == 3 else 4
+            auto, asked = self._finals_and_ilp_points(lin, k, monkeypatch)
             assert auto.final == {v for v in auto.states if lin_member(lin, v)}
-            if not asked:
-                solved += 1
-                points += len(auto.states)
-        assert solved > 80 and points > 5000
+            independent = _period_solve(lin.periods, n) is not None
+            if independent:
+                assert auto.final == period_solve_members(lin, k)
+            if independent or closed:
+                assert not asked
+                points["closed" if closed else "independent"] += len(auto.states)
+        assert points["independent"] > 5000 and points["closed"] > 5000
 
     def test_automaton_memoized_on_its_linear_set(self):
         lin = LinearSet((0,), ((2,), (-2,)))
@@ -552,3 +573,63 @@ def test_fold_nfa_preserves_bounded_language():
         got |= strip_words(side_language_bounded(
             dm, "x", 6, "nat", LanguageCaps(max_run_len=10, value_cap=24)).words)
     assert got == want
+
+
+# -- the independent-period solve as it was before `lattice` ------------------------
+# semilinear.py's Gauss–Jordan elimination of the period matrix and its use in
+# R(Λ, k)'s final states, verbatim. They stay here for one round as the
+# differential oracle of the Hermite normal form solve (ROADMAP aim 3); delete
+# them in the next change to `lattice`.
+
+def period_solve_members(lin, k) -> set:
+    """The final states of R(lin, k) for linearly independent periods, from
+    _period_solve."""
+    states = list(product(range(-k, k + 1), repeat=lin.dim))
+    zero_rows, pivots = _period_solve(lin.periods, lin.dim)
+    keep = range(len(states))
+    for row in zero_rows:
+        at = _row_values(row, lin.base, k)
+        keep = [j for j in keep if at[j] == 0]
+    for dc, row in pivots:
+        at = _row_values(row, lin.base, k)
+        keep = [j for j in keep if at[j] >= 0 and at[j] % dc == 0]
+    return {states[j] for j in keep}
+
+
+def _period_solve(periods, n: int):
+    """(zero rows Z, [(D_c, T_c) for each period c]) with, for every w in Z^n,
+    w = Σ λ_c p_c for rational λ iff Z·w = 0, and then D_c·λ_c = T_c·w with
+    D_c > 0; None when the periods are linearly dependent, where λ is not
+    unique. A fraction-free Gauss–Jordan elimination on [P | I], P with the
+    periods as columns: each combined row is divided by its content, and the
+    identity part records the row operations."""
+    m = len(periods)
+    rows = [[p[i] for p in periods] + [int(i == j) for j in range(n)] for i in range(n)]
+    free = list(range(n))  # the rows that are no period's pivot row yet
+    pivot_rows = []
+    for c in range(m):
+        r = next((r for r in free if rows[r][c]), None)
+        if r is None:
+            return None  # period c is a rational combination of the earlier ones
+        free.remove(r)
+        pivot_rows.append(r)
+        piv = rows[r]
+        for j, row in enumerate(rows):
+            if j != r and row[c]:
+                combined = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+                g = gcd(*combined)
+                rows[j] = [x // g for x in combined]
+    pivots = []
+    for c, r in enumerate(pivot_rows):
+        sign = 1 if rows[r][c] > 0 else -1
+        pivots.append((sign * rows[r][c], [sign * x for x in rows[r][m:]]))
+    return [rows[r][m:] for r in free], pivots
+
+
+def _row_values(row, base, k: int) -> list:
+    """row · (v − base) for every point v of [-k, k]^n, in the order of the
+    states of R(Λ, k)."""
+    at = [0]
+    for r, b in zip(row, base):
+        at = [a + r * (x - b) for a in at for x in range(-k, k + 1)]
+    return at

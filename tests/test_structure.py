@@ -1,9 +1,10 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from vasslab.errors import ArgumentError, StructuralError
+from vasslab.lattice import hermite
 from vasslab.mgts import Mgts, PrecoveringGraph, Update, is_strongly_connected
 from vasslab.model import (
     Edge,
@@ -16,6 +17,7 @@ from vasslab.model import (
     inc_letter,
 )
 from vasslab.structure import (
+    _potentials,
     covering_sequences,
     cycle_space_dim,
     down_covering,
@@ -337,6 +339,7 @@ def reference_effects(p: PrecoveringGraph) -> list:
 def check_against_reference(p: PrecoveringGraph):
     effects = reference_effects(p)
     assert cycle_space_dim(p) == (len(_rref(effects)[1]) if effects else 0)
+    assert cycle_space_dim(p) == _rank(_potentials(p)[1])
     fixed = frozenset(c for i, c in enumerate(p.vass.counters)
                       if all(eff[i] == 0 for eff in effects))
     assert fixed_counters(p) == fixed
@@ -370,3 +373,38 @@ def test_cycle_space_matches_kirchhoff_reference_on_curated_suite_and_members():
                 check_against_reference(p.reverse())
                 graphs += 1
     assert graphs == 38
+
+
+# -- the rank as it was before `lattice` -------------------------------------------
+# structure.py's fraction-free row elimination, verbatim. It stays here for one
+# round as the differential oracle of the Hermite normal form rank (ROADMAP
+# aim 3); delete it in the next change to `lattice`.
+
+def _rank(rows) -> int:
+    """The rank of integer vectors, by fraction-free elimination: each combined
+    row is divided by its content."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        c = next(i for i, x in enumerate(piv) if x)
+        rank += 1
+        reduced = []
+        for row in rows:
+            if row[c]:
+                row = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            reduced.append(row)
+        rows = reduced
+    return rank
+
+
+def test_hermite_rank_matches_row_elimination_and_rref(rng):
+    for _ in range(500):
+        m, n = rng.randint(0, 5), rng.randint(1, 4)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(m)]
+        r = len(hermite(rows, n).pivots)
+        assert r == _rank(rows) == (len(_rref(rows)[1]) if rows else 0)
