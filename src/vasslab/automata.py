@@ -19,11 +19,13 @@ class Nfa:
     """Immutable NFA; states are arbitrary hashable ids (tuples self-describe
     product states in DOT output).
 
-    `eps_closure` and `step` are memoized on the instance, keyed by the
-    frozenset of states (and the letter), so a subset reached again is never
-    recomputed; the memo lives and dies with the automaton. Every closure is
-    also stored under itself, so equal ε-closed subsets are one object and a
-    step from one finds its memo key by identity."""
+    `eps_closure` and `step` are memoized on the instance, so a subset
+    reached again is never recomputed; both memos live and die with the
+    automaton. The closure memo maps a frozenset of states to its ε-closure;
+    every closure is also stored under itself, so equal ε-closed subsets are
+    one object. The step memo `_rows` maps a frozenset of states to its row
+    {letter: ε-closed successor}, so `run_word` reads a step it has made
+    before with two dict lookups."""
 
     def __init__(self, states, transitions, initial, final, alphabet=None):
         self.states = frozenset(states)
@@ -41,15 +43,18 @@ class Nfa:
         self.alphabet = frozenset(alphabet) if alphabet is not None else frozenset(letters)
         if not letters <= self.alphabet:
             raise StructuralError("transition labels outside the declared alphabet")
+        # (state, letter) -> successors and state -> ε-successors, as lists:
+        # `transitions` is a set, so no successor repeats
         self._step = {}
         self._eps = {}
         for p, a, q in self.transitions:
             if a is None:
-                self._eps.setdefault(p, set()).add(q)
+                self._eps.setdefault(p, []).append(q)
             else:
-                self._step.setdefault((p, a), set()).add(q)
+                self._step.setdefault((p, a), []).append(q)
         self._closure_memo = {}  # frozenset(states) -> its ε-closure
-        self._step_memo = {}  # (frozenset(states), letter) -> ε-closed successors
+        self._rows = {}  # frozenset(states) -> {letter: ε-closed successors}
+        self._start = None  # the ε-closure of `initial`, once `run_word` asks
 
     def eps_closure(self, states) -> frozenset:
         states = frozenset(states)
@@ -71,12 +76,15 @@ class Nfa:
 
     def step(self, states, letter) -> frozenset:
         states = frozenset(states)
-        closed = self._step_memo.get((states, letter))
+        row = self._rows.get(states)
+        if row is None:
+            row = self._rows[states] = {}
+        closed = row.get(letter)
         if closed is None:
             nxt = set()
             for p in states:
                 nxt.update(self._step.get((p, letter), ()))
-            closed = self._step_memo[states, letter] = self.eps_closure(nxt)
+            closed = row[letter] = self.eps_closure(nxt)
         return closed
 
     def is_deterministic(self) -> bool:
@@ -89,9 +97,17 @@ class Nfa:
 
 
 def run_word(nfa: Nfa, word) -> bool:
-    cur = nfa.eps_closure(nfa.initial)
+    """Whether `nfa` accepts `word`: the ε-closed subsets along the word, each
+    step read from the automaton's rows and made by `Nfa.step` only the first
+    time."""
+    rows, cur = nfa._rows, nfa._start
+    if cur is None:
+        cur = nfa._start = nfa.eps_closure(nfa.initial)
     for a in word:
-        cur = nfa.step(cur, a)
+        try:
+            cur = rows[cur][a]
+        except KeyError:
+            cur = nfa.step(cur, a)
         if not cur:
             return False
     return not cur.isdisjoint(nfa.final)

@@ -19,6 +19,7 @@ from .mgts import (
     canonical_key,
     perfectness_diagnosis,
     sccs,
+    side_gates,
     substitute,
     unfold_paths,
     validate_precovering,
@@ -459,7 +460,9 @@ def decompose(dmgts: Dmgts, caps: PipelineCaps = PipelineCaps()) -> DecomposeRes
         if ilp_feasible(build_char(cur, "x").system, node_budget=caps.ilp_nodes) is None:
             trace.append({"case": "drop-x-infeasible", "rank_before": list(cur_rank)})
             continue
-        if ilp_feasible(build_char(cur, "y").system, node_budget=caps.ilp_nodes) is None:
+        # a side without gates is solved by x = 0 (see perfectness_diagnosis)
+        if side_gates(cur, "y") and ilp_feasible(build_char(cur, "y").system,
+                                                 node_budget=caps.ilp_nodes) is None:
             decided.append(DecidedMember(cur, "y-infeasible"))
             trace.append({"case": "decide-y-infeasible", "rank_before": list(cur_rank)})
             continue

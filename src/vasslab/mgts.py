@@ -733,19 +733,29 @@ class PerfectnessDiagnosis:
 def perfectness_diagnosis(dmgts: Dmgts):
     """None if perfect, else the first failing condition (deterministic order:
     case i < ii < iii; graphs in order; side x before y; counters sorted;
-    in before out)."""
+    in before out).
+
+    A side whose `side_gates` map is empty (the Y side of a DMGTS without Y
+    counters) is vacuous and skipped, so its support takes no LPs. Its
+    system has no fixed io variable and no congruence. A precovering graph
+    is strongly connected, so a sum of cycles through every edge is a
+    circulation positive on every edge, and the free io variables absorb
+    every effect: entry values large enough keep them all positive. So the
+    support is every variable, neither case i nor case ii holds on that
+    side, and x = 0 on the edges with such entries solves its system."""
     from .chareq import build_char, support
 
-    sup = {side: support(build_char(dmgts, side)) for side in ("x", "y")}
+    sides = [side for side in ("x", "y") if side_gates(dmgts, side)]
+    sup = {side: support(build_char(dmgts, side)) for side in sides}
     for gi, g in enumerate(dmgts.graphs):
-        for side in ("x", "y"):
+        for side in sides:
             for c in sorted(dmgts.side_counters(side)):
                 for io in ("in", "out"):
                     marking = g.in_marking if io == "in" else g.out_marking
                     if is_omega(marking[c]) and ("io", gi, io, c) not in sup[side]:
                         return PerfectnessDiagnosis("i", gi, side, c, io)
     for gi, g in enumerate(dmgts.graphs):
-        for side in ("x", "y"):
+        for side in sides:
             for ei in range(len(g.vass.edges)):
                 if ("edge", gi, ei) not in sup[side]:
                     return PerfectnessDiagnosis("ii", gi, side)

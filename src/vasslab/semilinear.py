@@ -124,25 +124,31 @@ def _approx_parts(lin: LinearSet, k: int, annotated: bool):
 
 
 def _box_members(lin: LinearSet, states, transitions) -> set:
-    """The states of R(lin, k) that lie in lin: v − base = P·λ for an integer
-    λ >= 0, P with the periods as columns. One `lattice.solve` of P·λ = v −
-    base over the whole box answers every point when the periods are closed
-    under negation, where the monoid they generate is a group and v is a
-    member iff some integer λ exists, and when they are linearly independent
-    (the rank of P's Hermite normal form), where λ is unique and v is a member
-    iff it is >= 0. Otherwise one ILP per point that no decided point
-    settles: an ε-move v → v − p keeps the box, so v ∈ lin puts every point
-    that reaches v by ε-moves in lin, and v ∉ lin puts every point that v
-    reaches by ε-moves out of it."""
-    matrix, m = [[p[i] for p in lin.periods] for i in range(lin.dim)], len(lin.periods)
-    closed = set(lin.periods) == {tuple(-x for x in p) for p in lin.periods}
-    independent = not closed and len(hermite(matrix, m).pivots) == m
-    if independent or closed:
+    """The states of R(lin, k) that lie in lin: v − base = Σ λ_p p for an
+    integer λ >= 0.
+
+    The box is decided on the canonical period set: zero periods dropped,
+    and each ± pair {p, −p} one column whose coefficient may take either
+    sign; the other periods are sign-restricted columns. One `lattice.solve`
+    of C·λ = v − base over the whole box answers every point when all
+    periods are paired, where the monoid they generate is a group and v is a
+    member iff some integer λ exists, and when the columns of C are linearly
+    independent (the rank of C's Hermite normal form), where λ is unique and
+    v is a member iff λ >= 0 on the sign-restricted columns. Otherwise one
+    ILP per point that no decided point settles: an ε-move v → v − p keeps
+    the box, so v ∈ lin puts every point that reaches v by ε-moves in lin,
+    and v ∉ lin puts every point that v reaches by ε-moves out of it."""
+    nonzero = [p for p in lin.periods if any(p)]
+    negated = {tuple(-x for x in p) for p in nonzero}
+    paired = [p for p in nonzero if p in negated and p > (0,) * lin.dim]
+    signed = [p for p in nonzero if p not in negated]
+    columns = paired + signed
+    matrix, m = [[p[i] for p in columns] for i in range(lin.dim)], len(columns)
+    if not signed or len(hermite(matrix, m).pivots) == m:
         ys = [[v[i] - b for v in states] for i, b in enumerate(lin.base)]
         inside, lams = solve(matrix, m, ys, len(states))
-        if independent:
-            for row in lams:
-                inside = [ok and a >= 0 for ok, a in zip(inside, row)]
+        for row in lams[len(paired):]:
+            inside = [ok and a >= 0 for ok, a in zip(inside, row)]
         return {v for v, ok in zip(states, inside) if ok}
     down, up = {}, {}
     for p, a, q in transitions:

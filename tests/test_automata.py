@@ -129,6 +129,24 @@ def test_equal_closed_subsets_are_one_object(nfa):
         assert first.setdefault(c, c) is c
 
 
+@settings(max_examples=200)
+@given(nfas(), st.lists(st.sampled_from(("a", "b", "c")), max_size=6))
+def test_run_word_leaves_its_steps_in_the_row_memo(nfa, word):
+    accepted = run_word(nfa, word)
+    assert accepted == accepts_by_search(nfa, tuple(word))
+    closures = []
+    closure = nfa.eps_closure
+    nfa.eps_closure = lambda states: closures.append(states) or closure(states)
+    # a step from every subset the run visited, and the run again: no closure
+    cur = closure(nfa.initial)
+    for a in word:
+        cur = nfa.step(cur, a)
+        if not cur:
+            break
+    assert run_word(nfa, word) == accepted
+    assert closures == []
+
+
 def test_memoized_stepping_ignores_later_mutation():
     n = Nfa({0, 1, 2}, {(0, "a", 1), (1, None, 2), (2, "a", 0)}, {0}, {2}, ("a",))
     states = {0}

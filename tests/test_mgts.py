@@ -3,9 +3,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import vasslab.mgts as mgts_module
+from vasslab.chareq import build_char, support
 from vasslab.errors import ArgumentError, ResourceExhausted, StructuralError
 from vasslab.mgts import (
     Dmgts,
@@ -42,6 +43,7 @@ from vasslab.model import (
     inc_letter,
     language_bounded,
 )
+from vasslab.solver import ilp_feasible
 from vasslab.values import OMEGA
 
 import audits
@@ -222,6 +224,21 @@ class TestInitialDmgts:
         assert all(v is OMEGA for g in part.graphs[:-1] for v in g.out_marking.values())
 
 
+@st.composite
+def _small_vass(draw):
+    """An initialized VASS with 1-3 nodes, 1-2 counters and 1-5 edges, updates
+    in [-2, 2] and finite extremal valuations in [0, 2]."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 3)))]
+    counters = ["c", "d"][:draw(st.integers(1, 2))]
+    node = st.sampled_from(nodes)
+    update = st.fixed_dictionaries({c: st.integers(-2, 2) for c in counters})
+    valuation = st.fixed_dictionaries({c: st.integers(0, 2) for c in counters})
+    edges = draw(st.lists(st.builds(Edge, node, st.sampled_from(["a", "b"]), update, node),
+                          min_size=1, max_size=5))
+    return InitVass(Vass(nodes, ("a", "b"), counters, edges),
+                    GenConfig(draw(node), draw(valuation)), GenConfig(draw(node), draw(valuation)))
+
+
 class TestPerfectness:
     def test_initial_dyck_copy_perfect(self):
         assert perfectness_diagnosis(initial_dmgts(dyck_vas(1))) is None
@@ -255,6 +272,17 @@ class TestPerfectness:
     def test_unfaithful_flag_blocks(self):
         dm = Dmgts(dyck_copy_dmgts().mgts, 1, (), ("y1",), faithful=False)
         assert perfectness_diagnosis(dm).case == "faithful-flag"
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_vass())
+    def test_a_side_without_gates_is_vacuous(self, iv):
+        # the Y side of a Y-free wrapper, which perfectness_diagnosis and
+        # decompose skip: every variable is in its support and its ILP is feasible
+        for mgts in fold_to_mgts_list(iv):
+            dm = Dmgts(mgts, 1, mgts.counters, (), faithful=True)
+            cs = build_char(dm, "y")
+            assert support(cs) == frozenset(cs.system.vars)
+            assert ilp_feasible(cs.system) is not None
 
 
 class TestFaithfulness:

@@ -163,6 +163,10 @@ class TestApprox:
         periods = data.draw(st.lists(vec, max_size=3))
         if len(periods) >= 2 and data.draw(st.booleans()):
             periods[-1] = tuple(-x for x in periods[0])  # a ± pair
+        if data.draw(st.booleans()):
+            periods.append((0,) * n)
+        if periods and data.draw(st.booleans()):
+            periods.append(data.draw(st.sampled_from(periods)))  # a duplicate
         lin = LinearSet(data.draw(vec), periods)
         auto = approx_automaton(lin, data.draw(st.integers(0, 3)),
                                 annotated=data.draw(st.booleans()))
@@ -178,8 +182,8 @@ class TestApprox:
         ((0, 1, -1), [(1, 0, 2), (0, 2, -1), (-1, 1, 1)], 2),
         ((1, 2), [], 3),  # no periods: the base alone
     ]
-    # dependent periods, decided by ILPs over ε-orbits unless they are closed
-    # under negation
+    # dependent periods, decided by ILPs over ε-orbits unless their canonical
+    # set (see CANONICAL) is all ± pairs or independent
     DEPENDENT = [
         ((0, 0), [(1, 1), (2, 2)], 3),
         ((1,), [(2,), (-2,)], 4),  # closed under negation
@@ -193,6 +197,19 @@ class TestApprox:
         ((0, 0), [(1, 0), (-1, 0), (0, 1), (0, -1)], 2),  # family_cov's second factor
         ((1, 0), [(2, 2), (-2, -2), (1, 3), (-1, -3)], 3),  # index 4 in Z²
         ((1, -1), [(0, 0)], 2),  # the zero period alone
+    ]
+    # reduced to the canonical period set first: zero periods dropped,
+    # duplicates merged, a ± pair one column of either sign
+    CANONICAL = [
+        ((0, 1), [(-1, 2), (0, 1), (1, -2)], 3),  # a ± pair and an independent period
+        ((0, -1), [(1, -2), (-1, 2), (0, 1)], 2),  # (1, −1) and (−1, 1): both signs
+        ((1, 1), [(0, 0), (1, 0), (-1, 0)], 2),  # a zero period next to a ± pair
+        ((0, 0), [(0, 0), (0, 1), (0, -1), (1, 1)], 2),  # ... and an independent one
+        ((0, 0), [(0, 0), (0, 1)], 3),  # dependent only through the zero period
+        ((1, 0), [(1, 2), (1, 2), (0, 1)], 2),  # a duplicated period
+        ((1,), [(2,), (-2,), (-2,)], 3),  # a duplicated half of a ± pair
+        ((0, 0), [(0, 0), (1, 0), (-1, 0), (0, 1), (1, 1)], 2),  # still dependent
+        ((10,), [(-1,), (2,)], 12),  # a group, but not closed under negation
     ]
 
     def _finals_and_ilp_points(self, lin, k, monkeypatch):
@@ -209,15 +226,15 @@ class TestApprox:
         monkeypatch.undo()
         return auto, asked
 
-    @pytest.mark.parametrize("base, periods, k", INDEPENDENT + DEPENDENT + NEGATION_CLOSED)
+    @pytest.mark.parametrize("base, periods, k",
+                             INDEPENDENT + DEPENDENT + NEGATION_CLOSED + CANONICAL)
     def test_final_states_agree_with_lin_member(self, monkeypatch, base, periods, k):
         lin = LinearSet(base, periods)
         auto, asked = self._finals_and_ilp_points(lin, k, monkeypatch)
         members = {v for v in auto.states if lin_member(lin, v)}
         assert auto.final == members and members
         # the integer solve asks no ILP; only other dependent periods take the orbits
-        closed = set(periods) == {tuple(-x for x in p) for p in periods}
-        assert bool(asked) == ((base, periods, k) in self.DEPENDENT and not closed)
+        assert bool(asked) == asks_ilps(periods, len(base))
         if (base, periods, k) in self.INDEPENDENT:
             assert auto.final == period_solve_members(lin, k)
 
@@ -573,6 +590,16 @@ def test_fold_nfa_preserves_bounded_language():
         got |= strip_words(side_language_bounded(
             dm, "x", 6, "nat", LanguageCaps(max_run_len=10, value_cap=24)).words)
     assert got == want
+
+
+def asks_ilps(periods, n: int) -> bool:
+    """Whether R(Λ, k)'s box takes ILPs for these periods: some non-zero
+    period lacks its negation, and the non-zero periods, taking each ± pair
+    once, are linearly dependent."""
+    nonzero = {tuple(p) for p in periods if any(p)}
+    signed = {p for p in nonzero if tuple(-x for x in p) not in nonzero}
+    columns = signed | {max(p, tuple(-x for x in p)) for p in nonzero - signed}
+    return bool(signed) and _period_solve(sorted(columns), n) is None
 
 
 # -- the independent-period solve as it was before `lattice` ------------------------
