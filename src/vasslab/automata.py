@@ -19,6 +19,13 @@ class Nfa:
     """Immutable NFA; states are arbitrary hashable ids (tuples self-describe
     product states in DOT output).
 
+    Every reader of the moves asks `successors(states, label)`: `step`,
+    `eps_closure`, `product`, `is_deterministic` and `is_total`. An NFA built
+    from its transitions answers it from the tables `__init__` builds; a
+    subclass that keeps its moves in another form (R(Λ, k) of `semilinear`)
+    overrides `successors` and the attributes it makes on demand, never the
+    stepping below, which is the only stepping code.
+
     `eps_closure` and `step` are memoized on the instance, so a subset
     reached again is never recomputed; both memos live and die with the
     automaton. The closure memo maps a frozenset of states to its ε-closure;
@@ -52,22 +59,34 @@ class Nfa:
                 self._eps.setdefault(p, []).append(q)
             else:
                 self._step.setdefault((p, a), []).append(q)
+        self._start_memos()
+
+    def _start_memos(self):
         self._closure_memo = {}  # frozenset(states) -> its ε-closure
         self._rows = {}  # frozenset(states) -> {letter: ε-closed successors}
         self._start = None  # the ε-closure of `initial`, once `run_word` asks
+
+    def successors(self, states, label) -> set:
+        """The states one `label` move (None: an ε move) leads to from some
+        state of `states`; a fresh set."""
+        out = set()
+        if label is None:
+            for p in states:
+                out.update(self._eps.get(p, ()))
+        else:
+            for p in states:
+                out.update(self._step.get((p, label), ()))
+        return out
 
     def eps_closure(self, states) -> frozenset:
         states = frozenset(states)
         closed = self._closure_memo.get(states)
         if closed is None:
             out = set(states)
-            stack = list(states)
-            while stack:
-                p = stack.pop()
-                for q in self._eps.get(p, ()):
-                    if q not in out:
-                        out.add(q)
-                        stack.append(q)
+            new = out
+            while new:
+                new = self.successors(new, None) - out
+                out |= new
             out = frozenset(out)
             # the closure of a closed set is that set; keep the first object
             closed = self._closure_memo.setdefault(out, out)
@@ -81,19 +100,17 @@ class Nfa:
             row = self._rows[states] = {}
         closed = row.get(letter)
         if closed is None:
-            nxt = set()
-            for p in states:
-                nxt.update(self._step.get((p, letter), ()))
-            closed = row[letter] = self.eps_closure(nxt)
+            closed = row[letter] = self.eps_closure(self.successors(states, letter))
         return closed
 
     def is_deterministic(self) -> bool:
-        if self._eps:
-            return False
-        return all(len(v) == 1 for v in self._step.values()) and len(self.initial) <= 1
+        return len(self.initial) <= 1 and all(
+            not self.successors((p,), None)
+            and all(len(self.successors((p,), a)) <= 1 for a in self.alphabet)
+            for p in self.states)
 
     def is_total(self) -> bool:
-        return all((p, a) in self._step for p in self.states for a in self.alphabet)
+        return all(self.successors((p,), a) for p in self.states for a in self.alphabet)
 
 
 def run_word(nfa: Nfa, word) -> bool:
@@ -210,26 +227,44 @@ def empty_nfa(alphabet) -> Nfa:
 
 
 def product(n1: Nfa, n2: Nfa) -> Nfa:
-    """L(product) = L(n1) ∩ L(n2); ε moves interleave freely."""
+    """L(product) = L(n1) ∩ L(n2); ε moves interleave freely. Each factor is
+    asked for a state's successors once per state and label, not once per
+    product state."""
     if n1.alphabet != n2.alphabet:
         raise StructuralError("product needs a shared alphabet")
     alphabet = n1.alphabet
+    row1, row2 = _moves_by_label(n1), _moves_by_label(n2)
 
     def moves(state):
         p, q = state
+        r1, r2 = row1(p), row2(q)
         for a in alphabet:
-            for p2 in n1._step.get((p, a), ()):
-                for q2 in n2._step.get((q, a), ()):
+            for p2 in r1[a]:
+                for q2 in r2[a]:
                     yield a, (p2, q2)
-        for p2 in n1._eps.get(p, ()):
+        for p2 in r1[None]:
             yield None, (p2, q)
-        for q2 in n2._eps.get(q, ()):
+        for q2 in r2[None]:
             yield None, (p, q2)
 
     initial = {(p, q) for p in n1.initial for q in n2.initial}
     states, transitions = reachable(initial, moves)
     final = {(p, q) for (p, q) in states if p in n1.final and q in n2.final}
     return Nfa(states, transitions, initial, final, alphabet)
+
+
+def _moves_by_label(nfa: Nfa):
+    """state -> {label: its successors} over the alphabet and ε, made by
+    `nfa.successors` once per state."""
+    labels, rows = [*nfa.alphabet, None], {}
+
+    def row(state):
+        r = rows.get(state)
+        if r is None:
+            r = rows[state] = {a: nfa.successors((state,), a) for a in labels}
+        return r
+
+    return row
 
 
 def union(nfas, alphabet=None) -> Nfa:

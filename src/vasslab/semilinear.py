@@ -5,6 +5,7 @@ counterexample family that needs unbounded concatenation length."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -82,50 +83,123 @@ def approx_automaton(lin: LinearSet, k: int, annotated=False) -> Nfa:
     states are the box members of the linear set (see _box_members). Dyck
     letters reach every point of the box from 0, so the states of R(lin, k)
     are the (2k+1)^n points of the box; more than APPROX_STATE_CAP raise
-    ResourceExhausted before any point is enumerated."""
-    if (k, annotated) not in lin._approx:
-        lin._approx[k, annotated] = Nfa(*_approx_parts(lin, k, annotated))
-    return lin._approx[k, annotated]
+    ResourceExhausted before any point is enumerated. An `ApproxNfa`,
+    stepped from its move tables; memoized on `lin`, which it does not
+    reference, so it is freed with `lin`."""
+    nfa = lin._approx.get((k, annotated))
+    if nfa is None:
+        nfa = lin._approx[k, annotated] = ApproxNfa((lin,), k, annotated)
+    return nfa
 
 
-def _approx_parts(lin: LinearSet, k: int, annotated: bool):
-    """The states, transitions, initial states, final states and alphabet of
-    R(lin, k), built afresh. The states are the box in lexicographic order;
-    the points v that a move δ keeps in the box form a sub-box, and v + δ sits
-    a fixed number of places after v in that order, so each move's transitions
-    come from index arithmetic, sharing one tuple per point."""
-    if k < 0:
-        raise ArgumentError("k must be >= 0")
-    n = lin.dim
-    side = 2 * k + 1
-    # side^n >= 2^(n * (bit length of side - 1)): a count of 64 bits or more is
-    # bounded below by 2^64, not built
-    size = side ** n if n * (side.bit_length() - 1) < 64 else 2 ** 64
-    if size > APPROX_STATE_CAP:
-        raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {_count(size)} states, above "
-                                f"the cap {APPROX_STATE_CAP}")
-    shifts = _letter_shifts(n, range(1, n + 1), annotated)
-    shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
-    states = list(product(range(-k, k + 1), repeat=n))
-    strides = [side ** (n - 1 - i) for i in range(n)]
-    transitions = []
-    for lab, delta in shifts:
-        # the indices of the points v with -k <= v_i, v_i + δ_i <= k
-        idx = [0]
-        for d, s in zip(delta, strides):
-            lo, hi = max(0, -d), min(side, side - d)
-            idx = [j + x for j in idx for x in range(lo * s, hi * s, s)]
-        off = sum(d * s for d, s in zip(delta, strides))
-        transitions.extend([(states[j], lab, states[j + off]) for j in idx])
-    start = (0,) * n
-    alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
-    return (states, transitions, {start}, _box_members(lin, states, transitions),
-            alphabet)
+class ApproxNfa(Nfa):
+    """R(Λ_1, k)⋯R(Λ_ℓ, k) for a chain of linear sets of one dimension n,
+    stepped from per-move tables over the box [-k, k]^n.
+
+    The box is enumerated in lexicographic order; the points v that a move δ
+    keeps in the box form a sub-box, and v + δ sits a fixed number of places
+    after v in that order, so each move's table comes from index arithmetic.
+    A letter's table maps a point to the point it moves to, and letters of
+    one effect, such as (a1, False) and (a1, True), share it; every factor
+    reads the same letter tables. Factor i has its own ε table, mapping v to
+    [v − p for each period p that keeps the box], and its final points, the
+    box members of Λ_i (see _box_members).
+
+    A state is a box point when ℓ = 1, else (i, point), tagged only when a
+    step reaches it; a final point of factor i < ℓ − 1 also moves by ε to
+    (i + 1, 0). `states` and `transitions` are made when first read, with
+    those names. The automaton keeps no linear set."""
+
+    def __init__(self, chain, k: int, annotated: bool):
+        if k < 0:
+            raise ArgumentError("k must be >= 0")
+        n = chain[0].dim
+        if any(lin.dim != n for lin in chain):
+            raise ArgumentError("chain dimension mismatch")
+        side = 2 * k + 1
+        # side^n >= 2^(n * (bit length of side - 1)): a count of 64 bits or
+        # more is bounded below by 2^64, not built
+        size = side ** n if n * (side.bit_length() - 1) < 64 else 2 ** 64
+        if size > APPROX_STATE_CAP:
+            raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {_count(size)} states, "
+                                    f"above the cap {APPROX_STATE_CAP}")
+        box = list(product(range(-k, k + 1), repeat=n))
+        strides = [side ** (n - 1 - i) for i in range(n)]
+
+        def shifted(delta):
+            """(v, v + δ) for every box point v that δ keeps in the box."""
+            idx = [0]
+            for d, s in zip(delta, strides):
+                lo, hi = max(0, -d), min(side, side - d)
+                idx = [j + x for j in idx for x in range(lo * s, hi * s, s)]
+            off = sum(d * s for d, s in zip(delta, strides))
+            return [(box[j], box[j + off]) for j in idx]
+
+        by_effect = {}
+        self._letters = {}  # label -> {point: point}
+        for lab, delta in _letter_shifts(n, range(1, n + 1), annotated):
+            if delta not in by_effect:
+                by_effect[delta] = dict(shifted(delta))
+            self._letters[lab] = by_effect[delta]
+        self._factors = []  # (ε table, final points) of each factor
+        for lin in chain:
+            eps = {}
+            for p in lin.periods:
+                for v, w in shifted(tuple(-y for y in p)):
+                    eps.setdefault(v, []).append(w)
+            self._factors.append((eps, _box_members(lin, box, eps)))
+        self._box = box
+        self._origin = (0,) * n
+        self.alphabet = frozenset(annotated_alphabet(n) if annotated else dyck_alphabet(n))
+        last = len(chain) - 1
+        self.initial = frozenset([self._name(0, self._origin)])
+        self.final = frozenset(self._name(last, v) for v in self._factors[last][1])
+        self._start_memos()
+
+    def successors(self, states, label) -> set:
+        single = len(self._factors) == 1
+        if label is not None:
+            table = self._letters.get(label, ())
+            if single:
+                return {table[v] for v in states if v in table}
+            return {(i, table[v]) for i, v in states if v in table}
+        out = set()
+        if single:
+            eps = self._factors[0][0]
+            for v in states:
+                out.update(eps.get(v, ()))
+            return out
+        last = len(self._factors) - 1
+        for i, v in states:
+            eps, exits = self._factors[i]
+            out.update([(i, w) for w in eps.get(v, ())])
+            if i < last and v in exits:
+                out.add((i + 1, self._origin))
+        return out
+
+    def _name(self, i: int, v):
+        return v if len(self._factors) == 1 else (i, v)
+
+    @cached_property
+    def states(self):
+        return frozenset(self._name(i, v) for i in range(len(self._factors)) for v in self._box)
+
+    @cached_property
+    def transitions(self):
+        name, last, out = self._name, len(self._factors) - 1, set()
+        for i, (eps, final) in enumerate(self._factors):
+            out.update((name(i, v), a, name(i, w))
+                       for a, table in self._letters.items() for v, w in table.items())
+            out.update((name(i, v), None, name(i, w)) for v, ws in eps.items() for w in ws)
+            if i < last:
+                out.update(((i, v), None, (i + 1, self._origin)) for v in final)
+        return frozenset(out)
 
 
-def _box_members(lin: LinearSet, states, transitions) -> set:
-    """The states of R(lin, k) that lie in lin: v − base = Σ λ_p p for an
-    integer λ >= 0.
+def _box_members(lin: LinearSet, states, eps) -> set:
+    """The points of the box `states` that lie in lin: v − base = Σ λ_p p for
+    an integer λ >= 0; `eps` is R(lin, k)'s ε table, v -> [v − p for each
+    period p that keeps the box], read only by the ε-orbit fallback.
 
     The box is decided on the canonical period set: zero periods dropped,
     and each ± pair {p, −p} one column whose coefficient may take either
@@ -150,16 +224,15 @@ def _box_members(lin: LinearSet, states, transitions) -> set:
         for row in lams[len(paired):]:
             inside = [ok and a >= 0 for ok, a in zip(inside, row)]
         return {v for v, ok in zip(states, inside) if ok}
-    down, up = {}, {}
-    for p, a, q in transitions:
-        if a is None:
-            down.setdefault(p, []).append(q)
-            up.setdefault(q, []).append(p)
+    up = {}
+    for v, ws in eps.items():
+        for w in ws:
+            up.setdefault(w, []).append(v)
     member = {}
     for v in states:
         if v not in member:
             verdict = lin_member(lin, v)
-            spread = up if verdict else down
+            spread = up if verdict else eps
             orbit, _ = reachable([v], lambda u: ((None, w) for w in spread.get(u, ())
                                                  if w not in member))
             member.update(dict.fromkeys(orbit, verdict))
@@ -329,25 +402,15 @@ def make_basic_separator(chain, k: int):
 
 def desc_automaton(desc: BasicSeparatorDesc, annotated=False) -> Nfa:
     """The concatenation R(Λ_1,k)...R(Λ_ℓ,k) as one NFA: R(Λ_1, k) itself
-    for one factor, else the factors' states tagged (i, state), with ε moves
-    from the final states of factor i to the initial states of factor i + 1.
-    Memoized on the descriptor; the factors of a longer chain are built afresh,
-    so no linear set keeps a second copy of them."""
+    for one factor, else the chain's `ApproxNfa`, whose states are (i, point)
+    with ε moves from the final points of factor i to (i + 1, 0). Memoized
+    on the descriptor, which it does not reference; the tables of a longer
+    chain are built afresh, so no linear set keeps a second copy of them."""
     if annotated not in desc._automata:
         if len(desc.chain) == 1:
             nfa = approx_automaton(desc.chain[0], desc.k, annotated)
         else:
-            states, transitions, initial, exits = [], [], None, []
-            for i, lin in enumerate(desc.chain):
-                f_states, f_trans, f_init, f_final, alphabet = _approx_parts(lin, desc.k,
-                                                                             annotated)
-                entries = [(i, q) for q in f_init]
-                states.extend((i, q) for q in f_states)
-                transitions.extend(((i, p), a, (i, q)) for p, a, q in f_trans)
-                transitions.extend((p, None, q) for p in exits for q in entries)
-                initial = initial or entries
-                exits = [(i, q) for q in f_final]
-            nfa = Nfa(states, transitions, initial, exits, alphabet)
+            nfa = ApproxNfa(desc.chain, desc.k, annotated)
         desc._automata[annotated] = nfa
     return desc._automata[annotated]
 

@@ -122,7 +122,7 @@ def dfa_profile(dfa: Nfa, word) -> frozenset:
         for a in word:
             if a not in dfa.alphabet:
                 raise ArgumentError(f"letter {a!r} outside the DFA alphabet")
-            (cur,) = dfa._step[(cur, a)]
+            (cur,) = dfa.successors((cur,), a)
         pairs.add((p, cur))
     return frozenset(pairs)
 

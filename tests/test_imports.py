@@ -1,7 +1,8 @@
 """Every imported name is read, no vasslab module imports another one's
 private (underscore) names, only the LP layer and the ω-aware values import
 `fractions`, no vasslab function takes an integer literal as a parameter
-default, and every top-level definition in src/vasslab is reached
+default, only `automata.Nfa` defines `step` and `eps_closure`, and every
+top-level definition in src/vasslab is reached
 from the CLI's `driver.main` or from a name the benchmark in bench/ uses:
 walks over the syntax tree of each module in src/vasslab, tests, scripts and
 bench."""
@@ -138,6 +139,42 @@ def test_no_literal_int_defaults_in_package():
     assert len(package) > 10
     found = {p.name: literal_int_defaults(p.read_text(encoding="utf-8")) for p in package}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# the one stepping code; the benchmark's tracer counts calls on this class
+STEPPING = ("step", "eps_closure")
+
+
+def stepping_definitions(source: str) -> list:
+    """The (class, name) of every method or class attribute named in
+    STEPPING, in any class of the module; an annotation without a value
+    (a dataclass field, such as `decomposition.Observer.step`) defines no
+    method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is None:
+                    continue
+                found.extend((node.name, name) for name in _top_level_names(item)
+                             if name in STEPPING)
+    return sorted(found)
+
+
+def test_checker_finds_a_stepping_override():
+    src = ("class Nfa:\n    def step(self):\n        pass\n"
+           "class Fast(Nfa):\n    eps_closure = None\n    def successors(self):\n        pass\n"
+           "class Observer:\n    step: callable\n"
+           "def step():\n    pass\n")
+    assert stepping_definitions(src) == [("Fast", "eps_closure"), ("Nfa", "step")]
+
+
+def test_only_nfa_defines_the_stepping():
+    package = [p for p in MODULES if p.parent.name == "vasslab"]
+    assert len(package) > 10
+    found = {p.stem: stepping_definitions(p.read_text(encoding="utf-8")) for p in package}
+    assert {k: v for k, v in found.items() if v} == {
+        "automata": [("Nfa", "eps_closure"), ("Nfa", "step")]}
 
 
 def _top_level_names(node):

@@ -1,17 +1,19 @@
 import gc
 import weakref
+from contextlib import contextmanager
 from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vasslab import semilinear
-from vasslab.automata import Nfa, enumerate_words, run_word
+from vasslab.automata import Nfa, dump_nfa, enumerate_words, run_word
 from vasslab.errors import ArgumentError, ResourceExhausted
 from vasslab.mgts import Dmgts, unfold_paths
 from vasslab.model import (
+    annotated_alphabet,
     dec_letter,
     dyck_alphabet,
     inc_letter,
@@ -43,6 +45,18 @@ from audits import is_dyck_word, word_effect
 from conftest import make_rng
 
 A1, AB1, A2, AB2 = inc_letter(1), dec_letter(1), inc_letter(2), dec_letter(2)
+
+
+@contextmanager
+def collector_disabled():
+    """No garbage collection inside the block: what it frees, reference
+    counting frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 # -- period deduction and the NFA fold (no vasslab verb runs them yet) ----------
@@ -135,6 +149,47 @@ def random_sparse_nfa(rng, n=1, max_states=3, max_trans=5):
     return Nfa(states, transitions, {states[0]}, {rng.choice(states)}, letters)
 
 
+@st.composite
+def linear_sets(draw, n: int):
+    """A linear set in dimension n with entries in [-2, 2], whose periods may
+    hold a ± pair, the zero period and a duplicate."""
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    periods = draw(st.lists(vec, max_size=3))
+    if len(periods) >= 2 and draw(st.booleans()):
+        periods[-1] = tuple(-x for x in periods[0])  # a ± pair
+    if draw(st.booleans()):
+        periods.append((0,) * n)
+    if periods and draw(st.booleans()):
+        periods.append(draw(st.sampled_from(periods)))  # a duplicate
+    return LinearSet(draw(vec), periods)
+
+
+@st.composite
+def descriptors(draw):
+    """R(Λ_1, k)⋯R(Λ_ℓ, k) with ℓ <= 3, k <= 3, in dimension 1 or 2: the
+    factors are drawn linear sets and the chains of family_cov, family_mod
+    and family_drift, or else a certifiable chain of singletons."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    if draw(st.booleans()):
+        desc = make_basic_separator([singleton_set(draw(vec))
+                                     for _ in range(draw(st.integers(1, 3)))], k)
+        assume(isinstance(desc, BasicSeparatorDesc))
+        return desc
+    families = st.one_of(
+        linear_sets(n).map(lambda lin: (lin,)),
+        st.builds(lambda kk, i: family_cov(kk, i, n).chain,
+                  st.integers(0, 2), st.integers(1, n)),
+        st.tuples(st.integers(2, 3), vec).filter(lambda t: any(x % t[0] for x in t[1]))
+        .map(lambda t: family_mod(*t).chain),
+        st.builds(lambda v: family_drift(v, 0).chain, vec.filter(any)),
+    )
+    chain, length = [], draw(st.integers(1, 3))
+    while len(chain) < length:
+        chain.extend(draw(families))
+    return BasicSeparatorDesc(k, chain[:length])
+
+
 class TestApprox:
     def test_even_set(self):
         lin = LinearSet((0,), ((2,), (-2,)))
@@ -158,16 +213,7 @@ class TestApprox:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_final_states_are_the_box_members(self, data):
-        n = data.draw(st.integers(1, 2))
-        vec = st.tuples(*[st.integers(-2, 2)] * n)
-        periods = data.draw(st.lists(vec, max_size=3))
-        if len(periods) >= 2 and data.draw(st.booleans()):
-            periods[-1] = tuple(-x for x in periods[0])  # a ± pair
-        if data.draw(st.booleans()):
-            periods.append((0,) * n)
-        if periods and data.draw(st.booleans()):
-            periods.append(data.draw(st.sampled_from(periods)))  # a duplicate
-        lin = LinearSet(data.draw(vec), periods)
+        lin = data.draw(linear_sets(data.draw(st.integers(1, 2))))
         auto = approx_automaton(lin, data.draw(st.integers(0, 3)),
                                 annotated=data.draw(st.booleans()))
         assert auto.final == {v for v in auto.states if lin_member(lin, v)}
@@ -261,16 +307,18 @@ class TestApprox:
         assert points["independent"] > 5000 and points["closed"] > 5000
 
     def test_automaton_memoized_on_its_linear_set(self):
-        lin = LinearSet((0,), ((2,), (-2,)))
-        auto = approx_automaton(lin, 2)
-        assert approx_automaton(lin, 2) is auto
-        assert approx_automaton(lin, 2, annotated=True) is not auto
-        assert lin == LinearSet((0,), ((-2,), (2,))) and "_approx" not in repr(lin)
-        # the memo dies with its set; nothing else in the process keeps it
-        ref = weakref.ref(auto)
-        del lin, auto
-        gc.collect()
-        assert ref() is None
+        with collector_disabled():
+            lin = LinearSet((0,), ((2,), (-2,)))
+            auto = approx_automaton(lin, 2)
+            assert approx_automaton(lin, 2) is auto
+            assert approx_automaton(lin, 2, annotated=True) is not auto
+            assert lin == LinearSet((0,), ((-2,), (2,))) and "_approx" not in repr(lin)
+            assert run_word(auto, (A1, A1)) and auto.transitions and auto.states
+            # the memo dies with its set, by reference counting alone: no
+            # cycle runs through the automaton, and nothing else keeps it
+            ref = weakref.ref(auto)
+            del lin, auto
+            assert ref() is None
 
 
 class TestCover:
@@ -438,10 +486,14 @@ class TestFamilies:
 
 
 def _words(n: int, max_len: int):
+    return _words_over(dyck_alphabet(n), max_len)
+
+
+def _words_over(letters, max_len: int):
     words = [()]
     for w in words:
         if len(w) < max_len:
-            words.extend(w + (a,) for a in dyck_alphabet(n))
+            words.extend(w + (a,) for a in letters)
     return words
 
 
@@ -467,6 +519,11 @@ class TestDescAutomaton:
             for w in _words(n, 6 if n == 1 else 4):
                 assert basic_member(desc, w) == _split_member(desc, w), (desc, w)
 
+    def test_factors_of_two_dimensions_rejected(self):
+        desc = BasicSeparatorDesc(1, (singleton_set((1,)), singleton_set((0, 1))))
+        with pytest.raises(ArgumentError, match="dimension"):
+            desc_automaton(desc)
+
     def test_one_factor_chain_is_its_approximation(self):
         desc = family_drift((1,), 2)
         assert desc_automaton(desc) is approx_automaton(desc.chain[0], desc.k)
@@ -485,10 +542,26 @@ class TestDescAutomaton:
         assert desc == family_cov(1, 1, 2) and hash(desc) == hash(family_cov(1, 1, 2))
         assert "_automata" not in repr(desc)
         assert all(not lin._approx for lin in desc.chain)
-        ref = weakref.ref(auto)
-        del desc, auto, annotated
-        gc.collect()
-        assert ref() is None
+        with collector_disabled():
+            assert basic_member(desc, (AB1,)) and auto.transitions and auto.states
+            ref = weakref.ref(auto)
+            del desc, auto, annotated
+            assert ref() is None
+
+
+class TestApproxNfa:
+    @settings(max_examples=150, deadline=None)
+    @given(descriptors(), st.booleans())
+    def test_equals_the_eager_automaton(self, desc, annotated):
+        auto = desc_automaton(desc, annotated)
+        want = eager_desc_automaton(desc, annotated)
+        # stepping first, from the move tables alone
+        words = _words_over(sorted(want.alphabet, key=repr), 4)
+        assert [run_word(auto, w) for w in words] == [run_word(want, w) for w in words]
+        assert (auto.initial, auto.final, auto.alphabet) == (want.initial, want.final,
+                                                              want.alphabet)
+        assert (auto.states, auto.transitions) == (want.states, want.transitions)
+        assert dump_nfa(auto) == dump_nfa(want)
 
 
 class TestResidueNfa:
@@ -660,3 +733,64 @@ def _row_values(row, base, k: int) -> list:
     for r, b in zip(row, base):
         at = [a + r * (x - b) for a in at for x in range(-k, k + 1)]
     return at
+
+
+# -- R(Λ, k) as it was built before `ApproxNfa` ---------------------------------------
+# semilinear.py's eager construction of R(Λ, k) and of a longer chain's
+# automaton, verbatim but for the `semilinear.` prefixes and the final states,
+# which lin_member decides point by point here. They stay for one round as the differential oracle of
+# ApproxNfa's move tables (ROADMAP aim 3); delete them in the next change to
+# R(Λ, k).
+
+def _approx_parts(lin: LinearSet, k: int, annotated: bool):
+    """The states, transitions, initial states, final states and alphabet of
+    R(lin, k), built afresh. The states are the box in lexicographic order;
+    the points v that a move δ keeps in the box form a sub-box, and v + δ sits
+    a fixed number of places after v in that order, so each move's transitions
+    come from index arithmetic, sharing one tuple per point."""
+    if k < 0:
+        raise ArgumentError("k must be >= 0")
+    n = lin.dim
+    side = 2 * k + 1
+    # side^n >= 2^(n * (bit length of side - 1)): a count of 64 bits or more is
+    # bounded below by 2^64, not built
+    size = side ** n if n * (side.bit_length() - 1) < 64 else 2 ** 64
+    if size > semilinear.APPROX_STATE_CAP:
+        raise ResourceExhausted(f"R(Λ, {k}) in dimension {n} has {semilinear._count(size)} "
+                                f"states, above the cap {semilinear.APPROX_STATE_CAP}")
+    shifts = semilinear._letter_shifts(n, range(1, n + 1), annotated)
+    shifts.extend((None, tuple(-y for y in p)) for p in lin.periods)
+    states = list(product(range(-k, k + 1), repeat=n))
+    strides = [side ** (n - 1 - i) for i in range(n)]
+    transitions = []
+    for lab, delta in shifts:
+        # the indices of the points v with -k <= v_i, v_i + δ_i <= k
+        idx = [0]
+        for d, s in zip(delta, strides):
+            lo, hi = max(0, -d), min(side, side - d)
+            idx = [j + x for j in idx for x in range(lo * s, hi * s, s)]
+        off = sum(d * s for d, s in zip(delta, strides))
+        transitions.extend([(states[j], lab, states[j + off]) for j in idx])
+    start = (0,) * n
+    alphabet = annotated_alphabet(n) if annotated else dyck_alphabet(n)
+    return (states, transitions, {start}, {v for v in states if lin_member(lin, v)},
+            alphabet)
+
+
+def eager_desc_automaton(desc: BasicSeparatorDesc, annotated=False) -> Nfa:
+    """R(Λ_1,k)...R(Λ_ℓ,k) as an explicit NFA: R(Λ_1, k) for one factor, else
+    the factors' states tagged (i, state), with ε moves from the final states
+    of factor i to the initial states of factor i + 1."""
+    if len(desc.chain) == 1:
+        return Nfa(*_approx_parts(desc.chain[0], desc.k, annotated))
+    states, transitions, initial, exits = [], [], None, []
+    for i, lin in enumerate(desc.chain):
+        f_states, f_trans, f_init, f_final, alphabet = _approx_parts(lin, desc.k,
+                                                                     annotated)
+        entries = [(i, q) for q in f_init]
+        states.extend((i, q) for q in f_states)
+        transitions.extend(((i, p), a, (i, q)) for p, a, q in f_trans)
+        transitions.extend((p, None, q) for p in exits for q in entries)
+        initial = initial or entries
+        exits = [(i, q) for q in f_final]
+    return Nfa(states, transitions, initial, exits, alphabet)

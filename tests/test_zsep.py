@@ -1,4 +1,4 @@
-from vasslab.automata import run_word
+from vasslab.automata import Nfa, nfa_to_json, run_word
 from vasslab.mgts import Dmgts, LanguageCaps, Mgts, Update, initial_dmgts, side_language_bounded
 from vasslab.model import (
     Edge,
@@ -14,6 +14,7 @@ from vasslab.model import (
 from vasslab.values import OMEGA
 from vasslab import zsep
 from vasslab.semilinear import desc_automaton, family_drift
+from vasslab.separator import lift_separator
 from vasslab.zsep import SepVerdict, _small_vectors, z_separability
 
 from conftest import graph_loops
@@ -116,6 +117,14 @@ def test_drift_strategy():
     assert verdict.kind == "separable"
     assert verdict.strategy.startswith("drift")
     verify_separable(verdict, dm, max_len=4)
+    # lifting reads the R(Λ, k) separator's moves through `successors`, never
+    # its transition set, and gives the product its explicit copy gives
+    lifted = lift_separator(verdict.nfa, dm)
+    assert "transitions" not in vars(verdict.nfa)
+    sep = verdict.nfa
+    eager = Nfa(sep.states, sep.transitions, sep.initial, sep.final, sep.alphabet)
+    assert nfa_to_json(lifted) == nfa_to_json(lift_separator(eager, dm))
+    assert (len(lifted.states), len(lifted.transitions)) == (3822, 16228)
 
 
 def test_drift_nfa_accepts_words_of_nonneg_letters():
